@@ -41,41 +41,30 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/consistency"
 	"repro/internal/core"
-	"repro/internal/experiments"
+	"repro/internal/daemon"
 	"repro/internal/lifecycle"
 	"repro/internal/modelreg"
 	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/rdap"
-	"repro/internal/serve"
 	"repro/internal/store"
 	"repro/internal/synth"
 	"repro/internal/tiered"
-
-	whoisparse "repro"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("rdapd: ")
+	var df daemon.Flags
 	n := flag.Int("n", 2000, "number of domains to serve")
 	seed := flag.Int64("seed", 1, "corpus generation seed")
 	listen := flag.String("listen", "127.0.0.1:0", "listen address")
 	parseMode := flag.Bool("parse", true, "serve /parsed/{name} via the statistical parser")
-	model := flag.String("model", "", "trained parser model for -parse (empty = train a small one at startup)")
-	parseWorkers := flag.Int("parse-workers", 0, "parse worker pool size (0 = GOMAXPROCS)")
-	parseQueue := flag.Int("parse-queue", 0, "admission queue depth (0 = 8x workers); overflow answers 503")
-	parseCache := flag.Int("parse-cache", 4096, "parsed-record cache capacity (negative disables)")
+	df.RegisterModel(flag.CommandLine, "", "trained parser model for -parse (empty = train a small one at startup)")
+	df.RegisterServing(flag.CommandLine)
+	flag.IntVar(&df.Queue, "parse-queue", 0, "admission queue depth (0 = 8x workers); overflow answers 503")
 	storeDir := flag.String("store", "", "open this record store for the daemon's lifetime: warm-start the parse cache from its newest segment and serve predicated queries at /admin/query on -debug-addr")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/vars and /debug/pprof on this address (empty disables)")
-	lifecycleMode := flag.Bool("lifecycle", false,
-		"manage -model through internal/lifecycle: hot-reload on SIGHUP or POST /admin/reload (requires a WMDL -model)")
-	modelRegDir := flag.String("model-registry", "",
-		"serve the model the registry at this directory marks 'serving' (implies -lifecycle; SIGHUP or POST /admin/reload re-resolves the pointer, POST /admin/model/promote|rollback move it, GET /admin/models lists the registry)")
-	modelFamily := flag.String("model-family", modelreg.DefaultFamily,
-		"registry model family to serve (with -model-registry)")
-	tieredMode := flag.Bool("tiered", false,
-		"serve /parsed/ through the L0 compiled-template fast path with CRF fallback (status at /admin/tiered)")
 	clusterListen := flag.String("cluster-listen", "",
 		"serve the shard protocol on this address and route /parsed/ through the consistent-hash ring (empty disables clustering)")
 	clusterID := flag.String("cluster-id", "",
@@ -110,124 +99,34 @@ func main() {
 		defer recStore.Close()
 		qe = query.New(recStore, query.Options{Metrics: reg})
 		qe.AutoBuild()
-		go func() {
+	}
+
+	// The parse stack: model source, lifecycle, tiered routing and the
+	// serving layer behind /parsed/. Closed before the store, so its
+	// background sidecar build never outlives the segments it reads.
+	mode := daemon.NoModel
+	if *parseMode {
+		mode = daemon.ServeModel
+	}
+	stk, err := daemon.Build(daemon.Config{Flags: df, Mode: mode, Seed: *seed, Metrics: reg})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer stk.Close()
+	if qe != nil {
+		stk.Go(func() {
 			if built, err := qe.BuildAll(); err != nil {
 				log.Printf("query: sidecar build: %v (queries fall back where needed)", err)
 			} else if built > 0 {
 				log.Printf("query: built sidecars for %d segments", built)
 			}
-		}()
+		})
 	}
 
-	// With -lifecycle the model is owned by a lifecycle.Manager: every
-	// response is stamped with the model version that produced it, the
-	// drift sentinel watches live parses, and the model can be hot-swapped
-	// (SIGHUP, or POST /admin/reload on -debug-addr) with the serving
-	// cache invalidated in the same atomic step.
-	var mgr *lifecycle.Manager
-	var router *tiered.Router
 	var node *cluster.Node
-	// With -model-registry the serving model is whatever the registry's
-	// serving pointer names: boot resolves it, SIGHUP re-resolves it, and
-	// the promote/rollback admin endpoints move it.
-	var modelRegistry *modelreg.Registry
-	if *modelRegDir != "" {
-		var err error
-		modelRegistry, err = modelreg.Open(*modelRegDir, modelreg.Options{
-			Metrics: reg,
-			Log:     obs.NewLogger("modelreg", os.Stderr),
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-	// parseFn is the same parse the serving layer would run for a cache
-	// miss, kept for the /admin/consistency self-audit: under -lifecycle
-	// it re-resolves the live model on every call so an audit after a
-	// hot-swap scores the model actually serving.
-	var parseFn func(text string) *core.ParsedRecord
 	if *parseMode {
-		// With -tiered, head-of-distribution registrars are served by
-		// compiled templates (L0) and everything L0 cannot vouch for —
-		// unknown registrar, template mismatch, low match confidence,
-		// demoted template — falls back to the CRF (L1). Templates come
-		// from the same labeled training distribution the default parser
-		// trains on.
-		if *tieredMode {
-			trecs := synth.GenerateLabeled(synth.Config{N: 200, Seed: *seed + 7919})
-			router = tiered.NewFromRecords(trecs, core.DefaultConfig().Tokenize,
-				tiered.Options{Metrics: reg})
-			log.Printf("tiered: %d registrar templates compiled (L0 fast path on)",
-				router.Status().Templates)
-		}
-		var p *core.Parser
-		if modelRegistry != nil {
-			var err error
-			mgr, err = lifecycle.NewFromRegistry(modelRegistry, *modelFamily, lifecycle.Options{
-				Metrics: reg,
-				Log:     obs.NewLogger("lifecycle", os.Stderr),
-				Tiered:  router,
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
-			snap := mgr.Current()
-			log.Printf("modelreg: serving %s (%s) from %s", snap.Version, snap.Info, *modelRegDir)
-			p = snap.Parser
-		} else if *lifecycleMode {
-			if *model == "" {
-				log.Fatal("-lifecycle requires -model (a WMDL artifact to reload from)")
-			}
-			var err error
-			mgr, err = lifecycle.NewFromFile(*model, lifecycle.Options{
-				Metrics: reg,
-				Log:     obs.NewLogger("lifecycle", os.Stderr),
-				Tiered:  router,
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
-			snap := mgr.Current()
-			log.Printf("lifecycle: serving model %s (%s)", snap.Version, snap.Info)
-			p = snap.Parser
-		} else {
-			var err error
-			p, err = loadOrTrainParser(*model, *seed)
-			if err != nil {
-				log.Fatal(err)
-			}
-			p.Instrument(reg)
-		}
-		ps := serve.New(p, serve.Options{
-			Workers:       *parseWorkers,
-			QueueDepth:    *parseQueue,
-			CacheCapacity: *parseCache,
-			Metrics:       reg,
-		})
-		defer func() {
-			ps.Close() // drain in-flight parses after the listener stops
-			log.Printf("parse serving: %s", ps.Stats())
-		}()
-		if mgr != nil {
-			mgr.Attach(ps)
-			parseFn = mgr.Parse
-		} else if router != nil {
-			// Without lifecycle, bind the router directly over the plain
-			// parser; the lifecycle path routes via Options.Tiered.
-			ps.SetParseFunc(router.Bind(p.Parse))
-			parseFn = router.Bind(p.Parse)
-		} else {
-			parseFn = p.Parse
-		}
 		if recStore != nil {
-			// Under -lifecycle only records stamped by the exact model
-			// being served may seed the cache; anything else would be
-			// unattributable (or misattributed) after the first reload.
-			wantVersion := ""
-			if mgr != nil {
-				wantVersion = mgr.Current().Version
-			}
-			n, err := warmStart(ps, recStore, wantVersion)
+			n, err := stk.WarmStart(recStore)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -245,7 +144,7 @@ func main() {
 			if id == "" {
 				id = ln.Addr().String()
 			}
-			node, err = cluster.NewNode(ps, mgr, cluster.Options{
+			node, err = cluster.NewNode(stk.Server, stk.Manager, cluster.Options{
 				ID:      id,
 				Addr:    ln.Addr().String(),
 				Metrics: reg,
@@ -266,21 +165,21 @@ func main() {
 				}
 				node.AddPeer(pid, cluster.DialTCP(paddr))
 			}
-			if modelRegistry != nil {
+			if stk.Registry != nil {
 				// Joining peers always fetch whatever the registry says is
 				// serving right now — a promote between joins changes what
 				// the next peer receives, with no daemon restart.
-				fam := *modelFamily
+				fam := df.Family
 				node.SetModelProvider(func() ([]byte, error) {
-					res, err := modelRegistry.ResolveServing(fam)
+					res, err := stk.Registry.ResolveServing(fam)
 					if err != nil {
 						return nil, err
 					}
 					return os.ReadFile(res.Path)
 				})
-			} else if *model != "" {
+			} else if df.Model != "" {
 				// Serve our on-disk artifact to joining peers.
-				data, err := os.ReadFile(*model)
+				data, err := os.ReadFile(df.Model)
 				if err != nil {
 					log.Fatal(err)
 				}
@@ -304,7 +203,7 @@ func main() {
 			log.Printf("cluster: shard %s on %s, %d ring members", id, ln.Addr(), node.Ring().Len())
 			srv.EnableParsedBackend(node, domains)
 		} else {
-			srv.EnableParsed(ps, domains)
+			srv.EnableParsed(stk.Server, domains)
 		}
 	}
 
@@ -315,57 +214,42 @@ func main() {
 	defer srv.Close()
 
 	if *debugAddr != "" {
-		dl, err := net.Listen("tcp", *debugAddr)
+		mux := obs.DebugMux(reg)
+		var notes []string // one log line per admin surface, formatted with the bound address
+		handle := func(path string, h http.HandlerFunc, note string) {
+			mux.HandleFunc(path, h)
+			if note != "" {
+				notes = append(notes, note)
+			}
+		}
+		if stk.Manager != nil {
+			handle("/admin/reload", adminReload(stk), "")
+			handle("/admin/model", adminModel(stk.Manager), "model admin at http://%s/admin/model (POST /admin/reload to hot-swap)")
+		}
+		if stk.Registry != nil {
+			handle("/admin/models", adminModels(stk.Registry), "model registry at http://%s/admin/models (POST /admin/model/promote|rollback?version=...)")
+			handle("/admin/model/promote", adminStageMove(stk.Registry, stk.Manager, node, df.Family, false), "")
+			handle("/admin/model/rollback", adminStageMove(stk.Registry, stk.Manager, node, df.Family, true), "")
+		}
+		if stk.Router != nil {
+			handle("/admin/tiered", adminTiered(stk.Router), "tier status at http://%s/admin/tiered")
+		}
+		if node != nil {
+			handle("/admin/cluster", adminCluster(node), "cluster status at http://%s/admin/cluster")
+		}
+		if qe != nil {
+			handle("/admin/query", adminQuery(qe), "store queries at http://%s/admin/query?registrar=...&country=...&year=...&since=...")
+		}
+		if stk.Parse != nil {
+			handle("/admin/consistency", adminConsistency(domains, stk.Parse), "cross-protocol self-audit at http://%s/admin/consistency?limit=...")
+		}
+		daddr, err := stk.Serve(*debugAddr, mux)
 		if err != nil {
 			log.Fatal(err)
 		}
-		mux := obs.DebugMux(reg)
-		if mgr != nil {
-			if modelRegistry != nil {
-				mux.HandleFunc("/admin/reload", adminReloadServing(mgr))
-			} else {
-				mux.HandleFunc("/admin/reload", adminReload(mgr, *model))
-			}
-			mux.HandleFunc("/admin/model", adminModel(mgr))
-		}
-		if modelRegistry != nil {
-			mux.HandleFunc("/admin/models", adminModels(modelRegistry))
-			mux.HandleFunc("/admin/model/promote", adminStageMove(modelRegistry, mgr, node, *modelFamily, false))
-			mux.HandleFunc("/admin/model/rollback", adminStageMove(modelRegistry, mgr, node, *modelFamily, true))
-		}
-		if router != nil {
-			mux.HandleFunc("/admin/tiered", adminTiered(router))
-		}
-		if node != nil {
-			mux.HandleFunc("/admin/cluster", adminCluster(node))
-		}
-		if qe != nil {
-			mux.HandleFunc("/admin/query", adminQuery(qe))
-		}
-		if parseFn != nil {
-			mux.HandleFunc("/admin/consistency", adminConsistency(domains, parseFn))
-		}
-		dbg := &http.Server{Handler: mux}
-		go func() { _ = dbg.Serve(dl) }()
-		defer dbg.Close()
-		log.Printf("debug endpoints at http://%s/debug/vars and /debug/pprof/", dl.Addr())
-		if mgr != nil {
-			log.Printf("model admin at http://%s/admin/model (POST /admin/reload to hot-swap)", dl.Addr())
-		}
-		if modelRegistry != nil {
-			log.Printf("model registry at http://%s/admin/models (POST /admin/model/promote|rollback?version=...)", dl.Addr())
-		}
-		if router != nil {
-			log.Printf("tier status at http://%s/admin/tiered", dl.Addr())
-		}
-		if node != nil {
-			log.Printf("cluster status at http://%s/admin/cluster", dl.Addr())
-		}
-		if qe != nil {
-			log.Printf("store queries at http://%s/admin/query?registrar=...&country=...&year=...&since=...", dl.Addr())
-		}
-		if parseFn != nil {
-			log.Printf("cross-protocol self-audit at http://%s/admin/consistency?limit=...", dl.Addr())
+		log.Printf("debug endpoints at http://%s/debug/vars and /debug/pprof/", daddr)
+		for _, note := range notes {
+			log.Printf(note, daddr)
 		}
 	}
 	log.Printf("serving %d domains at http://%s/domain/{name}", *n, addr)
@@ -374,82 +258,29 @@ func main() {
 	}
 	log.Printf("example: curl -s http://%s/domain/%s", addr, domains[0].Reg.Domain)
 
+	// SIGHUP = "re-read the model source and swap it live": with
+	// -model-registry that re-resolves the serving pointer (a promote on
+	// another process becomes visible), otherwise it re-reads -model.
+	stk.ReloadOnSIGHUP()
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	if mgr != nil {
-		// SIGHUP = "re-read the model source and swap it live", the
-		// classic daemon reload contract: with -model-registry that means
-		// re-resolving the serving pointer (a promote on another process
-		// becomes visible), otherwise re-reading -model from disk. A bad
-		// artifact is rejected with the old model still serving.
-		hup := make(chan os.Signal, 1)
-		signal.Notify(hup, syscall.SIGHUP)
-		go func() {
-			for range hup {
-				var snap *lifecycle.Snapshot
-				var err error
-				if modelRegistry != nil {
-					var changed bool
-					snap, changed, err = mgr.ReloadServing()
-					if err == nil && !changed {
-						log.Printf("SIGHUP reload: %s still serving (registry pointer unchanged)", snap.Version)
-						continue
-					}
-				} else {
-					snap, err = mgr.ReloadFromFile(*model)
-				}
-				if err != nil {
-					log.Printf("SIGHUP reload failed (still serving %s): %v",
-						mgr.Current().Version, err)
-					continue
-				}
-				log.Printf("SIGHUP reload: now serving %s (%s)", snap.Version, snap.Info)
-			}
-		}()
-	}
 	<-sig
 	log.Printf("shutting down")
 }
 
-// adminReload hot-swaps the model from the artifact path on POST — the
-// HTTP twin of SIGHUP, for orchestrators that would rather curl than
-// signal.
-func adminReload(mgr *lifecycle.Manager, model string) http.HandlerFunc {
+// adminReload is the HTTP twin of SIGHUP on POST, for orchestrators that
+// would rather curl than signal: the stack re-reads its model source and
+// swaps it live (a registry stack only when the serving pointer moved).
+func adminReload(stk *daemon.Stack) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "POST required", http.StatusMethodNotAllowed)
 			return
 		}
-		snap, err := mgr.ReloadFromFile(model)
+		snap, changed, err := stk.Reload()
 		if err != nil {
-			log.Printf("admin reload failed (still serving %s): %v", mgr.Current().Version, err)
 			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 			return
-		}
-		log.Printf("admin reload: now serving %s (%s)", snap.Version, snap.Info)
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(map[string]any{
-			"version": snap.Version, "seq": snap.Seq, "artifact": snap.Info.String(),
-		})
-	}
-}
-
-// adminReloadServing re-resolves the registry's serving pointer on POST
-// — the HTTP twin of SIGHUP for registry-backed daemons.
-func adminReloadServing(mgr *lifecycle.Manager) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST required", http.StatusMethodNotAllowed)
-			return
-		}
-		snap, changed, err := mgr.ReloadServing()
-		if err != nil {
-			log.Printf("admin reload failed (still serving %s): %v", mgr.Current().Version, err)
-			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-			return
-		}
-		if changed {
-			log.Printf("admin reload: now serving %s (%s)", snap.Version, snap.Info)
 		}
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(map[string]any{
@@ -514,17 +345,14 @@ func adminStageMove(reg *modelreg.Registry, mgr *lifecycle.Manager, node *cluste
 			}
 			resp["serving"], resp["swapped"] = snap.Version, changed
 			if node != nil && changed {
-				res, rerr := reg.ResolveServing(family)
-				if rerr == nil {
-					if data, ferr := os.ReadFile(res.Path); ferr == nil {
-						ctx, cancel := context.WithTimeout(r.Context(), time.Minute)
-						report, roerr := node.Rollout(ctx, data, 0)
-						cancel()
-						if roerr != nil {
-							log.Printf("admin %s: cluster rollout: %v", stage, roerr)
-						}
-						resp["rollout"] = report
+				if data, ferr := os.ReadFile(snap.Path); ferr == nil {
+					ctx, cancel := context.WithTimeout(r.Context(), time.Minute)
+					report, roerr := node.Rollout(ctx, data, 0)
+					cancel()
+					if roerr != nil {
+						log.Printf("admin %s: cluster rollout: %v", stage, roerr)
 					}
+					resp["rollout"] = report
 				}
 			}
 		}
@@ -713,42 +541,4 @@ func yearCounts(m map[int]int) []yearCount {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Year < out[j].Year })
 	return out
-}
-
-// warmStart replays the newest store segment (the records written
-// closest to the previous shutdown) into the serving cache: records that
-// carry both their raw text and a parsed view preload under the same
-// cache key a live request for that text would compute. When wantVersion
-// is non-empty, only records stamped by that exact model version are
-// admitted.
-func warmStart(ps *serve.Server, st *store.Store, wantVersion string) (int, error) {
-	it := st.IterNewestSegment()
-	defer it.Close()
-	n := 0
-	for it.Next() {
-		rec := it.Record()
-		if rec.Text == "" || rec.Parsed == nil {
-			continue // thin or unparsed records cannot seed the cache
-		}
-		if wantVersion != "" && rec.Parsed.ModelVersion != wantVersion {
-			continue // parsed by a different (or unknown) model
-		}
-		ps.Preload(rec.Text, rec.Parsed)
-		n++
-	}
-	return n, it.Err()
-}
-
-// loadOrTrainParser loads a saved model, or — so /parsed/ works out of
-// the box — trains a small parser on a labeled synthetic corpus drawn
-// from a seed distinct from the served ecosystem's.
-func loadOrTrainParser(model string, seed int64) (*core.Parser, error) {
-	if model != "" {
-		log.Printf("loading parser from %s", model)
-		return whoisparse.Load(model)
-	}
-	log.Printf("no -model given; training a small parser (use -model for a full one)")
-	recs := synth.GenerateLabeled(synth.Config{N: 200, Seed: seed + 7919})
-	p, _, err := experiments.TrainParser(recs, experiments.Quick())
-	return p, err
 }

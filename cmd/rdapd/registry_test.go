@@ -9,7 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/lifecycle"
+	"repro/internal/daemon"
 	"repro/internal/modelreg"
 	"repro/internal/store"
 	"repro/internal/synth"
@@ -17,8 +17,8 @@ import (
 
 // registryFixture publishes two versions into a fresh registry —
 // 1.0.0 promoted to serving, 1.1.0 staged as candidate — and returns a
-// registry-backed Manager serving 1.0.0.
-func registryFixture(t *testing.T) (*modelreg.Registry, *lifecycle.Manager) {
+// registry-backed parse stack serving 1.0.0.
+func registryFixture(t *testing.T) *daemon.Stack {
 	t.Helper()
 	recs := synth.GenerateLabeled(synth.Config{N: 80, Seed: 29})
 	pA, _, err := core.Train(recs[:40], core.DefaultConfig())
@@ -39,7 +39,8 @@ func registryFixture(t *testing.T) (*modelreg.Registry, *lifecycle.Manager) {
 		t.Fatal(err)
 	}
 
-	reg, err := modelreg.Open(t.TempDir(), modelreg.Options{})
+	regDir := t.TempDir()
+	reg, err := modelreg.Open(regDir, modelreg.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +67,15 @@ func registryFixture(t *testing.T) (*modelreg.Registry, *lifecycle.Manager) {
 		t.Fatal(err)
 	}
 
-	mgr, err := lifecycle.NewFromRegistry(reg, fam, lifecycle.Options{})
+	stk, err := daemon.Build(daemon.Config{
+		Flags: daemon.Flags{Registry: regDir, Family: fam},
+		Mode:  daemon.ModelIfSet,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return reg, mgr
+	t.Cleanup(stk.Close)
+	return stk
 }
 
 func postJSON(t *testing.T, h http.Handler, target string) (int, map[string]any) {
@@ -91,7 +96,8 @@ func postJSON(t *testing.T, h http.Handler, target string) (int, map[string]any)
 // it, and rolls back — the prior serving version must still be on disk,
 // verify clean, and come back live.
 func TestAdminStageMoveDrivesRegistry(t *testing.T) {
-	reg, mgr := registryFixture(t)
+	stk := registryFixture(t)
+	reg, mgr := stk.Registry, stk.Manager
 	fam := modelreg.DefaultFamily
 	promote := adminStageMove(reg, mgr, nil, fam, false)
 	rollback := adminStageMove(reg, mgr, nil, fam, true)
@@ -151,9 +157,10 @@ func TestAdminStageMoveDrivesRegistry(t *testing.T) {
 // POST-only no-op while the pointer is unchanged, and /admin/models
 // lists every version with its stage.
 func TestAdminReloadServingAndModels(t *testing.T) {
-	reg, mgr := registryFixture(t)
+	stk := registryFixture(t)
+	reg, mgr := stk.Registry, stk.Manager
 
-	reload := adminReloadServing(mgr)
+	reload := adminReload(stk)
 	code, body := postJSON(t, reload, "/admin/reload")
 	if code != http.StatusOK || body["changed"] != false {
 		t.Fatalf("idle reload: %d %v", code, body)

@@ -28,13 +28,11 @@ import (
 	"time"
 
 	"repro/internal/crawler"
-	"repro/internal/modelreg"
+	"repro/internal/daemon"
 	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/whoisclient"
 	"repro/internal/whoisd"
-
-	whoisparse "repro"
 )
 
 func main() {
@@ -48,11 +46,8 @@ func main() {
 	timeout := flag.Duration("timeout", 10*time.Minute, "overall crawl deadline")
 	storeDir := flag.String("store", "", "stream crawled records into this persistent store directory")
 	resume := flag.Bool("resume", false, "skip domains already persisted in -store (resume an interrupted crawl)")
-	modelFile := flag.String("model", "", "parse records with this trained model before persisting (requires -store)")
-	modelRegDir := flag.String("model-registry", "",
-		"parse with the model this registry directory marks 'serving' (requires -store; overrides -model)")
-	modelFamily := flag.String("model-family", modelreg.DefaultFamily,
-		"registry model family to resolve (with -model-registry)")
+	var df daemon.Flags
+	df.RegisterModel(flag.CommandLine, "", "parse records with this trained model before persisting (requires -store)")
 	verbose := flag.Bool("v", false, "log per-query diagnostics (rate limits, retries)")
 	flag.Parse()
 
@@ -67,13 +62,19 @@ func main() {
 	if *resume && *storeDir == "" {
 		log.Fatal("-resume requires -store")
 	}
-	if (*modelFile != "" || *modelRegDir != "") && *storeDir == "" {
+	if (df.Model != "" || df.Registry != "") && *storeDir == "" {
 		log.Fatal("-model/-model-registry requires -store")
 	}
 
 	// The crawl registry accumulates per-host retry/rate-limit/byte
 	// counters alongside the aggregate stats; it is dumped after the run.
+	// The parse stack holds only a model, and only when one is named.
 	reg := obs.NewRegistry()
+	stk, err := daemon.Build(daemon.Config{Flags: df, Mode: daemon.ModelIfSet, Metrics: reg, DumpStats: true})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer stk.Close()
 	logger := obs.NewLogger("whoiscrawl", os.Stderr)
 	if !*verbose {
 		logger.SetLevel(obs.LevelError)
@@ -110,45 +111,12 @@ func main() {
 			log.Printf("resume: skipping %d already-persisted domains, %d remain", len(domains)-len(kept), len(kept))
 			domains = kept
 		}
-		opts := store.SinkOptions{}
-		if *modelRegDir != "" {
-			// Resolve the registry's serving pointer and stamp records
-			// with the canonical "<family>/<semver>+<crc32c>" string —
-			// the same identity registry-backed daemons stamp, so the
-			// crawled corpus segments cleanly against served traffic.
-			mreg, err := modelreg.Open(*modelRegDir, modelreg.Options{Metrics: reg})
-			if err != nil {
-				log.Fatal(err)
-			}
-			res, err := mreg.ResolveServing(*modelFamily)
-			if err != nil {
-				log.Fatal(err)
-			}
-			p, err := store.LoadModel(res.Path)
-			if err != nil {
-				log.Fatal(err)
-			}
-			opts.Parse = p.Parse
-			opts.ModelVersion = res.VersionString()
-			log.Printf("parsing with registry model %s (%s); records stamped with that identity",
-				res.VersionString(), res.Info)
-		} else if *modelFile != "" {
-			p, err := whoisparse.Load(*modelFile)
-			if err != nil {
-				log.Fatal(err)
-			}
-			opts.Parse = p.Parse
-			// Stamp every persisted record with the parsing model's
-			// WMDL identity, so later drift analysis can segment the
-			// corpus by the model that read it. Legacy bare-gob models
-			// have no identity to stamp.
-			if info, err := store.StatModel(*modelFile); err == nil {
-				opts.ModelVersion = info.String()
-				log.Printf("parsing with %s (%s); records stamped with that identity",
-					*modelFile, info)
-			} else {
-				log.Printf("parsing with legacy model %s (no WMDL identity: %v)", *modelFile, err)
-			}
+		// Stamp every persisted record with the parsing model's identity,
+		// so later drift analysis can segment the corpus by the model that
+		// read it — the same identity a daemon serving that model stamps.
+		opts := store.SinkOptions{Parse: stk.Parse, ModelVersion: stk.ID()}
+		if stk.Parse != nil {
+			log.Printf("parsing with model %s; records stamped with that identity", stk.ID())
 		}
 		sink = store.NewSink(st, opts)
 	}
@@ -222,11 +190,6 @@ func main() {
 	if *outFile != "" {
 		log.Printf("wrote %d records to %s", written, *outFile)
 	}
-	log.Printf("final stats:")
-	if err := reg.WriteJSON(os.Stderr); err != nil {
-		log.Printf("stats dump failed: %v", err)
-	}
-	fmt.Fprintln(os.Stderr)
 }
 
 // thinRegistrar extracts the "Registrar:" value from a thin record.

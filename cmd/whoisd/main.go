@@ -22,31 +22,23 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"sort"
 	"syscall"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/experiments"
-	"repro/internal/lifecycle"
-	"repro/internal/modelreg"
+	"repro/internal/daemon"
 	"repro/internal/obs"
 	"repro/internal/registry"
-	"repro/internal/serve"
 	"repro/internal/synth"
-	"repro/internal/tiered"
 	"repro/internal/whoisd"
-
-	whoisparse "repro"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("whoisd: ")
+	var df daemon.Flags
 	n := flag.Int("n", 5000, "number of domains to serve")
 	seed := flag.Int64("seed", 1, "corpus generation seed")
 	limit := flag.Int("limit", 25, "per-source queries per window at each registrar (0 = unlimited)")
@@ -56,100 +48,32 @@ func main() {
 	zoneFile := flag.String("zone", "zone.txt", "zone file to write (one domain per line)")
 	failFrac := flag.Float64("fail", 0.075, "fraction of domains whose thick record is withheld")
 	parseMode := flag.Bool("parse", true, "answer '--parse <domain>' queries with the parsed-field summary")
-	model := flag.String("model", "", "trained parser model for -parse (empty = train a small one at startup)")
-	parseWorkers := flag.Int("parse-workers", 0, "parse worker pool size (0 = GOMAXPROCS)")
-	parseCache := flag.Int("parse-cache", 4096, "parsed-record cache capacity (negative disables)")
+	df.RegisterModel(flag.CommandLine, "", "trained parser model for -parse (empty = train a small one at startup)")
+	df.RegisterServing(flag.CommandLine)
 	metricsAddr := flag.String("metrics-addr", "", "serve the metrics registry as JSON on this address (empty disables)")
-	lifecycleMode := flag.Bool("lifecycle", false,
-		"manage -model through internal/lifecycle: hot-reload on SIGHUP (requires a WMDL -model)")
-	modelRegDir := flag.String("model-registry", "",
-		"serve the model this registry directory marks 'serving' (implies -lifecycle; SIGHUP re-resolves the pointer)")
-	modelFamily := flag.String("model-family", modelreg.DefaultFamily,
-		"registry model family to serve (with -model-registry)")
-	tieredMode := flag.Bool("tiered", false,
-		"answer '--parse' via the L0 compiled-template fast path with CRF fallback (tiered.* in the stats dump)")
 	flag.Parse()
 
 	// One registry across the cluster: per-server query counters, the
 	// parse-serving layer, and the CRF decoders all report here. It is
 	// exported live on -metrics-addr and dumped at shutdown either way.
 	reg := obs.NewRegistry()
-	logger := obs.NewLogger("whoisd", os.Stderr)
-
-	var modelRegistry *modelreg.Registry
-	if *modelRegDir != "" {
-		var err error
-		modelRegistry, err = modelreg.Open(*modelRegDir, modelreg.Options{
-			Metrics: reg, Log: obs.NewLogger("modelreg", os.Stderr),
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		*lifecycleMode = true
-	}
 
 	log.Printf("generating %d domains (seed %d)", *n, *seed)
 	domains := synth.Generate(synth.Config{N: *n, Seed: *seed, BrandFraction: 0.02})
 	eco := registry.BuildEcosystem(domains, *failFrac)
 
-	var ps *serve.Server
-	var mgr *lifecycle.Manager
-	var router *tiered.Router
+	// Every registrar server answers '--parse' through one shared serving
+	// layer, so a reload swaps the model into all of them at once.
+	mode := daemon.NoModel
 	if *parseMode {
-		// With -tiered, in-template registrars are answered by compiled
-		// templates (L0); everything else — unknown registrar, mismatch,
-		// low confidence, demoted — falls back to the CRF (L1). Per-tier
-		// counters land in the shared registry and the shutdown dump.
-		if *tieredMode {
-			trecs := synth.GenerateLabeled(synth.Config{N: 200, Seed: *seed + 7919})
-			router = tiered.NewFromRecords(trecs, core.DefaultConfig().Tokenize,
-				tiered.Options{Metrics: reg})
-			log.Printf("tiered: %d registrar templates compiled (L0 fast path on)",
-				router.Status().Templates)
-		}
-		var p *core.Parser
-		if modelRegistry != nil {
-			var err error
-			mgr, err = lifecycle.NewFromRegistry(modelRegistry, *modelFamily,
-				lifecycle.Options{Metrics: reg, Log: logger, Tiered: router})
-			if err != nil {
-				log.Fatal(err)
-			}
-			snap := mgr.Current()
-			log.Printf("modelreg: serving %s (%s) from %s; SIGHUP re-resolves the serving pointer",
-				snap.Version, snap.Info, *modelRegDir)
-			p = snap.Parser
-		} else if *lifecycleMode {
-			if *model == "" {
-				log.Fatal("-lifecycle requires -model (a WMDL artifact to reload from)")
-			}
-			var err error
-			mgr, err = lifecycle.NewFromFile(*model, lifecycle.Options{Metrics: reg, Log: logger, Tiered: router})
-			if err != nil {
-				log.Fatal(err)
-			}
-			snap := mgr.Current()
-			log.Printf("lifecycle: serving model %s (%s); SIGHUP hot-reloads %s",
-				snap.Version, snap.Info, *model)
-			p = snap.Parser
-		} else {
-			var err error
-			p, err = loadOrTrainParser(*model, *seed)
-			if err != nil {
-				log.Fatal(err)
-			}
-			p.Instrument(reg)
-		}
-		ps = serve.New(p, serve.Options{Workers: *parseWorkers, CacheCapacity: *parseCache, Metrics: reg})
-		defer func() {
-			ps.Close() // drain in-flight parses before exit
-			log.Printf("parse serving: %s", ps.Stats())
-		}()
-		if mgr != nil {
-			mgr.Attach(ps)
-		} else if router != nil {
-			ps.SetParseFunc(router.Bind(p.Parse))
-		}
+		mode = daemon.ServeModel
+	}
+	stk, err := daemon.Build(daemon.Config{Flags: df, Mode: mode, Seed: *seed, Metrics: reg, DumpStats: true})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer stk.Close()
+	if *parseMode {
 		log.Printf("parse mode on: try '--parse <domain>' against any server")
 	}
 
@@ -158,8 +82,8 @@ func main() {
 		RegistrarLimit: *limit,
 		Window:         *window,
 		Penalty:        *penalty,
-		Parse:          ps,
-		Log:            logger,
+		Parse:          stk.Server,
+		Log:            obs.NewLogger("whoisd", os.Stderr),
 		Metrics:        reg,
 	})
 	if err != nil {
@@ -181,66 +105,21 @@ func main() {
 	log.Printf("try: printf 'example.com\\r\\n' | nc %s", addr)
 
 	if *metricsAddr != "" {
-		ml, err := net.Listen("tcp", *metricsAddr)
+		maddr, err := stk.Serve(*metricsAddr, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		msrv := &http.Server{Handler: reg}
-		go func() { _ = msrv.Serve(ml) }()
-		defer msrv.Close()
-		log.Printf("metrics at http://%s/", ml.Addr())
+		log.Printf("metrics at http://%s/", maddr)
 	}
 
+	// SIGHUP re-resolves the registry's serving pointer (registry mode)
+	// or re-reads -model; a bad artifact is rejected with the old model
+	// still live.
+	stk.ReloadOnSIGHUP()
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	if mgr != nil {
-		// SIGHUP re-resolves the registry's serving pointer (registry
-		// mode) or re-reads -model, and swaps the result into every
-		// registrar server at once (they share the serving layer); a bad
-		// artifact is rejected with the old model still live.
-		hup := make(chan os.Signal, 1)
-		signal.Notify(hup, syscall.SIGHUP)
-		go func() {
-			for range hup {
-				var snap *lifecycle.Snapshot
-				var err error
-				if modelRegistry != nil {
-					var changed bool
-					snap, changed, err = mgr.ReloadServing()
-					if err == nil && !changed {
-						log.Printf("SIGHUP: registry pointer unchanged, still serving %s", snap.Version)
-						continue
-					}
-				} else {
-					snap, err = mgr.ReloadFromFile(*model)
-				}
-				if err != nil {
-					log.Printf("SIGHUP reload failed (still serving %s): %v",
-						mgr.Current().Version, err)
-					continue
-				}
-				log.Printf("SIGHUP reload: now serving %s (%s)", snap.Version, snap.Info)
-			}
-		}()
-	}
 	<-sig
 	log.Printf("shutting down")
-	if router != nil {
-		st := router.Status()
-		log.Printf("tiered: %d templates (%d demoted), l0 hits %d, demoted serves %d, l1 fallbacks %d",
-			st.Templates, len(st.Demoted), st.L0Hits, st.L0Demoted, st.L1Fallbacks)
-	}
-	dumpStats(reg)
-}
-
-// dumpStats writes the final registry snapshot to stderr, one metric per
-// line — the end-of-run accounting for batch use and smoke tests.
-func dumpStats(reg *obs.Registry) {
-	log.Printf("final stats:")
-	if err := reg.WriteJSON(os.Stderr); err != nil {
-		log.Printf("stats dump failed: %v", err)
-	}
-	fmt.Fprintln(os.Stderr)
 }
 
 func writeDirectory(path string, cluster *whoisd.Cluster) error {
@@ -259,20 +138,6 @@ func writeDirectory(path string, cluster *whoisd.Cluster) error {
 		fmt.Fprintf(f, "%s %s\n", name, addr)
 	}
 	return f.Close()
-}
-
-// loadOrTrainParser loads a saved model, or — so parse mode works out of
-// the box — trains a small parser on a labeled synthetic corpus drawn
-// from a seed distinct from the served ecosystem's.
-func loadOrTrainParser(model string, seed int64) (*core.Parser, error) {
-	if model != "" {
-		log.Printf("loading parser from %s", model)
-		return whoisparse.Load(model)
-	}
-	log.Printf("no -model given; training a small parser (use -model for a full one)")
-	recs := synth.GenerateLabeled(synth.Config{N: 200, Seed: seed + 7919})
-	p, _, err := experiments.TrainParser(recs, experiments.Quick())
-	return p, err
 }
 
 func writeZone(path string, domains []*synth.Domain) error {

@@ -41,39 +41,35 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"strings"
 
 	"repro/internal/consistency"
 	"repro/internal/core"
+	"repro/internal/daemon"
 	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/rdap"
-	"repro/internal/serve"
 	"repro/internal/store"
 	"repro/internal/survey"
 	"repro/internal/synth"
-	"repro/internal/tiered"
-
-	whoisparse "repro"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("whoissurvey: ")
-	model := flag.String("model", "parser.model", "trained model file")
+	var df daemon.Flags
+	df.RegisterModel(flag.CommandLine, "parser.model", "trained model file")
 	in := flag.String("in", "", "records file from whoiscrawl")
 	dblFile := flag.String("dbl", "", "optional blacklist file (one domain per line)")
 	synthetic := flag.Int("synthetic", 0, "generate and survey N synthetic records instead of -in")
 	seed := flag.Int64("seed", 2, "seed for -synthetic")
-	workers := flag.Int("workers", 0, "parse worker pool size (0 = GOMAXPROCS)")
+	flag.IntVar(&df.Workers, "workers", 0, "parse worker pool size (0 = GOMAXPROCS)")
 	storeDir := flag.String("store", "", "stream the survey from this record store directory (no parsing; -model unused)")
 	where := flag.String("where", "", "with -store: survey only records matching this predicate (registrar=X,country=Y,year=N,since=N) via the pruned query engine")
 	storeOut := flag.String("store-out", "", "also persist every parsed record into this store directory")
 	metricsAddr := flag.String("metrics-addr", "", "serve the metrics registry as JSON on this address while the survey runs (empty disables)")
-	tieredMode := flag.Bool("tiered", false,
+	flag.BoolVar(&df.Tiered, "tiered", false,
 		"parse via the L0 compiled-template fast path with CRF fallback (tiered.* in the final stats dump)")
 	consistencyMode := flag.Bool("consistency", false,
 		"with -store: audit stored WHOIS parses against RDAP instead of surveying (needs -rdap or -rdap-synthetic)")
@@ -82,35 +78,45 @@ func main() {
 		"with -consistency: answer RDAP from the regenerated synthetic population of this size (pairs with -seed)")
 	flag.Parse()
 
-	// One registry for the whole run: CRF decode latency, parse-serving
-	// cache behaviour, store appends, and batch progress all land here.
-	// -metrics-addr exports it live (useful on long crawls); the final
-	// snapshot is dumped to stderr either way.
-	reg := obs.NewRegistry()
-	if *metricsAddr != "" {
-		ml, err := net.Listen("tcp", *metricsAddr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		msrv := &http.Server{Handler: reg}
-		go func() { _ = msrv.Serve(ml) }()
-		defer msrv.Close()
-		log.Printf("metrics at http://%s/", ml.Addr())
-	}
-	defer func() {
-		log.Printf("final stats:")
-		if err := reg.WriteJSON(os.Stderr); err != nil {
-			log.Printf("stats dump failed: %v", err)
-		}
-		fmt.Fprintln(os.Stderr)
-	}()
-
-	s := survey.New(nil)
-	showBlacklist := false
-
 	if *consistencyMode && *storeDir == "" {
 		log.Fatal("-consistency needs -store (the WHOIS side comes from a persisted record store)")
 	}
+	if *where != "" && *storeDir == "" {
+		log.Fatal("-where needs -store (predicates run against a persisted record store)")
+	}
+
+	// One registry for the whole run: CRF decode latency, parse-serving
+	// cache behaviour, store appends, and batch progress all land here.
+	// -metrics-addr exports it live (useful on long crawls); the final
+	// snapshot is dumped to stderr either way. A -store run reads parsed
+	// records back and needs no model.
+	reg := obs.NewRegistry()
+	mode := daemon.ServeModel
+	if *storeDir != "" {
+		mode = daemon.NoModel
+	}
+	// The shared parse-serving layer is the batch driver: blocking
+	// admission gives backpressure against the bounded worker pool, and
+	// the cache/coalescing path deduplicates repeated record texts
+	// (registrars reuse templates, so real crawls repeat themselves).
+	// With -tiered, registrars whose format the template tier knows are
+	// parsed by L0 at template speed; the CRF only runs on the tail.
+	df.Cache = 1 << 15
+	stk, err := daemon.Build(daemon.Config{Flags: df, Mode: mode, Seed: *seed, Metrics: reg, DumpStats: true})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer stk.Close()
+	if *metricsAddr != "" {
+		maddr, err := stk.Serve(*metricsAddr, nil)
+		if err != nil {
+			log.Fatal(err)
+		}
+		log.Printf("metrics at http://%s/", maddr)
+	}
+
+	s := survey.New(nil)
+	showBlacklist := false
 
 	if *storeDir != "" {
 		if *consistencyMode {
@@ -145,34 +151,9 @@ func main() {
 		renderSurvey(os.Stdout, s, showBlacklist)
 		return
 	}
-	if *where != "" {
-		log.Fatal("-where needs -store (predicates run against a persisted record store)")
-	}
 
-	p, err := whoisparse.Load(*model)
-	if err != nil {
-		log.Fatal(err)
-	}
-	p.Instrument(reg)
-
-	// The shared parse-serving layer is the batch driver: blocking
-	// admission gives backpressure against the bounded worker pool, and
-	// the cache/coalescing path deduplicates repeated record texts
-	// (registrars reuse templates, so real crawls repeat themselves).
-	ps := serve.New(p, serve.Options{Workers: *workers, CacheCapacity: 1 << 15, Metrics: reg})
-	defer ps.Close()
-	// With -tiered, registrars whose format the template tier knows are
-	// parsed by L0 at template speed; the CRF only runs on the tail. The
-	// tiered.* counters report the head/tail split in the final stats dump.
-	var router *tiered.Router
-	if *tieredMode {
-		trecs := synth.GenerateLabeled(synth.Config{N: 200, Seed: *seed + 7919})
-		router = tiered.NewFromRecords(trecs, core.DefaultConfig().Tokenize, tiered.Options{Metrics: reg})
-		ps.SetParseFunc(router.Bind(p.Parse))
-		log.Printf("tiered: %d registrar templates compiled (L0 fast path on)", router.Status().Templates)
-	}
-	parseAll := func(texts []string) []*whoisparse.ParsedRecord {
-		out, err := ps.ParseBatch(context.Background(), texts)
+	parseAll := func(texts []string) []*core.ParsedRecord {
+		out, err := stk.Server.ParseBatch(context.Background(), texts)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -191,7 +172,7 @@ func main() {
 			}
 		}()
 	}
-	persist := func(domain, text string, pr *whoisparse.ParsedRecord, f survey.Facts) {
+	persist := func(domain, text string, pr *core.ParsedRecord, f survey.Facts) {
 		if sink == nil {
 			return
 		}
@@ -253,12 +234,6 @@ func main() {
 	}
 
 	log.Printf("surveying %d parsed records", s.Len())
-	log.Printf("parse serving: %s", ps.Stats())
-	if router != nil {
-		st := router.Status()
-		log.Printf("tiered: %d templates (%d demoted), l0 hits %d, demoted serves %d, l1 fallbacks %d",
-			st.Templates, len(st.Demoted), st.L0Hits, st.L0Demoted, st.L1Fallbacks)
-	}
 	renderSurvey(os.Stdout, s, showBlacklist)
 }
 

@@ -517,7 +517,7 @@ func (n *Node) ApplyModel(artifact []byte) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		version = fmt.Sprintf("wmdl-%08x", info.CRC32C)
+		version = info.ID()
 		v := version
 		n.ps.SetParseFunc(func(text string) *core.ParsedRecord {
 			rec := p.Parse(text)

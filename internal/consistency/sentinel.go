@@ -3,6 +3,7 @@ package consistency
 import (
 	"sync"
 
+	"repro/internal/mathx"
 	"repro/internal/norm"
 	"repro/internal/obs"
 )
@@ -53,9 +54,9 @@ type Sentinel struct {
 	met  *sentinelMetrics
 
 	mu    sync.Mutex
-	wins  map[string]*ring  // norm.Registrar key → window
-	names map[string]string // norm.Registrar key → first-seen display name
-	flags map[string]bool   // norm.Registrar key → flagged
+	wins  map[string]*mathx.Window // norm.Registrar key → window
+	names map[string]string        // norm.Registrar key → first-seen display name
+	flags map[string]bool          // norm.Registrar key → flagged
 }
 
 type sentinelMetrics struct {
@@ -66,38 +67,11 @@ type sentinelMetrics struct {
 	flagged      *obs.Gauge
 }
 
-// ring is a fixed-capacity sliding window with a running sum (O(1) mean),
-// mirroring the lifecycle sentinel's window.
-type ring struct {
-	buf  []float64
-	n    int
-	next int
-	sum  float64
-}
-
-func (r *ring) push(v float64) {
-	if r.n == len(r.buf) {
-		r.sum -= r.buf[r.next]
-	} else {
-		r.n++
-	}
-	r.buf[r.next] = v
-	r.sum += v
-	r.next = (r.next + 1) % len(r.buf)
-}
-
-func (r *ring) mean() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	return r.sum / float64(r.n)
-}
-
 // NewSentinel creates a sentinel with the given options.
 func NewSentinel(opts SentinelOptions) *Sentinel {
 	return &Sentinel{
 		opts:  opts.withDefaults(),
-		wins:  map[string]*ring{},
+		wins:  map[string]*mathx.Window{},
 		names: map[string]string{},
 		flags: map[string]bool{},
 	}
@@ -138,15 +112,15 @@ func (s *Sentinel) Observe(c Comparison) (flagged, unflagged bool) {
 	s.mu.Lock()
 	w := s.wins[key]
 	if w == nil {
-		w = &ring{buf: make([]float64, s.opts.Window)}
+		w = mathx.NewWindow(s.opts.Window)
 		s.wins[key] = w
 		s.names[key] = c.Registrar
 	}
-	w.push(rate)
+	w.Push(rate)
 	var mean float64
 	var total int
-	if w.n >= s.opts.MinWindow {
-		mean = w.mean()
+	if w.Len() >= s.opts.MinWindow {
+		mean = w.Mean()
 		was := s.flags[key]
 		drifting := mean > s.opts.ConflictCeiling
 		switch {
@@ -195,7 +169,7 @@ func (s *Sentinel) Flagged() []string {
 func (s *Sentinel) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.wins = map[string]*ring{}
+	s.wins = map[string]*mathx.Window{}
 	s.names = map[string]string{}
 	s.flags = map[string]bool{}
 	if s.met != nil {

@@ -100,10 +100,10 @@ type Snapshot struct {
 	SemVer string
 	// Version is the string stamped into every ParsedRecord this
 	// snapshot produces. Registry-resolved models stamp the canonical
-	// "<family>/<semver>+<crc32c>" — deterministic across processes, so
-	// a crawler and a daemon resolving the same registry version agree.
-	// Models without registry identity stamp "m<seq>" or
-	// "m<seq>-<crc32c>" (per-process generation numbers).
+	// "<family>/<semver>+<crc32c>" and other artifact-backed models
+	// stamp the artifact's own "wmdl-<crc32c>" (ModelInfo.ID). Both are
+	// deterministic across processes, so a crawler and a daemon that
+	// load the same model agree. Purely in-memory models stamp "m<seq>".
 	Version string
 }
 
@@ -560,12 +560,12 @@ func (m *Manager) ReloadFromBytes(data []byte) (*Snapshot, error) {
 }
 
 // versionString renders a snapshot's stamp: "m<seq>" for in-memory
-// models, "m<seq>-<crc32c>" when the artifact identity is known.
+// models, the artifact identity when there is one.
 func versionString(seq uint64, info store.ModelInfo) string {
 	if info.IsZero() {
 		return fmt.Sprintf("m%d", seq)
 	}
-	return fmt.Sprintf("m%d-%08x", seq, info.CRC32C)
+	return info.ID()
 }
 
 // nullOtherRate is the fraction of a record's retained lines labeled

@@ -2,7 +2,6 @@ package lifecycle
 
 import (
 	"context"
-	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -169,7 +168,7 @@ func TestNewFromFileAndReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := m.Current()
-	if want := fmt.Sprintf("m1-%08x", infoA.CRC32C); snap.Version != want {
+	if want := infoA.ID(); snap.Version != want {
 		t.Fatalf("version = %q, want %q", snap.Version, want)
 	}
 	if snap.Info != infoA || snap.Path != pathA {
@@ -184,7 +183,7 @@ func TestNewFromFileAndReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := fmt.Sprintf("m2-%08x", infoB.CRC32C); snap2.Version != want {
+	if want := infoB.ID(); snap2.Version != want {
 		t.Fatalf("reloaded version = %q, want %q", snap2.Version, want)
 	}
 	if m.Current() != snap2 {
@@ -226,16 +225,9 @@ func TestHotSwapUnderLoad(t *testing.T) {
 	infoB, _ := store.StatModel(pathB)
 
 	const swaps = 6
-	// The version sequence is deterministic: m1 from pathA, then
+	// Stamps are the artifacts' own identities: pathA first, then
 	// alternating reloads starting with pathB.
-	valid := map[string]bool{fmt.Sprintf("m1-%08x", infoA.CRC32C): true}
-	for i := 1; i <= swaps; i++ {
-		crc := infoB.CRC32C
-		if i%2 == 0 {
-			crc = infoA.CRC32C
-		}
-		valid[fmt.Sprintf("m%d-%08x", i+1, crc)] = true
-	}
+	valid := map[string]bool{infoA.ID(): true, infoB.ID(): true}
 
 	m, err := NewFromFile(pathA, Options{})
 	if err != nil {

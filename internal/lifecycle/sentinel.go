@@ -3,6 +3,8 @@ package lifecycle
 import (
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/mathx"
 )
 
 // sentinel watches live parse quality per registrar. WHOIS drift is
@@ -35,35 +37,7 @@ type sentinel struct {
 }
 
 type regWindow struct {
-	conf ring
-	null ring
-}
-
-// ring is a fixed-capacity sliding window with a running sum, so the
-// windowed mean is O(1) per observation.
-type ring struct {
-	buf  []float64
-	n    int // filled entries
-	next int // next write position
-	sum  float64
-}
-
-func (r *ring) push(v float64) {
-	if r.n == len(r.buf) {
-		r.sum -= r.buf[r.next]
-	} else {
-		r.n++
-	}
-	r.buf[r.next] = v
-	r.sum += v
-	r.next = (r.next + 1) % len(r.buf)
-}
-
-func (r *ring) mean() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	return r.sum / float64(r.n)
+	conf, null *mathx.Window
 }
 
 func newSentinel(opts Options) *sentinel {
@@ -96,18 +70,18 @@ func (s *sentinel) observe(registrar string, conf, nullRate float64) (flagged, u
 	w := s.regs[registrar]
 	if w == nil {
 		w = &regWindow{
-			conf: ring{buf: make([]float64, s.window)},
-			null: ring{buf: make([]float64, s.window)},
+			conf: mathx.NewWindow(s.window),
+			null: mathx.NewWindow(s.window),
 		}
 		s.regs[registrar] = w
 	}
-	w.conf.push(conf)
-	w.null.push(nullRate)
+	w.conf.Push(conf)
+	w.null.Push(nullRate)
 
-	if w.conf.n < s.minWindow {
+	if w.conf.Len() < s.minWindow {
 		return false, false, len(s.flags)
 	}
-	drifting := w.conf.mean() < s.confFloor || w.null.mean() > s.nullCeil
+	drifting := w.conf.Mean() < s.confFloor || w.null.Mean() > s.nullCeil
 	was := s.flags[registrar]
 	switch {
 	case drifting && !was:

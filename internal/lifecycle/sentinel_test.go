@@ -1,37 +1,12 @@
 package lifecycle
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func testSentinel() *sentinel {
 	return newSentinel(Options{
 		SampleEvery: 1, Window: 8, MinWindow: 4,
 		ConfidenceFloor: 0.5, NullOtherCeiling: 0.9,
 	}.withDefaults())
-}
-
-func TestRingSlidingMean(t *testing.T) {
-	r := ring{buf: make([]float64, 4)}
-	if r.mean() != 0 {
-		t.Fatal("empty ring mean != 0")
-	}
-	for _, v := range []float64{1, 2, 3, 4} {
-		r.push(v)
-	}
-	if got := r.mean(); got != 2.5 {
-		t.Fatalf("mean = %v, want 2.5", got)
-	}
-	// Overwrite the oldest entries: window is now {5, 6, 3, 4}.
-	r.push(5)
-	r.push(6)
-	if got := r.mean(); math.Abs(got-4.5) > 1e-12 {
-		t.Fatalf("mean after wrap = %v, want 4.5", got)
-	}
-	if r.n != 4 {
-		t.Fatalf("n = %d, want 4", r.n)
-	}
 }
 
 func TestSentinelFlagsLowConfidence(t *testing.T) {

@@ -133,12 +133,9 @@ func (s *Store) Compact() (CompactStats, error) {
 	s.segments = segs
 	s.met.compactions.Inc()
 	s.met.compactSecs.ObserveSince(start)
-	if fn := s.onSeal; fn != nil {
-		// The merged segment's bytes are new — derived sidecars for the
-		// old inputs are stale and must be rebuilt off this id.
-		id := merged.id
-		go fn(id)
-	}
+	// The merged segment's bytes are new — derived sidecars for the old
+	// inputs are stale and must be rebuilt off this id.
+	s.sealedLocked(merged.id)
 	return stats, nil
 }
 

@@ -139,10 +139,7 @@ func (s *Store) compressSegment(seg *segment, stats *CompressStats) error {
 	stats.Records += info.Records
 	stats.BytesIn += info.Size
 	stats.BytesOut += out.size
-	if fn := s.onSeal; fn != nil {
-		id := seg.id
-		go fn(id)
-	}
+	s.sealedLocked(seg.id)
 	return nil
 }
 

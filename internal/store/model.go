@@ -65,6 +65,11 @@ func (mi ModelInfo) String() string {
 		mi.FormatVersion, mi.CRC32C, mi.BlockFeatures, mi.FieldFeatures)
 }
 
+// ID is the artifact's identity as stamped into every record a model
+// parses: "wmdl-<crc32c>". It derives from the artifact's bytes alone,
+// so every process that loads the same file stamps the same string.
+func (mi ModelInfo) ID() string { return fmt.Sprintf("wmdl-%08x", mi.CRC32C) }
+
 // IsZero reports whether the info carries no artifact identity (the
 // model never hit disk).
 func (mi ModelInfo) IsZero() bool { return mi == ModelInfo{} }
@@ -180,7 +185,8 @@ func LoadModel(path string) (*core.Parser, error) {
 // ReadModel is LoadModel over a stream. Header validation (magic,
 // format version) is the same parseModelHeader every other consumer —
 // StatModel, VerifyModel, the registry — runs, so "what counts as a
-// WMDL" cannot drift between the legacy load path and the registry.
+// WMDL" cannot drift between the file load path and the registry. A
+// bare parser gob (no envelope) is rejected with ErrNotModel.
 func ReadModel(r io.Reader) (*core.Parser, error) {
 	hdr := make([]byte, modelHeaderLen)
 	if _, err := io.ReadFull(r, hdr); err != nil {
@@ -270,21 +276,4 @@ func verifyModelStream(r io.Reader) (ModelInfo, error) {
 		return info, ErrModelChecksum
 	}
 	return info, nil
-}
-
-// IsModelArtifact sniffs whether path starts with the versioned-artifact
-// magic — the compatibility shim that lets whoisparse.Load fall back to
-// the legacy bare-gob format for models saved before this container
-// existed.
-func IsModelArtifact(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	var m [4]byte
-	if _, err := io.ReadFull(f, m[:]); err != nil {
-		return false
-	}
-	return m == modelMagic
 }

@@ -36,9 +36,6 @@ func TestModelRoundTrip(t *testing.T) {
 	if err := SaveModel(p, path); err != nil {
 		t.Fatal(err)
 	}
-	if !IsModelArtifact(path) {
-		t.Fatal("saved artifact does not sniff as one")
-	}
 	p2, err := LoadModel(path)
 	if err != nil {
 		t.Fatal(err)
@@ -107,8 +104,7 @@ func TestModelRejectsCorruption(t *testing.T) {
 }
 
 func TestModelLegacySniff(t *testing.T) {
-	// A legacy bare-gob model file must not sniff as an artifact, so the
-	// Load fallback path picks the right decoder.
+	// A bare-gob model file (no WMDL envelope) is not a model artifact.
 	p := getParser(t)
 	path := filepath.Join(t.TempDir(), "legacy.model")
 	f, err := os.Create(path)
@@ -120,9 +116,6 @@ func TestModelLegacySniff(t *testing.T) {
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
-	}
-	if IsModelArtifact(path) {
-		t.Fatal("bare gob sniffed as versioned artifact")
 	}
 	if _, err := LoadModel(path); !errors.Is(err, ErrNotModel) {
 		t.Fatalf("LoadModel on legacy gob: err = %v, want ErrNotModel", err)

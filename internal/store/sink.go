@@ -16,9 +16,9 @@ type SinkOptions struct {
 	// Blacklist, when non-nil, supplies the DBL membership bit for the
 	// derived facts.
 	Blacklist func(domain string) bool
-	// ModelVersion identifies the parser behind Parse (the WMDL
-	// envelope's version/CRC, e.g. "wmdl v1 crc32c=9a1b2c3d" or a
-	// lifecycle version string). It is stamped into every appended
+	// ModelVersion identifies the parser behind Parse (the artifact's
+	// ModelInfo.ID, e.g. "wmdl-9a1b2c3d", or a registry version string
+	// "<family>/<semver>+<crc32c>"). It is stamped into every appended
 	// record's facts so later drift analysis can segment the corpus by
 	// the model that parsed it. Ignored when Parse is nil.
 	ModelVersion string

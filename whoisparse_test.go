@@ -2,9 +2,12 @@ package whoisparse
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/store"
 )
 
 func TestPublicAPIEndToEnd(t *testing.T) {
@@ -94,9 +97,9 @@ func TestBlockConstants(t *testing.T) {
 	}
 }
 
-// Save now writes the versioned artifact format; Load must verify it and
-// still accept the bare-gob files the pre-artifact Save produced.
-func TestSaveWritesVersionedArtifactAndLoadsLegacy(t *testing.T) {
+// Save writes the versioned artifact format and Load verifies it; a bare
+// parser gob (no envelope, no identity) is not a model artifact.
+func TestSaveWritesVersionedArtifactAndRejectsBareGob(t *testing.T) {
 	corpus := GenerateCorpus(CorpusConfig{N: 120, Seed: 305})
 	parser, _, err := Train(corpus, DefaultConfig())
 	if err != nil {
@@ -115,29 +118,32 @@ func TestSaveWritesVersionedArtifactAndLoadsLegacy(t *testing.T) {
 		t.Fatalf("Save did not write the versioned artifact magic, got % x", head[:4])
 	}
 
-	// Legacy format: a bare parser gob, exactly what the old Save wrote.
-	legacy := filepath.Join(t.TempDir(), "legacy.model")
+	text := corpus[0].Text
+	want := parser.Parse(text)
+	loaded, err := Load(artifact)
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	got := loaded.Parse(text)
+	for i := range want.Blocks {
+		if want.Blocks[i] != got.Blocks[i] {
+			t.Fatal("Load: labels differ from trained parser")
+		}
+	}
+
+	bare := filepath.Join(t.TempDir(), "bare.model")
 	var buf bytes.Buffer
 	if _, err := parser.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(legacy, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(bare, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	text := corpus[0].Text
-	want := parser.Parse(text)
-	for _, path := range []string{artifact, legacy} {
-		loaded, err := Load(path)
-		if err != nil {
-			t.Fatalf("Load(%s): %v", filepath.Base(path), err)
-		}
-		got := loaded.Parse(text)
-		for i := range want.Blocks {
-			if want.Blocks[i] != got.Blocks[i] {
-				t.Fatalf("Load(%s): labels differ from trained parser", filepath.Base(path))
-			}
-		}
+	if _, err := Load(bare); !errors.Is(err, store.ErrNotModel) {
+		t.Fatalf("Load of a bare gob: err = %v, want store.ErrNotModel", err)
+	}
+	if _, err := ReadParser(bytes.NewReader(buf.Bytes())); !errors.Is(err, store.ErrNotModel) {
+		t.Fatalf("ReadParser of a bare gob: err = %v, want store.ErrNotModel", err)
 	}
 }
 
