@@ -24,7 +24,12 @@ COVER_PKGS = repro/internal/serve repro/internal/obs repro/internal/store repro/
 QUERYDIFF_N ?= 2000
 QUERYDIFF_SEED ?= $(shell date +%Y%m%d)
 
-.PHONY: verify vet build test race bench-serve bench-tiered lint importcheck benchcheck cover fuzz-smoke query-diff model-verify
+# Corpus size and seed for the parse-differential gate, chosen the same
+# way: the seed is today's date unless given.
+PARSEDIFF_N ?= 3000
+PARSEDIFF_SEED ?= $(shell date +%Y%m%d)
+
+.PHONY: verify vet build test race bench-serve bench-tiered lint importcheck benchcheck cover fuzz-smoke query-diff parse-diff model-verify
 
 verify: vet build test race
 
@@ -70,7 +75,7 @@ importcheck:
 # 30%; widen with BENCH_TOL=0.5 on noisy machines.
 benchcheck:
 	$(GO) build -o /tmp/benchcheck ./cmd/benchcheck
-	( $(GO) test -run '^$$' -bench 'BenchmarkPosterior$$|BenchmarkServeHot$$' -benchtime 200x -count 3 ./internal/serve . && \
+	( $(GO) test -run '^$$' -bench 'BenchmarkPosterior$$|BenchmarkServeHot$$|BenchmarkParseRecord$$|BenchmarkTokenizeRecord$$' -benchtime 200x -count 3 ./internal/serve . && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkStoreAppend$$|BenchmarkStoreScan$$' -benchtime 4096x -count 3 ./internal/store && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkHotSwap$$|BenchmarkParseDuringSwap$$' -benchtime 4096x -count 3 ./internal/lifecycle && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkTiered' -benchtime 200x -count 3 ./internal/tiered && \
@@ -81,14 +86,17 @@ benchcheck:
 	  | /tmp/benchcheck BENCH_serve.json BENCH_inference.json BENCH_store.json BENCH_lifecycle.json BENCH_tiered.json BENCH_cluster.json BENCH_query.json BENCH_consistency.json BENCH_modelreg.json
 
 # fuzz-smoke: replay the checked-in seed corpora and fuzz the record
-# decoder briefly. Not part of verify; run before touching encoding.go.
+# decoder and the line scanner briefly. Not part of verify; run before
+# touching encoding.go or internal/tokenize.
 fuzz-smoke:
 	$(GO) test -run TestFuzzSeeds ./internal/store/ ./internal/query/
 	$(GO) test -run TestFuzzSeedsAsRegressions ./internal/norm/
+	$(GO) test -run FuzzScan ./internal/tokenize/
 	$(GO) test -run '^$$' -fuzz FuzzRecordDecode -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzFrameScan -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzIndexDecode -fuzztime 10s ./internal/query/
 	$(GO) test -run '^$$' -fuzz FuzzNorm -fuzztime 10s ./internal/norm/
+	$(GO) test -run '^$$' -fuzz FuzzScan -fuzztime 10s ./internal/tokenize/
 
 # query-diff: the differential gate for the query engine. A randomized
 # store (fresh seed daily in CI) is queried with every supported
@@ -99,6 +107,20 @@ query-diff:
 	@echo "query-diff: QUERYDIFF_N=$(QUERYDIFF_N) QUERYDIFF_SEED=$(QUERYDIFF_SEED)"
 	QUERYDIFF_N=$(QUERYDIFF_N) QUERYDIFF_SEED=$(QUERYDIFF_SEED) \
 	  $(GO) test -run 'TestQueryDifferential' -count=1 ./internal/query/
+
+# parse-diff: the differential gate for the fused parse path. Every
+# .com and new-TLD schema, each drift mutation of it, and a randomized
+# corpus (fresh seed daily in CI) are parsed by Parse,
+# ParseWithConfidence and Confidence, which map scanned bytes straight
+# to feature ids, and by the string-building ParseBlocks + ParseFields
+# reference, under parsers trained with all 8 tokenize.Options
+# combinations; any difference in the store encoding, a line's
+# Title/Value/HasSep or a confidence fails. The scanner's own
+# differential against the reference tokenizer runs on the same corpus.
+parse-diff:
+	@echo "parse-diff: PARSEDIFF_N=$(PARSEDIFF_N) PARSEDIFF_SEED=$(PARSEDIFF_SEED)"
+	PARSEDIFF_N=$(PARSEDIFF_N) PARSEDIFF_SEED=$(PARSEDIFF_SEED) \
+	  $(GO) test -run 'TestParseDifferential|TestScanDifferential' -count=1 ./internal/core/ ./internal/tokenize/
 
 # model-verify: end-to-end registry smoke over the real CLI — generate
 # a small corpus, train a model, publish it into a scratch registry,

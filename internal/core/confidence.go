@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/labels"
 	"repro/internal/tokenize"
@@ -28,14 +27,18 @@ type LineConfidence struct {
 // probability of each predicted block, plus the minimum across lines (the
 // record's weakest link). An empty record returns (nil, 1). The Viterbi
 // path and the marginals come from one fused crf.Posterior pass, so the
-// lattice is built once rather than once per quantity.
+// lattice is built once rather than once per quantity. Like Parse, it
+// maps the scanned record straight to ids, so each returned Line has a
+// nil Obs.
 func (p *Parser) Confidence(text string) ([]LineConfidence, float64) {
-	lines := tokenize.Tokenize(text, p.cfg.Tokenize)
+	ps := parseScratchPool.Get().(*parseScratch)
+	defer parseScratchPool.Put(ps)
+	ps.scan.Reset(text, p.cfg.Tokenize)
+	lines := ps.scan.Lines
 	if len(lines) == 0 {
 		return nil, 1
 	}
-	inst := p.block.MapLines(lines)
-	post := p.block.Posterior(inst)
+	post := p.block.Posterior(ps.instance(p.block.Dict(), nil))
 	out := make([]LineConfidence, len(lines))
 	min := 1.0
 	for i := range lines {
@@ -62,36 +65,7 @@ func (p *Parser) Confidence(text string) ([]LineConfidence, float64) {
 // sentinel (internal/lifecycle) samples this path to watch registrars
 // whose confidence distribution degrades.
 func (p *Parser) ParseWithConfidence(text string) (*ParsedRecord, float64) {
-	var start time.Time
-	if p.met != nil {
-		start = time.Now()
-	}
-	lines := tokenize.Tokenize(text, p.cfg.Tokenize)
-	min := 1.0
-	blocks := make([]labels.Block, len(lines))
-	if len(lines) > 0 {
-		inst := p.block.MapLines(lines)
-		post := p.block.Posterior(inst)
-		for i, y := range post.Path {
-			blocks[i] = labels.Block(y)
-			if prob := post.Marginals[i][y]; prob < min {
-				min = prob
-			}
-		}
-	}
-	out := &ParsedRecord{
-		Lines:  lines,
-		Blocks: blocks,
-		Fields: p.ParseFields(lines, blocks),
-	}
-	extract(out)
-	if p.met != nil {
-		p.met.parseSeconds.ObserveSince(start)
-		p.met.parses.Inc()
-		p.met.lines.Add(uint64(len(lines)))
-		p.met.confidenceMin.Observe(min)
-	}
-	return out, min
+	return p.parse(text, true)
 }
 
 // RankByUncertainty orders record texts by ascending minimum line

@@ -292,7 +292,11 @@ type Contact struct {
 type ParsedRecord struct {
 	// Lines are the retained lines in order; Blocks and Fields run
 	// parallel to them. Fields[i] is meaningful only when Blocks[i] is
-	// labels.Registrant.
+	// labels.Registrant. Each line carries Raw, Title, Value and HasSep;
+	// its Obs is nil on records from Parse, ParseWithConfidence and the
+	// L0 template path, which never build observation strings. Callers
+	// that need the observations get them from ParseBlocks, or from
+	// Tokenize in package tokenize.
 	Lines  []tokenize.Line
 	Blocks []labels.Block
 	Fields []labels.Field
@@ -356,25 +360,117 @@ func (pr *ParsedRecord) Clone() *ParsedRecord {
 	return &out
 }
 
-// Parse runs both levels on raw record text and extracts fields.
+// Parse runs both levels on raw record text and extracts fields. It is
+// the fused path: the record is scanned once into pooled buffers and its
+// observations go straight to dictionary ids, so no observation string
+// is built and the returned Lines carry no Obs. ParseBlocks and
+// ParseFields are the string-building reference it is held to.
 func (p *Parser) Parse(text string) *ParsedRecord {
+	out, _ := p.parse(text, false)
+	return out
+}
+
+// parseScratch is the working set of one fused parse: the line scan, the
+// flat id buffer both CRF levels map into, the per-position views over
+// it, and the registrant line indices. Pooled, so a steady-state parse
+// allocates only what the returned record owns.
+type parseScratch struct {
+	scan tokenize.Scan
+	ids  []int
+	ends []int
+	obs  [][]int
+	reg  []int
+}
+
+var parseScratchPool = sync.Pool{New: func() any { return new(parseScratch) }}
+
+// instance maps the scanned lines listed in idx (every line when idx is
+// nil) through d into an Instance over the scratch buffers, valid until
+// the next call.
+func (ps *parseScratch) instance(d *tokenize.Dictionary, idx []int) crf.Instance {
+	n := len(idx)
+	if idx == nil {
+		n = len(ps.scan.Lines)
+	}
+	ps.ids, ps.ends = ps.ids[:0], ps.ends[:0]
+	for k := 0; k < n; k++ {
+		i := k
+		if idx != nil {
+			i = idx[k]
+		}
+		ps.ids = d.AppendIDs(ps.ids, &ps.scan, i)
+		ps.ends = append(ps.ends, len(ps.ids))
+	}
+	ps.obs = ps.obs[:0]
+	start := 0
+	for _, end := range ps.ends {
+		ps.obs = append(ps.obs, ps.ids[start:end:end])
+		start = end
+	}
+	return crf.Instance{Obs: ps.obs}
+}
+
+// parse is the fused two-level parse behind Parse and
+// ParseWithConfidence: scan, map block ids, decode, then map only the
+// registrant lines through the field dictionary and decode. With conf
+// the first level runs crf.Posterior and the second result is the
+// weakest line's posterior; otherwise it is 1.
+func (p *Parser) parse(text string, conf bool) (*ParsedRecord, float64) {
 	var start time.Time
 	if p.met != nil {
 		start = time.Now()
 	}
-	lines, blocks := p.ParseBlocks(text)
+	ps := parseScratchPool.Get().(*parseScratch)
+	defer parseScratchPool.Put(ps)
+	ps.scan.Reset(text, p.cfg.Tokenize)
+	n := len(ps.scan.Lines)
 	out := &ParsedRecord{
-		Lines:  lines,
-		Blocks: blocks,
-		Fields: p.ParseFields(lines, blocks),
+		Lines:  make([]tokenize.Line, n),
+		Blocks: make([]labels.Block, n),
+		Fields: make([]labels.Field, n),
+	}
+	copy(out.Lines, ps.scan.Lines)
+	min := 1.0
+	if n > 0 {
+		inst := ps.instance(p.block.Dict(), nil)
+		if conf {
+			post := p.block.Posterior(inst)
+			for i, y := range post.Path {
+				out.Blocks[i] = labels.Block(y)
+				if prob := post.Marginals[i][y]; prob < min {
+					min = prob
+				}
+			}
+		} else {
+			path, _ := p.block.Decode(inst)
+			for i, y := range path {
+				out.Blocks[i] = labels.Block(y)
+			}
+		}
+	}
+	ps.reg = ps.reg[:0]
+	for i, b := range out.Blocks {
+		out.Fields[i] = labels.FieldOther
+		if b == labels.Registrant {
+			ps.reg = append(ps.reg, i)
+		}
+	}
+	if p.field != nil && len(ps.reg) > 0 {
+		path, _ := p.field.Decode(ps.instance(p.field.Dict(), ps.reg))
+		for k, i := range ps.reg {
+			out.Fields[i] = labels.Field(path[k])
+		}
 	}
 	extract(out)
 	if p.met != nil {
 		p.met.parseSeconds.ObserveSince(start)
 		p.met.parses.Inc()
-		p.met.lines.Add(uint64(len(lines)))
+		p.met.lines.Add(uint64(n))
+		if conf {
+			p.met.confidenceMin.Observe(min)
+		}
 	}
-	return out
+	return out, min
 }
 
 // ParseAll parses texts concurrently across the given number of worker

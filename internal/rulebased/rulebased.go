@@ -198,7 +198,7 @@ func isHeaderLike(ln tokenize.Line) bool {
 	if ln.HasSep && ln.Value == "" {
 		return true
 	}
-	return strings.HasSuffix(trimmed, ":") && len(tokenize.Words(trimmed)) <= 7
+	return strings.HasSuffix(trimmed, ":") && tokenize.CountWords(trimmed) <= 7
 }
 
 // NumRules reports how many learned rules the parser holds (titles +

@@ -405,10 +405,11 @@ func (s *Server) worker() {
 			delete(sh.inflight, c.k)
 		}
 		sh.mu.Unlock()
-		close(c.done)
-
+		// Count the parse before waking its waiters, so a caller that
+		// reads Stats after its answer arrives sees it.
 		s.m.parsed.Inc()
 		s.m.inFlight.Add(-1)
+		close(c.done)
 	}
 }
 

@@ -123,7 +123,7 @@ func isHeader(ln tokenize.Line) bool {
 	if ln.HasSep && ln.Value == "" {
 		return true
 	}
-	return strings.HasSuffix(trimmed, ":") && len(tokenize.Words(trimmed)) <= 7
+	return strings.HasSuffix(trimmed, ":") && tokenize.CountWords(trimmed) <= 7
 }
 
 // NumTemplates reports how many registrars have templates.

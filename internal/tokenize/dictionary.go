@@ -93,6 +93,19 @@ func (d *Dictionary) MapLine(ln Line) []int {
 	return out
 }
 
+// AppendIDs appends the ids of the observations of s.Lines[i] to dst and
+// returns it, dropping unknown observations: MapLine for a scanned line.
+// The lookup reads the arena bytes in place, so no observation string is
+// built.
+func (d *Dictionary) AppendIDs(dst []int, s *Scan, i int) []int {
+	for k := s.first[i]; k < s.first[i+1]; k++ {
+		if id, ok := d.ids[string(s.obs(k))]; ok {
+			dst = append(dst, id)
+		}
+	}
+	return dst
+}
+
 // WriteTo serializes the dictionary as "count\tname" lines.
 func (d *Dictionary) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)

@@ -67,3 +67,44 @@ func FuzzSplitTitleValue(f *testing.F) {
 		_ = value
 	})
 }
+
+// allOptions enumerates the 8 combinations of the Options switches.
+func allOptions() []Options {
+	out := make([]Options, 0, 8)
+	for m := 0; m < 8; m++ {
+		out = append(out, Options{
+			DisableTitleValue: m&1 != 0,
+			DisableLayout:     m&2 != 0,
+			DisableClasses:    m&4 != 0,
+		})
+	}
+	return out
+}
+
+// FuzzScan is the exactness gate of the fused scanner: for arbitrary
+// text under every Options combination, Scan's lines and per-line
+// dictionary ids, and Tokenize's observations, must equal the reference
+// tokenizer's (reference_test.go) followed by MapLine. The class
+// predicates Scan rewrote are also held to their references on the raw
+// input as one field. The checked-in corpus (testdata/fuzz/FuzzScan)
+// covers CRLF, bracket titles, dotted separators, CJK, İ/K, ISO dates
+// and leading blank lines (NL and BOL on one line).
+func FuzzScan(f *testing.F) {
+	f.Add("Domain Name: EXAMPLE.COM\r\n\r\nCreation Date: 2015-02-27T10:00:00Z")
+	f.Add("[Registrant] Taro Yamada\n   Registrar......: eNom\n\tPhone: +1.8585551212")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, text string) {
+		for _, opts := range allOptions() {
+			checkScan(t, text, opts)
+		}
+		if got, want := looksDate(text), refLooksDate(text); got != want {
+			t.Fatalf("looksDate(%q) = %v, reference %v", text, got, want)
+		}
+		if got, want := looksURL(text), refLooksURL(text); got != want {
+			t.Fatalf("looksURL(%q) = %v, reference %v", text, got, want)
+		}
+		if got, want := looksIP(text), refLooksIP(text); got != want {
+			t.Fatalf("looksIP(%q) = %v, reference %v", text, got, want)
+		}
+	})
+}

@@ -23,6 +23,7 @@ package tokenize
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Marker observation strings shared with the feature templates.
@@ -72,92 +73,33 @@ type Line struct {
 	Value string
 	// HasSep reports whether a title/value separator was found.
 	HasSep bool
-	// Obs holds the observation strings for feature extraction.
+	// Obs holds the observation strings for feature extraction, as
+	// Tokenize builds them. It is nil on lines from Scan, which keeps the
+	// observations as bytes.
 	Obs []string
 }
 
 // Tokenize splits text into retained lines with observations attached.
+// It is the Scan line scanner plus one materialization step: the
+// observation bytes become strings (sharing one backing string per
+// record) so training, the baselines and ParseBlocks/ParseFields can
+// hold them. The hot parse path (core.Parser.Parse) stops at Scan and
+// maps the bytes straight to dictionary ids instead.
 func Tokenize(text string, opts Options) []Line {
-	rawLines := strings.Split(text, "\n")
-	out := make([]Line, 0, len(rawLines))
-	pendingNL := false
-	prevIndent := -1
-	for _, raw := range rawLines {
-		raw = strings.TrimRight(raw, "\r")
-		if !hasAlnum(raw) {
-			pendingNL = true
-			continue
-		}
-		ln := buildLine(raw, opts)
-		if !opts.DisableLayout {
-			if pendingNL {
-				ln.Obs = append(ln.Obs, MarkNL)
-			}
-			if len(out) == 0 {
-				ln.Obs = append(ln.Obs, MarkBOL)
-			}
-			indent := leadingSpace(raw)
-			if prevIndent >= 0 {
-				if indent < prevIndent {
-					ln.Obs = append(ln.Obs, MarkSHL)
-				} else if indent > prevIndent {
-					ln.Obs = append(ln.Obs, MarkSHR)
-				}
-			}
-			prevIndent = indent
-		}
-		pendingNL = false
-		out = append(out, ln)
+	var s Scan
+	s.Reset(text, opts)
+	all := string(s.arena)
+	obs := make([]string, len(s.ends))
+	start := 0
+	for k, end := range s.ends {
+		obs[k] = all[start:end]
+		start = end
 	}
-	if len(out) > 0 {
-		last := &out[len(out)-1]
-		if !opts.DisableLayout {
-			last.Obs = append(last.Obs, MarkEOL)
-		}
+	for i := range s.Lines {
+		lo, hi := s.first[i], s.first[i+1]
+		s.Lines[i].Obs = obs[lo:hi:hi]
 	}
-	return out
-}
-
-func buildLine(raw string, opts Options) Line {
-	trimmed := strings.TrimSpace(raw)
-	title, value, hasSep := SplitTitleValue(trimmed)
-	ln := Line{Raw: raw, Title: title, Value: value, HasSep: hasSep}
-	// Most lines produce a handful of word observations plus a few markers
-	// and classes; one right-sized allocation beats append's doubling.
-	ln.Obs = make([]string, 0, 16)
-
-	if !opts.DisableLayout {
-		if hasSep {
-			ln.Obs = append(ln.Obs, MarkSEP)
-			if value == "" {
-				ln.Obs = append(ln.Obs, MarkNoV)
-			}
-		}
-		if startsWithSymbol(trimmed) {
-			ln.Obs = append(ln.Obs, MarkSYM)
-		}
-	}
-
-	appendWords := func(text, suffix string) {
-		for _, w := range Words(text) {
-			if opts.DisableTitleValue {
-				ln.Obs = append(ln.Obs, w)
-			} else {
-				ln.Obs = append(ln.Obs, w+suffix)
-			}
-		}
-	}
-	appendWords(title, "@T")
-	if hasSep {
-		appendWords(value, "@V")
-	} else {
-		appendWords(trimmed, "@V")
-	}
-
-	if !opts.DisableClasses {
-		ln.Obs = append(ln.Obs, classes(value)...)
-	}
-	return ln
+	return s.Lines
 }
 
 // SplitTitleValue finds the first separator in a trimmed line and splits it
@@ -226,49 +168,15 @@ func isSchemeColon(s string, i int) bool {
 	return false
 }
 
-// Words splits text into lowercased alphanumeric words. Punctuation is
-// discarded; words keep interior digits (so "2015" and "ns1" survive).
-// Words are sliced out of text directly, so an already-lowercase word (the
-// common case in WHOIS values) costs no allocation beyond the slice.
-func Words(text string) []string {
-	var out []string
-	start := -1
-	needLower := false
-	flush := func(end int) {
-		if start >= 0 {
-			w := text[start:end]
-			if needLower {
-				w = strings.ToLower(w)
-			}
-			out = append(out, w)
-			start = -1
-			needLower = false
-		}
-	}
-	for i, r := range text {
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
-			if start < 0 {
-				start = i
-			}
-			if unicode.ToLower(r) != r {
-				needLower = true
-			}
-		} else {
-			flush(i)
-		}
-	}
-	flush(len(text))
-	return out
-}
-
-// CountWords reports how many words Words would return without
-// allocating the slice — the hot-path form for callers (the compiled
-// template matcher) that only need the count.
+// CountWords reports how many words the scanner would split text into
+// (maximal runs of letters and digits), without building them — the
+// form for callers (the header tests of the template matchers) that
+// only need the count.
 func CountWords(text string) int {
 	n := 0
 	in := false
 	for _, r := range text {
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
+		if isWordRune(r) {
 			if !in {
 				n++
 				in = true
@@ -286,14 +194,12 @@ func CountWords(text string) int {
 // lines Tokenize would.
 func HasAlnum(s string) bool {
 	for _, r := range s {
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
+		if isWordRune(r) {
 			return true
 		}
 	}
 	return false
 }
-
-func hasAlnum(s string) bool { return HasAlnum(s) }
 
 func leadingSpace(s string) int {
 	n := 0
@@ -324,48 +230,8 @@ func startsWithSymbol(s string) bool {
 	return false
 }
 
-// classes inspects the value side of a line and emits word-class
-// observations.
-func classes(value string) []string {
-	var out []string
-	add := func(c string) {
-		for _, x := range out {
-			if x == c {
-				return
-			}
-		}
-		out = append(out, c)
-	}
-	fields := strings.FieldsFunc(value, func(r rune) bool { return r == ' ' || r == ',' || r == ';' })
-	for _, f := range fields {
-		f = strings.Trim(f, "()[]")
-		switch {
-		case isFiveDigit(f):
-			add(Cls5Digit)
-			add(ClsNum)
-		case isAllDigits(f):
-			add(ClsNum)
-			if len(f) == 4 && (strings.HasPrefix(f, "19") || strings.HasPrefix(f, "20")) {
-				add(ClsYear)
-			}
-		case looksEmail(f):
-			add(ClsEmail)
-		case looksURL(f):
-			add(ClsURL)
-		// Order matters among the digit-heavy classes: a date like
-		// 2015-02-27 and a dotted quad both pass the loose phone test.
-		case looksDate(f):
-			add(ClsDate)
-		case looksIP(f):
-			add(ClsIP)
-		case looksPhone(f):
-			add(ClsPhone)
-		case len(f) >= 2 && isAllUpperLetters(f):
-			add(ClsCaps)
-		}
-	}
-	return out
-}
+// isWordRune reports whether r belongs to a word: a letter or a digit.
+func isWordRune(r rune) bool { return unicode.IsLetter(r) || unicode.IsDigit(r) }
 
 func isFiveDigit(s string) bool { return len(s) == 5 && isAllDigits(s) }
 
@@ -395,9 +261,33 @@ func looksEmail(s string) bool {
 	return at > 0 && at < len(s)-1 && strings.Contains(s[at:], ".")
 }
 
+// looksURL compares under ASCII case folding. That equals lowercasing s
+// first even for non-ASCII s: the only non-ASCII runes that lowercase
+// to ASCII are İ (to i) and the Kelvin sign (to k), and neither letter
+// occurs in the prefixes.
 func looksURL(s string) bool {
-	ls := strings.ToLower(s)
-	return strings.HasPrefix(ls, "http://") || strings.HasPrefix(ls, "https://") || strings.HasPrefix(ls, "www.")
+	return hasPrefixFold(s, "http://") || hasPrefixFold(s, "https://") || hasPrefixFold(s, "www.")
+}
+
+// hasPrefixFold is strings.HasPrefix under ASCII case folding; prefix
+// must be lowercase.
+func hasPrefixFold(s, prefix string) bool {
+	if len(s) < len(prefix) {
+		return false
+	}
+	for i := 0; i < len(prefix); i++ {
+		if lowerASCII(s[i]) != prefix[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func lowerASCII(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		return c + 'a' - 'A'
+	}
+	return c
 }
 
 // looksPhone accepts digit strings with separators and an optional leading
@@ -418,10 +308,18 @@ func looksPhone(s string) bool {
 }
 
 // looksDate accepts common WHOIS date shapes: 2015-02-27, 27-feb-2015,
-// 2015/02/27, 02/27/2015, and ISO timestamps.
+// 2015/02/27, 02/27/2015, and ISO timestamps. Letters count
+// case-insensitively, which for ASCII input (every real date) needs no
+// lowercased copy. Other input is lowercased first, because İ and the
+// Kelvin sign lowercase to the ASCII letters i and k.
 func looksDate(s string) bool {
-	s = strings.ToLower(s)
-	if t := strings.IndexByte(s, 't'); t > 0 && strings.Count(s[:t], "-") == 2 {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			s = strings.ToLower(s)
+			break
+		}
+	}
+	if t := strings.IndexAny(s, "tT"); t > 0 && strings.Count(s[:t], "-") == 2 {
 		s = s[:t] // 2015-02-27t12:00:00z
 	}
 	seps := 0
@@ -433,7 +331,7 @@ func looksDate(s string) bool {
 			digits++
 		case r == '-' || r == '/' || r == '.':
 			seps++
-		case r >= 'a' && r <= 'z':
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z':
 			letters++
 		default:
 			return false
@@ -445,16 +343,24 @@ func looksDate(s string) bool {
 	return letters == 0 || letters == 3 // e.g. feb
 }
 
-// looksIP accepts dotted-quad IPv4 literals.
+// looksIP accepts dotted-quad IPv4 literals: four dot-separated runs of
+// one to three digits.
 func looksIP(s string) bool {
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
-		return false
-	}
-	for _, p := range parts {
-		if !isAllDigits(p) || len(p) > 3 {
+	parts, n := 1, 0
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '.':
+			if n == 0 {
+				return false
+			}
+			parts, n = parts+1, 0
+		case c >= '0' && c <= '9':
+			if n++; n > 3 {
+				return false
+			}
+		default:
 			return false
 		}
 	}
-	return true
+	return parts == 4 && n > 0
 }

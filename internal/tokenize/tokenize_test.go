@@ -77,9 +77,21 @@ func TestSplitTitleValueLeadingColonResidue(t *testing.T) {
 	}
 }
 
+// scanWords runs the scanner's word splitter alone and returns its words.
+func scanWords(text string) []string {
+	var s Scan
+	s.words(text, "")
+	out := make([]string, len(s.ends))
+	for k := range out {
+		out[k] = string(s.obs(k))
+	}
+	return out
+}
+
 func TestWords(t *testing.T) {
-	got := Words("Registrant Name: John-Smith 2015")
-	want := []string{"registrant", "name", "john", "smith", "2015"}
+	const text = "Registrant Name: John-Smith 2015 İSTANBUL"
+	got := scanWords(text)
+	want := []string{"registrant", "name", "john", "smith", "2015", "istanbul"}
 	if len(got) != len(want) {
 		t.Fatalf("got %v, want %v", got, want)
 	}
@@ -88,11 +100,17 @@ func TestWords(t *testing.T) {
 			t.Errorf("word %d: got %q, want %q", i, got[i], want[i])
 		}
 	}
+	if n := CountWords(text); n != len(want) {
+		t.Errorf("CountWords = %d, want %d", n, len(want))
+	}
 }
 
 func TestWordsEmpty(t *testing.T) {
-	if got := Words("  ...  "); len(got) != 0 {
+	if got := scanWords("  ...  "); len(got) != 0 {
 		t.Errorf("got %v, want empty", got)
+	}
+	if n := CountWords("  ...  "); n != 0 {
+		t.Errorf("CountWords = %d, want 0", n)
 	}
 }
 
@@ -249,7 +267,7 @@ func TestTokenizeRetentionInvariant(t *testing.T) {
 		want := 0
 		for _, line := range strings.Split(text, "\n") {
 			line = strings.TrimRight(line, "\r")
-			if hasAlnum(line) {
+			if HasAlnum(line) {
 				want++
 			}
 		}
