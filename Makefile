@@ -42,8 +42,11 @@ build:
 test:
 	$(GO) test ./...
 
+# race runs tests in a random order; on a failure Go prints the
+# -test.shuffle seed, and `go test -race -shuffle=<seed> <pkg>` replays
+# that order.
 race:
-	$(GO) test -race ./internal/...
+	$(GO) test -race -shuffle=on ./internal/...
 
 bench-serve:
 	$(GO) test -run xxx -bench 'BenchmarkServe|BenchmarkParseDirect' -benchtime 1000x ./internal/serve/

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net"
 	"testing"
+
+	"repro/internal/serve"
 )
 
 // BenchmarkRingLookup is the routing hot path: one hash plus one binary
@@ -48,11 +50,11 @@ func BenchmarkRingLookupBounded(b *testing.B) {
 }
 
 // BenchmarkShardForward measures the full forward path overhead with
-// the wire taken out (in-process transport, remote-result cache
-// disabled): key hash, singleflight bookkeeping, the peer's serving
-// stack (cache hit), and the response hand-back.
+// the wire taken out (in-process transport, the forwarding node's
+// serve cache disabled): key hash, singleflight bookkeeping, the
+// peer's serving stack (cache hit), and the response hand-back.
 func BenchmarkShardForward(b *testing.B) {
-	a := testNode(b, "node-a", echoParse("node-a"), Options{RemoteCache: -1})
+	a := testNodeServe(b, "node-a", echoParse("node-a"), serve.Options{Workers: 2, CacheCapacity: -1}, Options{})
 	o := testNode(b, "node-b", echoParse("node-b"), Options{})
 	link(a, o)
 	d := domainOwnedBy(b, a.Ring(), "node-b")
@@ -68,8 +70,8 @@ func BenchmarkShardForward(b *testing.B) {
 }
 
 // BenchmarkShardForwardRemoteHit is the steady-state path for repeated
-// non-owned domains: the forward resolves in the local remote-result
-// LRU without touching the peer.
+// non-owned domains: the forward resolves in the forwarding node's
+// serve cache without touching the peer.
 func BenchmarkShardForwardRemoteHit(b *testing.B) {
 	a := testNode(b, "node-a", echoParse("node-a"), Options{})
 	o := testNode(b, "node-b", echoParse("node-b"), Options{})
@@ -92,7 +94,7 @@ func BenchmarkShardForwardRemoteHit(b *testing.B) {
 // BenchmarkShardForwardTCP is BenchmarkShardForward over a loopback TCP
 // connection: adds framing, CRC, and kernel round trips.
 func BenchmarkShardForwardTCP(b *testing.B) {
-	a := testNode(b, "node-a", echoParse("node-a"), Options{RemoteCache: -1})
+	a := testNodeServe(b, "node-a", echoParse("node-a"), serve.Options{Workers: 2, CacheCapacity: -1}, Options{})
 	o := testNode(b, "node-b", echoParse("node-b"), Options{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -69,7 +69,13 @@ func parsers(t testing.TB) (*core.Parser, *core.Parser) {
 // deterministic.
 func testNode(t testing.TB, id string, fn serve.ParseFunc, opts Options) *Node {
 	t.Helper()
-	ps := serve.NewFunc(fn, serve.Options{Workers: 2})
+	return testNodeServe(t, id, fn, serve.Options{Workers: 2}, opts)
+}
+
+// testNodeServe is testNode with the node's serving-layer options.
+func testNodeServe(t testing.TB, id string, fn serve.ParseFunc, sopts serve.Options, opts Options) *Node {
+	t.Helper()
+	ps := serve.NewFunc(fn, sopts)
 	t.Cleanup(func() { ps.Close() })
 	opts.ID = id
 	if opts.Ring.LoadFactor == 0 {

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -52,11 +51,6 @@ type Options struct {
 	// fleet of forwarders spreads its retries; <= 0 means 1s.
 	RetryAfterBase time.Duration
 
-	// RemoteCache caps the remote-result/negative LRU (forwarded
-	// answers and degraded fallbacks, keyed by domain+text+generation);
-	// 0 means 2048, negative disables.
-	RemoteCache int
-
 	// Metrics receives cluster.* metrics; nil means a private registry.
 	Metrics *obs.Registry
 	// Log receives cluster events; nil discards.
@@ -79,9 +73,6 @@ func (o Options) withDefaults() Options {
 	if o.RetryAfterBase <= 0 {
 		o.RetryAfterBase = time.Second
 	}
-	if o.RemoteCache == 0 {
-		o.RemoteCache = 2048
-	}
 	if o.Metrics == nil {
 		o.Metrics = obs.NewRegistry()
 	}
@@ -98,7 +89,7 @@ type nodeMetrics struct {
 	forwardErrs *obs.Counter   // cluster.forward.errors: forwards that failed (non-overload)
 	overloaded  *obs.Counter   // cluster.forward.overloaded: forwards shed by the owner
 	degraded    *obs.Counter   // cluster.forward.degraded: forwards that fell back to local parse
-	remoteHits  *obs.Counter   // cluster.remote.hits: remote-result LRU hits
+	remoteHits  *obs.Counter   // cluster.remote.hits: forwards answered from the serve cache
 	coalesced   *obs.Counter   // cluster.forward.coalesced: forwards that joined an in-flight twin
 	rebalances  *obs.Counter   // cluster.ring.rebalances: membership changes
 	applies     *obs.Counter   // cluster.model.applies: models applied (join or rollout)
@@ -167,16 +158,6 @@ type Node struct {
 	pmu   sync.RWMutex
 	peers map[string]*peer
 
-	// remote is the generation-keyed remote-result/negative LRU;
-	// remoteGen bumps on every model apply/invalidate, orphaning old
-	// entries.
-	remote    *remoteCache
-	remoteGen atomic.Uint64
-
-	// inflight coalesces concurrent forwards for the same key.
-	fmu      sync.Mutex
-	inflight map[remoteKey]*forwardCall
-
 	// artifact holds the serving WMDL bytes (for FetchModel); version
 	// is the stamp applied to locally-parsed records when no lifecycle
 	// manager is attached. provider, when set, overrides artifact as
@@ -190,12 +171,6 @@ type Node struct {
 	ready atomic.Bool
 }
 
-type forwardCall struct {
-	done chan struct{}
-	rec  *core.ParsedRecord
-	err  error
-}
-
 // NewNode builds a cluster node over a serving layer. mgr may be nil
 // (no lifecycle management; ApplyModel then rebinds ps directly). The
 // node adds itself to the ring and is ready immediately — use
@@ -206,18 +181,14 @@ func NewNode(ps *serve.Server, mgr *lifecycle.Manager, opts Options) (*Node, err
 	}
 	o := opts.withDefaults()
 	n := &Node{
-		opts:     o,
-		id:       o.ID,
-		ring:     NewRing(o.Ring),
-		ps:       ps,
-		mgr:      mgr,
-		log:      o.Log,
-		met:      newNodeMetrics(o.Metrics),
-		peers:    make(map[string]*peer),
-		inflight: make(map[remoteKey]*forwardCall),
-	}
-	if o.RemoteCache > 0 {
-		n.remote = newRemoteCache(o.RemoteCache)
+		opts:  o,
+		id:    o.ID,
+		ring:  NewRing(o.Ring),
+		ps:    ps,
+		mgr:   mgr,
+		log:   o.Log,
+		met:   newNodeMetrics(o.Metrics),
+		peers: make(map[string]*peer),
 	}
 	empty := ""
 	n.version.Store(&empty)
@@ -228,9 +199,6 @@ func NewNode(ps *serve.Server, mgr *lifecycle.Manager, opts Options) (*Node, err
 	reg.GaugeFunc("cluster.ring.ownership.self", func() float64 {
 		return n.ring.Ownership()[n.id]
 	})
-	if n.remote != nil {
-		reg.GaugeFunc("cluster.remote.entries", func() float64 { return float64(n.remote.len()) })
-	}
 	return n, nil
 }
 
@@ -243,9 +211,15 @@ func (n *Node) Ring() *Ring { return n.ring }
 
 // SetModelArtifact installs the WMDL bytes this node serves to joining
 // peers via FetchModel, without swapping anything locally — the boot
-// path for a node started from an on-disk model.
+// path for a node started from an on-disk model. Without a lifecycle
+// manager, the artifact's identity (the stamp that model's parses
+// carry) becomes the node's model version.
 func (n *Node) SetModelArtifact(data []byte) {
 	n.artifact.Store(&data)
+	if info, err := store.StatModelBytes(data); err == nil && n.mgr == nil {
+		version := info.ID()
+		n.version.Store(&version)
+	}
 }
 
 // SetModelProvider routes FetchModel through fn instead of the static
@@ -281,8 +255,8 @@ func (n *Node) AddPeer(id string, client ShardClient) {
 }
 
 // RemovePeer drops a member, rebalances the ring, and closes the
-// peer's client. Keys it owned redistribute to the survivors; entries
-// for them in remote caches age out by LRU.
+// peer's client. Keys it owned redistribute to the survivors; cached
+// answers it gave age out by LRU.
 func (n *Node) RemovePeer(id string) {
 	n.pmu.Lock()
 	p, ok := n.peers[id]
@@ -311,10 +285,9 @@ func (n *Node) Owner(domain string) string { return n.ring.LookupBounded(domain)
 // ParseDomain serves one request cluster-aware: the ring names the
 // domain's owner; if that is this node (or the owner is unreachable)
 // the local serving stack answers, otherwise the request forwards to
-// the owner — checking the remote-result LRU first, coalescing
-// concurrent identical forwards, and degrading to a local cold parse
-// when the owner is down, slow, or overloaded. The name matches
-// rdap.ParseBackend.
+// the owner through the same serve cache and coalescer, degrading to a
+// local cold parse when the owner is down, slow, or overloaded. The
+// name matches rdap.ParseBackend.
 func (n *Node) ParseDomain(ctx context.Context, domain, text string) (*core.ParsedRecord, error) {
 	owner := n.ring.LookupBounded(domain)
 	if owner == "" || owner == n.id {
@@ -339,55 +312,39 @@ func (n *Node) localParse(ctx context.Context, text string) (*core.ParsedRecord,
 	return n.ps.Parse(ctx, text)
 }
 
-// forward resolves a non-owned request through the owner, in order:
-// remote-result LRU, in-flight coalescing, the wire. Failure degrades
-// to a local cold parse; the degraded result is cached as a negative
-// entry so a down owner is not re-asked per request.
+// forward resolves a non-owned request through the node's one serve
+// cache: a hit or an in-flight twin answers without the wire; a miss
+// asks the owner, and when the owner cannot answer, a local parse
+// fills the same entry. The owner's answer is cached only when it
+// carries the model version this node serves, or no model at all (an
+// L0 template answer): mid-rollout, an owner that has not swapped yet
+// answers from the old model, and that answer must not outlive this
+// node's own swap.
 func (n *Node) forward(ctx context.Context, p *peer, domain, text string) (*core.ParsedRecord, error) {
-	k := makeRemoteKey(domain, text, n.remoteGen.Load())
-	if n.remote != nil {
-		if rec, ok := n.remote.get(k); ok {
+	return n.ps.ParseRemote(ctx, text, func(ctx context.Context) (*core.ParsedRecord, bool, error) {
+		rec, err := n.forwardOnce(ctx, p, domain, text)
+		if err != nil {
+			return nil, false, err
+		}
+		return rec, rec.Tier == core.TierTemplate || rec.ModelVersion == n.modelVersion(), nil
+	}, func(src serve.Source) {
+		switch src {
+		case serve.FromCache:
 			n.met.remoteHits.Inc()
-			return rec, nil
+		case serve.FromTwin:
+			n.met.coalesced.Inc()
+		case serve.FromLocal:
+			n.met.degraded.Inc()
 		}
-	}
-
-	// Singleflight on the forward path: concurrent identical requests
-	// ride one wire round trip.
-	n.fmu.Lock()
-	if c, ok := n.inflight[k]; ok {
-		n.fmu.Unlock()
-		n.met.coalesced.Inc()
-		select {
-		case <-c.done:
-			return c.rec, c.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	c := &forwardCall{done: make(chan struct{})}
-	n.inflight[k] = c
-	n.fmu.Unlock()
-
-	rec, negative, err := n.forwardOnce(ctx, p, domain, text)
-	if n.remote != nil && err == nil {
-		n.remote.add(k, rec, negative)
-	}
-	c.rec, c.err = rec, err
-	n.fmu.Lock()
-	delete(n.inflight, k)
-	n.fmu.Unlock()
-	close(c.done)
-	return rec, err
+	})
 }
 
 // forwardOnce performs one forward attempt with per-peer timeout and
-// backoff, degrading to a local cold parse on any failure. negative
-// marks a degraded (locally-parsed) result, cached so the down owner is
-// not re-asked for the same key while it recovers.
-func (n *Node) forwardOnce(ctx context.Context, p *peer, domain, text string) (rec *core.ParsedRecord, negative bool, err error) {
+// backoff. A failure charged to the peer backs it off; the caller's own
+// cancellation or deadline is not the peer's fault and charges nothing.
+func (n *Node) forwardOnce(ctx context.Context, p *peer, domain, text string) (*core.ParsedRecord, error) {
 	if p.down() {
-		return n.degrade(ctx, p, text, ErrPeerDown)
+		return nil, ErrPeerDown
 	}
 	n.met.forwards.Inc()
 	n.ring.Acquire(p.id)
@@ -399,41 +356,24 @@ func (n *Node) forwardOnce(ctx context.Context, p *peer, domain, text string) (r
 	n.met.forwardTime.ObserveSince(start)
 	if ferr == nil {
 		p.reset()
-		return rec, false, nil
+		return rec, nil
 	}
 	var ov *OverloadedError
 	switch {
+	case ctx.Err() != nil:
+		// Our caller gave up or ran out of time: no backoff.
 	case errors.As(ferr, &ov):
 		// The owner shed us and said when to come back; honor its
 		// (already jittered) hint.
 		n.met.overloaded.Inc()
 		p.markDown(ov.After)
-	case errors.Is(ferr, context.Canceled):
-		// Our caller gave up — not the peer's fault, no backoff.
-		return nil, false, ferr
 	default:
 		n.met.forwardErrs.Inc()
 		fails := p.failures.Add(1)
 		p.markDown(backoff(n.opts.BackoffBase, n.opts.BackoffMax, fails))
 		n.log.Warn("forward failed", "peer", p.id, "domain", domain, "err", ferr)
 	}
-	return n.degrade(ctx, p, text, ferr)
-}
-
-// degrade serves a request locally that the owner could not take — the
-// "one slow peer must not stall the ring" rule. The result is correct
-// (same corpus, maybe a colder cache) and marked negative so the cache
-// entry is attributable to degradation, not the owner.
-func (n *Node) degrade(ctx context.Context, p *peer, text string, cause error) (*core.ParsedRecord, bool, error) {
-	n.met.degraded.Inc()
-	rec, err := n.localParse(ctx, text)
-	if err != nil {
-		// Local shed on top of a dead peer: surface the local error,
-		// the caller maps it to 503.
-		return nil, false, err
-	}
-	n.log.Debug("degraded to local parse", "peer", p.id, "cause", cause)
-	return rec, true, nil
+	return nil, ferr
 }
 
 // backoff computes the jittered exponential failure backoff.
@@ -496,10 +436,9 @@ func (n *Node) ModelArtifact() ([]byte, error) {
 // ApplyModel verifies artifact (magic, format version, CRC32C, feature
 // dimensions) and swaps it live: through the lifecycle manager when one
 // is attached (cache generation bumps atomically with the parse
-// function), directly onto the serve layer otherwise. The node's
-// remote-result cache is invalidated in the same step — its entries
-// were produced by peers that are swapping on their own stagger.
-// Verification failure leaves the old model serving.
+// function), directly onto the serve layer otherwise. Either way the
+// serve cache generation bumps, orphaning forwarded answers along with
+// local ones. Verification failure leaves the old model serving.
 func (n *Node) ApplyModel(artifact []byte) (string, error) {
 	info, err := store.StatModelBytes(artifact)
 	if err != nil {
@@ -518,16 +457,17 @@ func (n *Node) ApplyModel(artifact []byte) (string, error) {
 			return "", err
 		}
 		version = info.ID()
-		v := version
+		// Publish the version before the generation bump, so no
+		// request admitted under the new generation can cache a
+		// forwarded answer as matching the old version.
+		n.version.Store(&version)
 		n.ps.SetParseFunc(func(text string) *core.ParsedRecord {
 			rec := p.Parse(text)
-			rec.ModelVersion = v
+			rec.ModelVersion = version
 			return rec
 		})
 	}
-	n.version.Store(&version)
 	n.artifact.Store(&artifact)
-	n.remoteGen.Add(1) // orphan remote-result entries from the old fleet state
 	n.met.applies.Inc()
 	n.ready.Store(true)
 	n.log.Info("model applied", "version", version, "artifact", info.String())
@@ -692,86 +632,4 @@ func (n *Node) Close() error {
 	}
 	n.peers = map[string]*peer{}
 	return nil
-}
-
-// --- Remote-result LRU ---
-
-// remoteKey identifies one forwarded answer: two independent hashes of
-// domain+text plus the node's remote generation (bumped on every model
-// apply, so entries from the previous fleet state stop matching) — the
-// same keying stance as serve's generation-keyed cache.
-type remoteKey struct {
-	h1, h2 uint64
-	gen    uint64
-}
-
-func makeRemoteKey(domain, text string, gen uint64) remoteKey {
-	h1 := hashDomain(domain)
-	// Second, independent dimension over the text with a different
-	// offset basis so h1 collisions don't cascade.
-	h2 := uint64(fnvOffset64 ^ 0x9e3779b97f4a7c15)
-	for i := 0; i < len(text); i++ {
-		h2 ^= uint64(text[i])
-		h2 *= fnvPrime64
-	}
-	h2 ^= uint64(len(text))
-	return remoteKey{h1: h1, h2: h2, gen: gen}
-}
-
-type remoteEntry struct {
-	k        remoteKey
-	rec      *core.ParsedRecord
-	negative bool
-}
-
-// remoteCache is a mutex-guarded LRU of forwarded results. negative
-// entries hold locally-degraded answers (the owner was unreachable);
-// they serve hits like any other entry and age out by LRU pressure or
-// generation bump.
-type remoteCache struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[remoteKey]*list.Element
-	lru     list.List
-}
-
-func newRemoteCache(capacity int) *remoteCache {
-	return &remoteCache{cap: capacity, entries: make(map[remoteKey]*list.Element)}
-}
-
-func (c *remoteCache) get(k remoteKey) (*core.ParsedRecord, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[k]
-	if !ok {
-		return nil, false
-	}
-	c.lru.MoveToFront(el)
-	return el.Value.(*remoteEntry).rec, true
-}
-
-func (c *remoteCache) add(k remoteKey, rec *core.ParsedRecord, negative bool) {
-	if rec == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[k]; ok {
-		ent := el.Value.(*remoteEntry)
-		ent.rec, ent.negative = rec, negative
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.entries[k] = c.lru.PushFront(&remoteEntry{k: k, rec: rec, negative: negative})
-	for c.lru.Len() > c.cap {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.entries, oldest.Value.(*remoteEntry).k)
-	}
-}
-
-func (c *remoteCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/lifecycle"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -227,19 +228,280 @@ func TestNodeCancelIsNotPeerFailure(t *testing.T) {
 	a := testNode(t, "node-a", echoParse("node-a"), Options{Metrics: reg})
 	a.AddPeer("node-b", errClient{err: context.Canceled})
 	d := domainOwnedBy(t, a.Ring(), "node-b")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
 
-	if _, err := a.ParseDomain(context.Background(), d, "t"); !errors.Is(err, context.Canceled) {
+	if _, err := a.ParseDomain(ctx, d, "t"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled surfaced", err)
 	}
 	if got := reg.Counter("cluster.forward.degraded").Value(); got != 0 {
 		t.Fatalf("degraded = %d on caller cancellation, want 0", got)
 	}
 	// The peer must not be blamed: the next request forwards again.
-	if _, err := a.ParseDomain(context.Background(), d, "t"); !errors.Is(err, context.Canceled) {
+	if _, err := a.ParseDomain(ctx, d, "t"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("second err = %v", err)
 	}
 	if got := reg.Counter("cluster.forwards").Value(); got != 2 {
 		t.Fatalf("forwards = %d, want 2 (no backoff on cancel)", got)
+	}
+
+	// A caller deadline shorter than ForwardTimeout is the caller's
+	// too: a healthy but slower owner is neither charged nor backed off.
+	reg2 := obs.NewRegistry()
+	a2 := testNode(t, "node-a", echoParse("node-a"), Options{
+		Metrics: reg2, ForwardTimeout: 10 * time.Second, BackoffBase: 10 * time.Second,
+	})
+	b2 := testNode(t, "node-b", func(text string) *core.ParsedRecord {
+		time.Sleep(200 * time.Millisecond)
+		return &core.ParsedRecord{DomainName: text, Registrar: "node-b"}
+	}, Options{})
+	link(a2, b2)
+	dctx, dcancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer dcancel()
+	if _, err := a2.ParseDomain(dctx, d, "slow"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded surfaced", err)
+	}
+	if got := reg2.Counter("cluster.forward.errors").Value(); got != 0 {
+		t.Fatalf("forward.errors = %d on the caller's deadline, want 0", got)
+	}
+	if got := reg2.Counter("cluster.forward.degraded").Value(); got != 0 {
+		t.Fatalf("degraded = %d on the caller's deadline, want 0", got)
+	}
+	if a2.peer("node-b").down() {
+		t.Fatal("owner backed off for the caller's deadline")
+	}
+}
+
+// gateClient holds every Parse until release closes, then answers with
+// rec and err; a caller that gives up first gets its context error.
+type gateClient struct {
+	errClient
+	release chan struct{}
+	rec     *core.ParsedRecord
+}
+
+func (c gateClient) Parse(ctx context.Context, _, _ string) (*core.ParsedRecord, error) {
+	select {
+	case <-c.release:
+		return c.rec, c.err
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// waitCount polls a counter until it reaches want.
+func waitCount(t *testing.T, c *obs.Counter, want uint64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Value() < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("counter at %d, want %d", c.Value(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestNodeDegradedForwardTwins: when a forward fails with twins waiting
+// on it, one local parse fills the entry and answers all of them. A
+// peer's direct request for the same text does not wait on the forward
+// (see TestNodeCrossForwardDoesNotWait); it parses on its own.
+func TestNodeDegradedForwardTwins(t *testing.T) {
+	reg := obs.NewRegistry()
+	var parses atomic.Int32
+	a := testNode(t, "node-a", func(text string) *core.ParsedRecord {
+		parses.Add(1)
+		return &core.ParsedRecord{DomainName: text, Registrar: "node-a"}
+	}, Options{Metrics: reg, BackoffBase: 10 * time.Second})
+	gate := gateClient{errClient: errClient{err: errors.New("synthetic peer failure")}, release: make(chan struct{})}
+	var once sync.Once
+	release := func() { once.Do(func() { close(gate.release) }) }
+	defer release()
+	a.AddPeer("node-b", gate)
+	d := domainOwnedBy(t, a.Ring(), "node-b")
+
+	const twins = 8
+	recs := make(chan *core.ParsedRecord, twins)
+	errs := make(chan error, twins)
+	for i := 0; i < twins; i++ {
+		go func() {
+			rec, err := a.ParseDomain(context.Background(), d, "text")
+			recs <- rec
+			errs <- err
+		}()
+	}
+	waitCount(t, reg.Counter("cluster.forward.coalesced"), twins-1)
+	rec, err := a.HandleParse(context.Background(), d, "text")
+	if err != nil || rec == nil || rec.Registrar != "node-a" {
+		t.Fatalf("peer request during the forward got %+v, %v; want its own local parse", rec, err)
+	}
+	if got := a.ps.Metrics().Counter("serve.coalesced").Value(); got != twins-1 {
+		t.Fatalf("serve.coalesced = %d, want %d: the peer request waited on the forward", got, twins-1)
+	}
+	release()
+	for i := 0; i < twins; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+		if rec := <-recs; rec == nil || rec.Registrar != "node-a" {
+			t.Fatalf("twin got %+v, want the local parse", rec)
+		}
+	}
+	if got := parses.Load(); got != 2 {
+		t.Fatalf("local parses = %d, want 2 (the peer request's and the degraded forward's)", got)
+	}
+	if got := reg.Counter("cluster.forward.degraded").Value(); got != 1 {
+		t.Fatalf("degraded = %d, want 1", got)
+	}
+	if st := a.ps.Stats(); st.Misses != 2 || st.Parsed != 2 {
+		t.Fatalf("serve misses=%d parsed=%d, want 2 and 2", st.Misses, st.Parsed)
+	}
+}
+
+// barrierClient holds each forward until the WaitGroup's count of
+// forwards has arrived, then delivers it in-process.
+type barrierClient struct {
+	*InprocClient
+	arrived *sync.WaitGroup
+}
+
+func (c barrierClient) Parse(ctx context.Context, domain, text string) (*core.ParsedRecord, error) {
+	c.arrived.Done()
+	c.arrived.Wait()
+	return c.InprocClient.Parse(ctx, domain, text)
+}
+
+// TestNodeCrossForwardDoesNotWait: two nodes whose rings disagree
+// forward the same text to each other at once. Each owner answers the
+// other's request with its own parse instead of waiting on its own
+// in-flight forward, so neither forward runs into ForwardTimeout and
+// no healthy peer is charged or backed off.
+func TestNodeCrossForwardDoesNotWait(t *testing.T) {
+	regA, regB := obs.NewRegistry(), obs.NewRegistry()
+	const timeout = 5 * time.Second
+	ring := RingOptions{LoadFactor: 1.25}
+	a := testNode(t, "node-a", echoParse("node-a"), Options{Metrics: regA, ForwardTimeout: timeout, Ring: ring})
+	b := testNode(t, "node-b", echoParse("node-b"), Options{Metrics: regB, ForwardTimeout: timeout, Ring: ring})
+	var arrived sync.WaitGroup
+	arrived.Add(2)
+	a.AddPeer("node-b", barrierClient{&InprocClient{B: b}, &arrived})
+	b.AddPeer("node-a", barrierClient{&InprocClient{B: a}, &arrived})
+
+	// Bounded load makes the rings disagree: node-a's own load pushes
+	// its domain on to node-b, while node-b's ring sends it to node-a.
+	d := domainOwnedBy(t, a.Ring(), "node-a")
+	for i := 0; i < 10; i++ {
+		a.Ring().Acquire("node-a")
+		defer a.Ring().Release("node-a")
+	}
+	if a.Owner(d) != "node-b" || b.Owner(d) != "node-a" {
+		t.Fatalf("owners a→%s b→%s, want each ring to name the other node", a.Owner(d), b.Owner(d))
+	}
+
+	start := time.Now()
+	var wg sync.WaitGroup
+	got := make([]*core.ParsedRecord, 2)
+	errs := make([]error, 2)
+	for i, n := range []*Node{a, b} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = n.ParseDomain(context.Background(), d, "text")
+		}()
+	}
+	wg.Wait()
+	if elapsed := time.Since(start); elapsed > timeout/2 {
+		t.Fatalf("cross forwards took %v (ForwardTimeout %v): the owners waited on each other", elapsed, timeout)
+	}
+	// Either owner may answer from its cache once its own forward has
+	// settled there, so either node's parse is a right answer.
+	for i := range got {
+		if errs[i] != nil || got[i] == nil || got[i].DomainName != "text" {
+			t.Fatalf("forward %d got %+v, %v", i, got[i], errs[i])
+		}
+	}
+	for _, reg := range []*obs.Registry{regA, regB} {
+		if n := reg.Counter("cluster.forward.errors").Value(); n != 0 {
+			t.Fatalf("forward.errors = %d, want 0", n)
+		}
+		if n := reg.Counter("cluster.forward.degraded").Value(); n != 0 {
+			t.Fatalf("degraded = %d, want 0", n)
+		}
+	}
+	if a.peer("node-b").down() || b.peer("node-a").down() {
+		t.Fatal("a healthy peer was backed off")
+	}
+}
+
+// TestNodeCachesTemplateForwards: an L0 template answer carries no
+// model version, so it is cached even on a node that serves a
+// versioned model.
+func TestNodeCachesTemplateForwards(t *testing.T) {
+	artA, _ := artifacts(t)
+	reg := obs.NewRegistry()
+	a := testNode(t, "node-a", echoParse("node-a"), Options{Metrics: reg})
+	a.SetModelArtifact(artA)
+	if a.Status().ModelVersion == "" {
+		t.Fatal("node-a serves no model version")
+	}
+	b := testNode(t, "node-b", func(text string) *core.ParsedRecord {
+		return &core.ParsedRecord{DomainName: text, Registrar: "node-b", Tier: core.TierTemplate}
+	}, Options{})
+	link(a, b)
+	d := domainOwnedBy(t, a.Ring(), "node-b")
+	for i := 0; i < 2; i++ {
+		if rec, err := a.ParseDomain(context.Background(), d, "text"); err != nil || rec.Registrar != "node-b" {
+			t.Fatalf("request %d: %+v, %v", i, rec, err)
+		}
+	}
+	if got := reg.Counter("cluster.forwards").Value(); got != 1 {
+		t.Fatalf("forwards = %d, want 1", got)
+	}
+	if got := reg.Counter("cluster.remote.hits").Value(); got != 1 {
+		t.Fatalf("remote.hits = %d, want 1", got)
+	}
+}
+
+// TestNodeForwardTwinOutlivesLeaderCancel: a twin must not inherit the
+// cancellation of the forward it coalesced onto; it forwards itself.
+func TestNodeForwardTwinOutlivesLeaderCancel(t *testing.T) {
+	reg := obs.NewRegistry()
+	a := testNode(t, "node-a", echoParse("node-a"), Options{Metrics: reg, ForwardTimeout: 10 * time.Second})
+	gate := gateClient{release: make(chan struct{}), rec: &core.ParsedRecord{Registrar: "node-b"}}
+	var once sync.Once
+	release := func() { once.Do(func() { close(gate.release) }) }
+	defer release()
+	a.AddPeer("node-b", gate)
+	d := domainOwnedBy(t, a.Ring(), "node-b")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	leader := make(chan error, 1)
+	go func() {
+		_, err := a.ParseDomain(ctx, d, "text")
+		leader <- err
+	}()
+	waitCount(t, reg.Counter("cluster.forwards"), 1)
+	type result struct {
+		rec *core.ParsedRecord
+		err error
+	}
+	twin := make(chan result, 1)
+	go func() {
+		rec, err := a.ParseDomain(context.Background(), d, "text")
+		twin <- result{rec, err}
+	}()
+	waitCount(t, reg.Counter("cluster.forward.coalesced"), 1)
+	cancel()
+	if err := <-leader; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader err = %v, want context.Canceled", err)
+	}
+	waitCount(t, reg.Counter("cluster.forwards"), 2) // the twin now leads
+	release()
+	r := <-twin
+	if r.err != nil || r.rec == nil || r.rec.Registrar != "node-b" {
+		t.Fatalf("twin got %+v, %v; want the owner's answer", r.rec, r.err)
+	}
+	if got := reg.Counter("cluster.forward.errors").Value(); got != 0 {
+		t.Fatalf("forward.errors = %d, want 0", got)
 	}
 }
 
@@ -497,25 +759,70 @@ func TestNodeRemovePeerRebalances(t *testing.T) {
 	}
 }
 
-func TestRemoteCacheLRUAndGeneration(t *testing.T) {
-	c := newRemoteCache(2)
-	k1 := makeRemoteKey("a.com", "t", 0)
-	k2 := makeRemoteKey("b.com", "t", 0)
-	k3 := makeRemoteKey("c.com", "t", 0)
-	c.add(k1, &core.ParsedRecord{DomainName: "a.com"}, false)
-	c.add(k2, &core.ParsedRecord{DomainName: "b.com"}, true)
-	if _, ok := c.get(k1); !ok {
-		t.Fatal("k1 missing")
-	}
-	c.add(k3, &core.ParsedRecord{DomainName: "c.com"}, false) // evicts k2 (LRU after k1's touch)
-	if _, ok := c.get(k2); ok {
-		t.Fatal("k2 survived past capacity")
-	}
-	if c.len() != 2 {
-		t.Fatalf("len = %d, want 2", c.len())
-	}
-	// A generation bump orphans old entries by key construction.
-	if k1gen1 := makeRemoteKey("a.com", "t", 1); k1gen1 == k1 {
-		t.Fatal("generation not part of the remote key")
+// TestNodeApplyModelOrphansForwarded: a forwarded answer lives in the
+// node's serve cache, and a model apply retires it on both swap paths.
+// Until the owner swaps too, its answers are returned but not cached.
+func TestNodeApplyModelOrphansForwarded(t *testing.T) {
+	artA, _ := artifacts(t)
+	pa, _ := parsers(t)
+	for _, withManager := range []bool{false, true} {
+		t.Run(fmt.Sprintf("manager=%v", withManager), func(t *testing.T) {
+			reg := obs.NewRegistry()
+			var a *Node
+			if withManager {
+				mgr := lifecycle.New(pa, lifecycle.Options{})
+				ps := serve.NewFunc(mgr.ParseFunc(), serve.Options{Workers: 2})
+				mgr.Attach(ps)
+				t.Cleanup(func() { ps.Close() })
+				var err error
+				if a, err = NewNode(ps, mgr, Options{ID: "node-a", Metrics: reg, Ring: RingOptions{LoadFactor: -1}}); err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { a.Close() })
+			} else {
+				a = testNode(t, "node-a", echoParse("node-a"), Options{Metrics: reg})
+			}
+			// The owner serves the model a serves now, and keeps serving
+			// it after a swaps.
+			oldVersion := a.Status().ModelVersion
+			b := testNode(t, "node-b", func(text string) *core.ParsedRecord {
+				return &core.ParsedRecord{DomainName: text, Registrar: "node-b", ModelVersion: oldVersion}
+			}, Options{})
+			link(a, b)
+			d := domainOwnedBy(t, a.Ring(), "node-b")
+			ctx := context.Background()
+			forwards := reg.Counter("cluster.forwards")
+
+			fwd, err := a.ParseDomain(ctx, d, "text")
+			if err != nil || fwd.Registrar != "node-b" {
+				t.Fatalf("forward: %+v, %v", fwd, err)
+			}
+			// One cache: a local request for the same text is a hit on
+			// the forwarded entry.
+			if rec, err := a.ps.Parse(ctx, "text"); err != nil || rec != fwd {
+				t.Fatalf("local request got %+v, %v; want the forwarded entry", rec, err)
+			}
+
+			version, err := a.ApplyModel(artA)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if version == oldVersion {
+				t.Fatalf("apply kept version %q", version)
+			}
+			for want := uint64(2); want <= 3; want++ {
+				rec, err := a.ParseDomain(ctx, d, "text")
+				if err != nil || rec.Registrar != "node-b" {
+					t.Fatalf("forward after apply: %+v, %v", rec, err)
+				}
+				if got := forwards.Value(); got != want {
+					t.Fatalf("forwards = %d, want %d: an old-model answer was served from cache", got, want)
+				}
+			}
+			rec, err := a.ps.Parse(ctx, "text")
+			if err != nil || rec == fwd || rec.ModelVersion != version {
+				t.Fatalf("local request after apply got %+v, %v; want a fresh parse stamped %q", rec, err, version)
+			}
+		})
 	}
 }

@@ -44,7 +44,7 @@ type metric interface {
 }
 
 // Default is the process-wide registry used when no explicit registry is
-// supplied (e.g. obs.Start on a context with no registry attached).
+// supplied (e.g. a query.Engine built without Options.Metrics).
 var Default = NewRegistry()
 
 // NewRegistry returns an empty registry.

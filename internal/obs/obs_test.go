@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"math"
@@ -211,18 +210,10 @@ func TestLoggerWithAndNil(t *testing.T) {
 
 func TestSpanRecordsDurationAndOutcome(t *testing.T) {
 	r := NewRegistry()
-	ctx := WithRegistry(context.Background(), r)
-	if RegistryFrom(ctx) != r {
-		t.Fatal("RegistryFrom lost the registry")
-	}
-	if RegistryFrom(context.Background()) != Default {
-		t.Fatal("RegistryFrom without registry should be Default")
-	}
-
-	_, sp := Start(ctx, "parse")
+	sp := r.Start("parse")
 	time.Sleep(time.Millisecond)
 	sp.End(nil)
-	_, sp = Start(ctx, "parse")
+	sp = r.Start("parse")
 	sp.End(errors.New("boom"))
 
 	if got := r.Counter("parse.calls").Value(); got != 2 {

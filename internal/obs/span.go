@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"context"
-	"time"
-)
+import "time"
 
 // Spans are the lightweight tracing half of the package: a span times
 // one stage ("parse", "crawl.thick", "rdap.parsed") and records its
@@ -12,33 +9,11 @@ import (
 // just per-stage latency and error visibility at ~two time.Now calls of
 // overhead.
 
-type registryKey struct{}
-
-// WithRegistry returns a context carrying r; Start on that context
-// records into r instead of Default.
-func WithRegistry(ctx context.Context, r *Registry) context.Context {
-	return context.WithValue(ctx, registryKey{}, r)
-}
-
-// RegistryFrom returns the registry attached to ctx, or Default.
-func RegistryFrom(ctx context.Context) *Registry {
-	if r, ok := ctx.Value(registryKey{}).(*Registry); ok && r != nil {
-		return r
-	}
-	return Default
-}
-
 // Span is one in-progress timed stage. End it exactly once.
 type Span struct {
 	r     *Registry
 	name  string
 	start time.Time
-}
-
-// Start begins a span named name against the context's registry and
-// returns the (unchanged) context alongside it.
-func Start(ctx context.Context, name string) (context.Context, *Span) {
-	return ctx, RegistryFrom(ctx).Start(name)
 }
 
 // Start begins a span recording into this registry.

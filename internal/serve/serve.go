@@ -18,6 +18,9 @@
 //     explicit load shedding (ErrOverloaded), so saturation degrades
 //     into fast failures instead of an unbounded pile of goroutines.
 //
+// ParseRemote answers a request that another cluster node owns through
+// the same cache and coalescer, asking the owner on a miss.
+//
 // Close drains: admission stops (ErrClosed) while every accepted parse
 // still completes and wakes its waiters. All counters, gauges, and the
 // parse-latency histogram live in an internal/obs Registry (shared with
@@ -222,14 +225,16 @@ func (s *Server) cacheEntries() int {
 // fn is the parse function captured at admission time: a swap between
 // admission and execution must not retroactively change which model a
 // request was admitted under (its cache key already carries that
-// model's generation).
+// model's generation). remote marks a call registered by ParseRemote,
+// whose answer may come from another node.
 type call struct {
-	k    key
-	fn   ParseFunc
-	text string
-	done chan struct{}
-	rec  *core.ParsedRecord
-	err  error
+	k      key
+	fn     ParseFunc
+	text   string
+	done   chan struct{}
+	rec    *core.ParsedRecord
+	err    error
+	remote bool
 }
 
 // Parse returns the parsed view of text, serving from cache when
@@ -249,15 +254,15 @@ func (s *Server) ParseWait(ctx context.Context, text string) (*core.ParsedRecord
 }
 
 func (s *Server) do(ctx context.Context, text string, wait bool) (*core.ParsedRecord, error) {
-	c, rec, err := s.admit(ctx, text, wait)
-	if err != nil || rec != nil {
-		return rec, err
-	}
-	select {
-	case <-c.done:
-		return c.rec, c.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	for {
+		c, rec, err := s.admit(ctx, text, wait)
+		if err != nil || rec != nil {
+			return rec, err
+		}
+		rec, retry, err := c.wait(ctx)
+		if !retry {
+			return rec, err
+		}
 	}
 }
 
@@ -286,17 +291,98 @@ func (s *Server) ParseBatch(ctx context.Context, texts []string) ([]*core.Parsed
 		waits = append(waits, pending{i, c})
 	}
 	for _, p := range waits {
-		select {
-		case <-p.c.done:
-			if p.c.err != nil {
-				return nil, p.c.err
-			}
-			out[p.i] = p.c.rec
-		case <-ctx.Done():
-			return nil, ctx.Err()
+		rec, retry, err := p.c.wait(ctx)
+		if retry {
+			rec, err = s.do(ctx, texts[p.i], true)
 		}
+		if err != nil {
+			return nil, err
+		}
+		out[p.i] = rec
 	}
 	return out, nil
+}
+
+// wait blocks until c settles or ctx ends. retry reports that c was
+// withdrawn because the request that registered it gave up (its own
+// context ended) while ctx is still live: that error belongs to
+// another request, so the caller goes back to admission instead.
+func (c *call) wait(ctx context.Context) (rec *core.ParsedRecord, retry bool, err error) {
+	select {
+	case <-c.done:
+		if c.err != nil && ctx.Err() == nil &&
+			(errors.Is(c.err, context.Canceled) || errors.Is(c.err, context.DeadlineExceeded)) {
+			return nil, true, nil
+		}
+		return c.rec, false, c.err
+	case <-ctx.Done():
+		return nil, false, ctx.Err()
+	}
+}
+
+// Source names the path ParseRemote takes to answer a request.
+type Source uint8
+
+const (
+	// FromCache: the record was already cached.
+	FromCache Source = iota
+	// FromTwin: the request waits on an identical in-flight request.
+	FromTwin
+	// FromRemote: the request asks the remote function.
+	FromRemote
+	// FromLocal: the remote function failed, so the request is queued
+	// for a local parse like any Parse miss (and may be shed).
+	FromLocal
+)
+
+// ParseRemote serves a text that another node owns. It shares Parse's
+// cache and coalescing: a hit returns at once, and a request whose twin
+// is in flight (local or remote) waits for it. Parse, ParseWait and
+// ParseBatch never wait on a ParseRemote call (see lookup). On a miss,
+// remote runs in the caller's goroutine; its record wakes every twin
+// and, when remote reports it cacheable, is cached under the current
+// generation. When remote fails for any reason other than ctx ending,
+// the same registered call is queued to the worker pool exactly as
+// Parse queues it: it sheds with ErrOverloaded, and the local parse
+// fills the same entry. serve.cache.misses and serve.parsed count only
+// those local parses. note is called with each path as it is taken, so
+// a caller can count twins while they wait (a twin whose leader gave up
+// is noted again when it retries).
+func (s *Server) ParseRemote(ctx context.Context, text string,
+	remote func(context.Context) (rec *core.ParsedRecord, cache bool, err error),
+	note func(Source)) (*core.ParsedRecord, error) {
+	for {
+		sh, c, rec, leader := s.lookup(text, true)
+		if rec != nil {
+			note(FromCache)
+			return rec, nil
+		}
+		if !leader {
+			note(FromTwin)
+			rec, retry, err := c.wait(ctx)
+			if retry {
+				continue
+			}
+			return rec, err
+		}
+		note(FromRemote)
+		rec, cache, err := remote(ctx)
+		if err == nil {
+			s.settle(sh, c, rec, cache)
+			close(c.done)
+			return rec, nil
+		}
+		if ctx.Err() != nil {
+			s.abort(sh, c, ctx.Err())
+			return nil, ctx.Err()
+		}
+		note(FromLocal)
+		if err := s.enqueue(ctx, sh, c, false); err != nil {
+			return nil, err
+		}
+		rec, _, err = c.wait(ctx)
+		return rec, err
+	}
 }
 
 // Preload inserts an already-parsed record into the cache without a
@@ -321,33 +407,65 @@ func (s *Server) Preload(text string, rec *core.ParsedRecord) {
 // admit resolves a request to either a cached record, a call to wait on,
 // or an admission error. Exactly one of the three is non-zero.
 func (s *Server) admit(ctx context.Context, text string, wait bool) (*call, *core.ParsedRecord, error) {
+	sh, c, rec, leader := s.lookup(text, false)
+	if !leader {
+		return c, rec, nil
+	}
+	if err := s.enqueue(ctx, sh, c, wait); err != nil {
+		return nil, nil, err
+	}
+	return c, nil, nil
+}
+
+// lookup is the atomic half of admission: under one shard lock it finds
+// a cached record, or an identical in-flight call to wait on, or
+// registers a new call that this request now leads. A leader must
+// settle its call: enqueue, settle or abort it.
+//
+// remote marks a ParseRemote request. Any other request never waits on
+// a remote call: that call may be waiting on a peer that is in turn
+// waiting on this node (two nodes whose rings disagree forward the same
+// text to each other), and its answer may come from an owner still
+// serving an older model. Such a request leads a call of its own
+// instead, which is not registered: it fills the cache, and the remote
+// call keeps the in-flight slot.
+func (s *Server) lookup(text string, remote bool) (sh *shard, c *call, rec *core.ParsedRecord, leader bool) {
 	// One state load per request: the parse function and the cache
 	// generation it belongs to are read together, so a concurrent swap
 	// cannot tear them apart.
 	st := s.state.Load()
 	k := s.hashKey(text, st.gen)
-	sh := &s.shards[int(k.h1)&(len(s.shards)-1)]
+	sh = &s.shards[int(k.h1)&(len(s.shards)-1)]
 
 	sh.mu.Lock()
 	if rec, ok := sh.get(k); ok {
 		sh.mu.Unlock()
 		s.m.hits.Inc()
-		return nil, rec, nil
+		return sh, nil, rec, false
 	}
-	if c, ok := sh.inflight[k]; ok {
+	c, ok := sh.inflight[k]
+	if ok && (remote || !c.remote) {
 		sh.mu.Unlock()
 		s.m.coalesced.Inc()
-		return c, nil, nil
+		return sh, c, nil, false
 	}
-	c := &call{k: k, fn: st.fn, text: text, done: make(chan struct{})}
-	sh.inflight[k] = c
+	c = &call{k: k, fn: st.fn, text: text, done: make(chan struct{}), remote: remote}
+	if !ok {
+		sh.inflight[k] = c
+	}
 	sh.mu.Unlock()
+	return sh, c, nil, true
+}
 
+// enqueue hands a registered call to the worker pool, blocking for
+// queue space when wait is set and shedding with ErrOverloaded
+// otherwise. On failure the call is aborted with the returned error.
+func (s *Server) enqueue(ctx context.Context, sh *shard, c *call, wait bool) error {
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
 		s.abort(sh, c, ErrClosed)
-		return nil, nil, ErrClosed
+		return ErrClosed
 	}
 	if wait {
 		// Blocking send while holding the read lock is safe: Close
@@ -359,7 +477,7 @@ func (s *Server) admit(ctx context.Context, text string, wait bool) (*call, *cor
 		case <-ctx.Done():
 			s.mu.RUnlock()
 			s.abort(sh, c, ctx.Err())
-			return nil, nil, ctx.Err()
+			return ctx.Err()
 		}
 	} else {
 		select {
@@ -369,17 +487,18 @@ func (s *Server) admit(ctx context.Context, text string, wait bool) (*call, *cor
 			s.mu.RUnlock()
 			s.abort(sh, c, ErrOverloaded)
 			s.m.shed.Inc()
-			return nil, nil, ErrOverloaded
+			return ErrOverloaded
 		}
 	}
 	s.m.misses.Inc()
 	s.m.inFlight.Add(1)
-	return c, nil, nil
+	return nil
 }
 
-// abort withdraws a registered but never-admitted call. Anyone who
-// coalesced onto it in the window between registration and admission
-// failure inherits err.
+// abort withdraws a registered call that never produced a record.
+// Anyone who coalesced onto it inherits err, except that a waiter whose
+// own context is live goes back to admission when err is a context
+// error (see call.wait).
 func (s *Server) abort(sh *shard, c *call, err error) {
 	sh.mu.Lock()
 	if sh.inflight[c.k] == c {
@@ -390,6 +509,21 @@ func (s *Server) abort(sh *shard, c *call, err error) {
 	close(c.done)
 }
 
+// settle makes rec c's answer, caching it when cache is set, and
+// retires c from the in-flight registry. The caller then closes c.done
+// to wake the waiters.
+func (s *Server) settle(sh *shard, c *call, rec *core.ParsedRecord, cache bool) {
+	c.rec = rec
+	sh.mu.Lock()
+	if cache {
+		sh.add(c.k, rec)
+	}
+	if sh.inflight[c.k] == c {
+		delete(sh.inflight, c.k)
+	}
+	sh.mu.Unlock()
+}
+
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for c := range s.queue {
@@ -397,14 +531,7 @@ func (s *Server) worker() {
 		rec := c.fn(c.text)
 		s.m.latency.ObserveSince(start)
 
-		c.rec = rec
-		sh := &s.shards[int(c.k.h1)&(len(s.shards)-1)]
-		sh.mu.Lock()
-		sh.add(c.k, rec)
-		if sh.inflight[c.k] == c {
-			delete(sh.inflight, c.k)
-		}
-		sh.mu.Unlock()
+		s.settle(&s.shards[int(c.k.h1)&(len(s.shards)-1)], c, rec, true)
 		// Count the parse before waking its waiters, so a caller that
 		// reads Stats after its answer arrives sees it.
 		s.m.parsed.Inc()

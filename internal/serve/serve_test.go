@@ -379,6 +379,175 @@ func TestContextCancelAbandonsWaitNotParse(t *testing.T) {
 	}
 }
 
+// TestTwinOutlivesLeaderCancel: a request coalesced onto another
+// request's call must not inherit that request's cancellation. The
+// leader blocks on a full queue and is cancelled; its twins (one
+// ParseWait, one ParseBatch) go back to admission and get the record.
+func TestTwinOutlivesLeaderCancel(t *testing.T) {
+	release := make(chan struct{})
+	started := make(chan struct{})
+	s := NewFunc(func(text string) *core.ParsedRecord {
+		if text == "block" {
+			close(started)
+			<-release
+		}
+		return &core.ParsedRecord{DomainName: text}
+	}, Options{Workers: 1, QueueDepth: 1})
+	defer s.Close()
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer unblock()
+
+	bg := context.Background()
+	go s.Parse(bg, "block") // occupies the only worker
+	<-started
+	go s.Parse(bg, "fill") // fills the queue
+	waitFor(t, "full queue", func() bool { return s.Stats().Queued == 1 })
+
+	ctx, cancel := context.WithCancel(bg)
+	leader := make(chan error, 1)
+	go func() {
+		_, err := s.ParseWait(ctx, "z")
+		leader <- err
+	}()
+	waitFor(t, "leader registered", func() bool {
+		k := s.hashKey("z", s.Generation())
+		sh := &s.shards[int(k.h1)&(len(s.shards)-1)]
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return sh.inflight[k] != nil
+	})
+
+	type result struct {
+		rec *core.ParsedRecord
+		err error
+	}
+	twins := make(chan result, 2)
+	go func() {
+		rec, err := s.ParseWait(bg, "z")
+		twins <- result{rec, err}
+	}()
+	go func() {
+		recs, err := s.ParseBatch(bg, []string{"z"})
+		if err != nil {
+			twins <- result{nil, err}
+			return
+		}
+		twins <- result{recs[0], nil}
+	}()
+	waitFor(t, "twins coalesced", func() bool { return s.Stats().Coalesced == 2 })
+
+	cancel()
+	if err := <-leader; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader err = %v, want context.Canceled", err)
+	}
+	unblock()
+	for i := 0; i < 2; i++ {
+		r := <-twins
+		if r.err != nil {
+			t.Fatalf("twin inherited the leader's error: %v", r.err)
+		}
+		if r.rec == nil || r.rec.DomainName != "z" {
+			t.Fatalf("twin got %+v", r.rec)
+		}
+	}
+}
+
+// TestParseRemote walks ParseRemote's paths: a remote answer is cached
+// (or not, when remote says so), a remote failure is answered by a
+// local parse into the same entry, and the caller's own cancellation
+// neither parses locally nor leaves an entry behind.
+func TestParseRemote(t *testing.T) {
+	fn, calls := countingParse()
+	s := NewFunc(fn, Options{Workers: 1})
+	ctx := context.Background()
+	var notes []Source
+	note := func(src Source) { notes = append(notes, src) }
+	answer := func(rec *core.ParsedRecord, cache bool, err error) func(context.Context) (*core.ParsedRecord, bool, error) {
+		return func(context.Context) (*core.ParsedRecord, bool, error) { return rec, cache, err }
+	}
+	check := func(what string, want ...Source) {
+		t.Helper()
+		if fmt.Sprint(notes) != fmt.Sprint(want) {
+			t.Fatalf("%s: noted %v, want %v", what, notes, want)
+		}
+		notes = nil
+	}
+
+	owner := &core.ParsedRecord{DomainName: "owner"}
+	if rec, err := s.ParseRemote(ctx, "a", answer(owner, true, nil), note); err != nil || rec != owner {
+		t.Fatalf("remote answer: %+v, %v", rec, err)
+	}
+	check("remote", FromRemote)
+	if rec, err := s.Parse(ctx, "a"); err != nil || rec != owner {
+		t.Fatalf("Parse after a cached remote answer: %+v, %v", rec, err)
+	}
+	if rec, _ := s.ParseRemote(ctx, "a", answer(nil, false, errors.New("unused")), note); rec != owner {
+		t.Fatalf("hit returned %+v", rec)
+	}
+	check("hit", FromCache)
+
+	s.ParseRemote(ctx, "b", answer(owner, false, nil), note)
+	s.ParseRemote(ctx, "b", answer(owner, false, nil), note)
+	check("uncached", FromRemote, FromRemote)
+
+	rec, err := s.ParseRemote(ctx, "c", answer(nil, false, errors.New("owner down")), note)
+	if err != nil || rec == nil || rec.DomainName != "c" {
+		t.Fatalf("local fallback: %+v, %v", rec, err)
+	}
+	check("fallback", FromRemote, FromLocal)
+	if hit, _ := s.Parse(ctx, "c"); hit != rec {
+		t.Fatal("local fallback did not fill the entry")
+	}
+
+	cctx, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := s.ParseRemote(cctx, "d", answer(nil, false, context.Canceled), note); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled caller: err = %v", err)
+	}
+	check("cancelled", FromRemote)
+	if calls("d") != 0 {
+		t.Fatal("a cancelled caller's request was parsed locally")
+	}
+	if st := s.Stats(); st.Misses != 1 || st.Parsed != 1 || calls("a")+calls("b") != 0 {
+		t.Fatalf("misses=%d parsed=%d: only the fallback may count as a local parse", st.Misses, st.Parsed)
+	}
+
+	s.Close()
+	if _, err := s.ParseRemote(ctx, "d", answer(nil, false, errors.New("owner down")), note); !errors.Is(err, ErrClosed) {
+		t.Fatalf("fallback on a closed server: err = %v, want ErrClosed", err)
+	}
+}
+
+// TestParseNeverWaitsOnRemote: a Parse for a text whose ParseRemote
+// call is in flight parses on its own instead of waiting on that call.
+// Here the remote answer itself needs that Parse, as when two nodes
+// forward the same text to each other; waiting would never end.
+func TestParseNeverWaitsOnRemote(t *testing.T) {
+	s := NewFunc(func(text string) *core.ParsedRecord {
+		return &core.ParsedRecord{DomainName: text}
+	}, Options{Workers: 1})
+	defer s.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	rec, err := s.ParseRemote(ctx, "e", func(ctx context.Context) (*core.ParsedRecord, bool, error) {
+		local, err := s.Parse(ctx, "e")
+		if err != nil {
+			return nil, false, err
+		}
+		return &core.ParsedRecord{DomainName: "owner:" + local.DomainName}, true, nil
+	}, func(Source) {})
+	if err != nil || rec == nil || rec.DomainName != "owner:e" {
+		t.Fatalf("ParseRemote got %+v, %v; want the remote answer", rec, err)
+	}
+	if st := s.Stats(); st.Coalesced != 0 || st.Parsed != 1 {
+		t.Fatalf("coalesced=%d parsed=%d, want 0 and 1", st.Coalesced, st.Parsed)
+	}
+	if hit, _ := s.Parse(ctx, "e"); hit != rec {
+		t.Fatalf("cache holds %+v, want the remote answer", hit)
+	}
+}
+
 func TestStatsLatencyQuantiles(t *testing.T) {
 	s := NewFunc(func(text string) *core.ParsedRecord {
 		time.Sleep(time.Millisecond)
