@@ -373,6 +373,8 @@ func adminModel(mgr *lifecycle.Manager) http.HandlerFunc {
 			"seq":      snap.Seq,
 			"artifact": snap.Info.String(),
 			"path":     snap.Path,
+			"family":   snap.Family,
+			"semver":   snap.SemVer,
 			"state":    mgr.State().String(),
 			"flagged":  mgr.Flagged(),
 		})

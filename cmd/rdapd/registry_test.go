@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -17,8 +16,9 @@ import (
 
 // registryFixture publishes two versions into a fresh registry —
 // 1.0.0 promoted to serving, 1.1.0 staged as candidate — and returns a
-// registry-backed parse stack serving 1.0.0.
-func registryFixture(t *testing.T) *daemon.Stack {
+// registry-backed parse stack serving 1.0.0, with both artifacts'
+// identities.
+func registryFixture(t *testing.T) (stk *daemon.Stack, infoA, infoB store.ModelInfo) {
 	t.Helper()
 	recs := synth.GenerateLabeled(synth.Config{N: 80, Seed: 29})
 	pA, _, err := core.Train(recs[:40], core.DefaultConfig())
@@ -32,10 +32,10 @@ func registryFixture(t *testing.T) *daemon.Stack {
 	dir := t.TempDir()
 	artA := filepath.Join(dir, "a.wmdl")
 	artB := filepath.Join(dir, "b.wmdl")
-	if err := store.SaveModel(pA, artA); err != nil {
+	if infoA, err = store.SaveModel(pA, artA); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.SaveModel(pB, artB); err != nil {
+	if infoB, err = store.SaveModel(pB, artB); err != nil {
 		t.Fatal(err)
 	}
 
@@ -67,7 +67,7 @@ func registryFixture(t *testing.T) *daemon.Stack {
 		t.Fatal(err)
 	}
 
-	stk, err := daemon.Build(daemon.Config{
+	stk, err = daemon.Build(daemon.Config{
 		Flags: daemon.Flags{Registry: regDir, Family: fam},
 		Mode:  daemon.ModelIfSet,
 	})
@@ -75,7 +75,7 @@ func registryFixture(t *testing.T) *daemon.Stack {
 		t.Fatal(err)
 	}
 	t.Cleanup(stk.Close)
-	return stk
+	return stk, infoA, infoB
 }
 
 func postJSON(t *testing.T, h http.Handler, target string) (int, map[string]any) {
@@ -96,14 +96,14 @@ func postJSON(t *testing.T, h http.Handler, target string) (int, map[string]any)
 // it, and rolls back — the prior serving version must still be on disk,
 // verify clean, and come back live.
 func TestAdminStageMoveDrivesRegistry(t *testing.T) {
-	stk := registryFixture(t)
+	stk, infoA, infoB := registryFixture(t)
 	reg, mgr := stk.Registry, stk.Manager
 	fam := modelreg.DefaultFamily
 	promote := adminStageMove(reg, mgr, nil, fam, false)
 	rollback := adminStageMove(reg, mgr, nil, fam, true)
 
-	if !strings.HasPrefix(mgr.Current().Version, fam+"/1.0.0+") {
-		t.Fatalf("fixture serving %q", mgr.Current().Version)
+	if mgr.Current().Version != infoA.ID() {
+		t.Fatalf("fixture serving %q, want %q", mgr.Current().Version, infoA.ID())
 	}
 
 	// candidate -> shadow: the daemon keeps serving 1.0.0.
@@ -111,7 +111,7 @@ func TestAdminStageMoveDrivesRegistry(t *testing.T) {
 	if code != http.StatusOK || body["stage"] != "shadow" {
 		t.Fatalf("promote to shadow: %d %v", code, body)
 	}
-	if !strings.HasPrefix(mgr.Current().Version, fam+"/1.0.0+") {
+	if mgr.Current().Version != infoA.ID() {
 		t.Fatalf("shadow promote moved serving to %q", mgr.Current().Version)
 	}
 
@@ -120,8 +120,9 @@ func TestAdminStageMoveDrivesRegistry(t *testing.T) {
 	if code != http.StatusOK || body["stage"] != "serving" || body["swapped"] != true {
 		t.Fatalf("promote to serving: %d %v", code, body)
 	}
-	if !strings.HasPrefix(mgr.Current().Version, fam+"/1.1.0+") {
-		t.Fatalf("serving promote left daemon on %q", mgr.Current().Version)
+	if mgr.Current().Version != infoB.ID() || mgr.Current().SemVer != "1.1.0" {
+		t.Fatalf("serving promote left daemon on %q (%s), want %q (1.1.0)",
+			mgr.Current().Version, mgr.Current().SemVer, infoB.ID())
 	}
 
 	// The displaced version is still on disk and verifies.
@@ -134,8 +135,9 @@ func TestAdminStageMoveDrivesRegistry(t *testing.T) {
 	if code != http.StatusOK || body["swapped"] != true {
 		t.Fatalf("rollback: %d %v", code, body)
 	}
-	if !strings.HasPrefix(mgr.Current().Version, fam+"/1.0.0+") {
-		t.Fatalf("rollback left daemon on %q", mgr.Current().Version)
+	if mgr.Current().Version != infoA.ID() || mgr.Current().SemVer != "1.0.0" {
+		t.Fatalf("rollback left daemon on %q (%s), want %q (1.0.0)",
+			mgr.Current().Version, mgr.Current().SemVer, infoA.ID())
 	}
 
 	// Guard rails: GET is rejected, a missing version is a 400, an
@@ -157,7 +159,7 @@ func TestAdminStageMoveDrivesRegistry(t *testing.T) {
 // POST-only no-op while the pointer is unchanged, and /admin/models
 // lists every version with its stage.
 func TestAdminReloadServingAndModels(t *testing.T) {
-	stk := registryFixture(t)
+	stk, _, infoB := registryFixture(t)
 	reg, mgr := stk.Registry, stk.Manager
 
 	reload := adminReload(stk)
@@ -184,8 +186,8 @@ func TestAdminReloadServingAndModels(t *testing.T) {
 	if code != http.StatusOK || body["changed"] != true {
 		t.Fatalf("post-promote reload: %d %v", code, body)
 	}
-	if v, _ := body["version"].(string); !strings.Contains(v, "/1.1.0+") {
-		t.Fatalf("reload landed on %v", body["version"])
+	if body["version"] != infoB.ID() {
+		t.Fatalf("reload landed on %v, want %q", body["version"], infoB.ID())
 	}
 
 	rr = httptest.NewRecorder()

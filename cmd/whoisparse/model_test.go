@@ -21,7 +21,7 @@ func TestModelCLIRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	art := filepath.Join(t.TempDir(), "m.wmdl")
-	if err := store.SaveModel(p, art); err != nil {
+	if _, err := store.SaveModel(p, art); err != nil {
 		t.Fatal(err)
 	}
 	regDir := t.TempDir()

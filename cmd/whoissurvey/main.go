@@ -190,19 +190,7 @@ func main() {
 
 	switch {
 	case *synthetic > 0:
-		domains := synth.Generate(synth.Config{N: *synthetic, Seed: *seed, BrandFraction: 0.02})
-		texts := make([]string, len(domains))
-		for i, d := range domains {
-			texts[i] = d.Render().Text
-		}
-		for i, pr := range parseAll(texts) {
-			f := survey.FactsFrom(pr, domains[i].Blacklisted)
-			if f.Domain == "" {
-				f.Domain = domains[i].Reg.Domain
-			}
-			s.Add(f)
-			persist(f.Domain, texts[i], pr, f)
-		}
+		surveySynthetic(s, *synthetic, *seed, parseAll, persist)
 		showBlacklist = true
 	case *in != "":
 		records, err := readRecords(*in)
@@ -218,10 +206,7 @@ func main() {
 			registrars = append(registrars, rec.registrar)
 		}
 		for i, pr := range parseAll(texts) {
-			f := survey.FactsFrom(pr, dbl[names[i]])
-			if f.Registrar == "" {
-				f.Registrar = registrars[i] // thin-record fallback
-			}
+			f := survey.FactsWithThin(pr, registrars[i], dbl[names[i]])
 			if f.Domain == "" {
 				f.Domain = names[i]
 			}
@@ -235,6 +220,26 @@ func main() {
 
 	log.Printf("surveying %d parsed records", s.Len())
 	renderSurvey(os.Stdout, s, showBlacklist)
+}
+
+// surveySynthetic is the -synthetic mode: it generates n domains from
+// seed, parses their thick records with parseAll, and folds each into s
+// joined with its thin record's registrar; persist sees every record.
+func surveySynthetic(s *survey.Survey, n int, seed int64, parseAll func([]string) []*core.ParsedRecord,
+	persist func(domain, text string, pr *core.ParsedRecord, f survey.Facts)) {
+	domains := synth.Generate(synth.Config{N: n, Seed: seed, BrandFraction: 0.02})
+	texts := make([]string, len(domains))
+	for i, d := range domains {
+		texts[i] = d.Render().Text
+	}
+	for i, pr := range parseAll(texts) {
+		f := survey.FactsWithThin(pr, domains[i].Reg.RegistrarName, domains[i].Blacklisted)
+		if f.Domain == "" {
+			f.Domain = domains[i].Reg.Domain
+		}
+		s.Add(f)
+		persist(f.Domain, texts[i], pr, f)
+	}
 }
 
 // runConsistency is the -consistency mode: audit the store's WHOIS

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/consistency"
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/rdap"
 	"repro/internal/store"
 	"repro/internal/survey"
@@ -258,5 +259,30 @@ func TestStoreSurveyMatchesInMemory(t *testing.T) {
 	}
 	if wantBuf.Len() == 0 {
 		t.Fatal("rendered survey is empty")
+	}
+}
+
+// TestSyntheticSurveyAttributesRegistrars: -synthetic joins each parse
+// with its thin record, as the paper's two-step crawl does (§4.1), so
+// schemas whose thick record carries no registrar line (Network
+// Solutions and other legacy formats) still count under their
+// registrar in Table 5 instead of (Unknown).
+func TestSyntheticSurveyAttributesRegistrars(t *testing.T) {
+	p, _, err := experiments.TrainParser(synth.GenerateLabeled(synth.Config{N: 200, Seed: 7}), experiments.Quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := survey.New(nil)
+	persisted := 0
+	surveySynthetic(s, 600, 2, func(texts []string) []*core.ParsedRecord { return p.ParseAll(texts, 0) },
+		func(string, string, *core.ParsedRecord, survey.Facts) { persisted++ })
+	if persisted != s.Len() || s.Len() != 600 {
+		t.Fatalf("surveyed %d, persisted %d, want 600", s.Len(), persisted)
+	}
+	allTime, _ := s.Table5()
+	for _, r := range allTime {
+		if r.Key == "(Unknown)" && r.Pct > 1 {
+			t.Fatalf("(Unknown) registrar share %.1f%%, want <= 1%%", r.Pct)
+		}
 	}
 }

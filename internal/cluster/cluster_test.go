@@ -40,7 +40,7 @@ func artifacts(t testing.TB) (a, b []byte) {
 				return nil, nil, err
 			}
 			path := filepath.Join(dir, name)
-			if err := store.SaveModel(p, path); err != nil {
+			if _, err := store.SaveModel(p, path); err != nil {
 				return nil, nil, err
 			}
 			data, err := os.ReadFile(path)

@@ -216,7 +216,7 @@ func (n *Node) Ring() *Ring { return n.ring }
 // carry) becomes the node's model version.
 func (n *Node) SetModelArtifact(data []byte) {
 	n.artifact.Store(&data)
-	if info, err := store.StatModelBytes(data); err == nil && n.mgr == nil {
+	if info, err := store.VerifyModelBytes(data); err == nil && n.mgr == nil {
 		version := info.ID()
 		n.version.Store(&version)
 	}
@@ -438,39 +438,35 @@ func (n *Node) ModelArtifact() ([]byte, error) {
 // is attached (cache generation bumps atomically with the parse
 // function), directly onto the serve layer otherwise. Either way the
 // serve cache generation bumps, orphaning forwarded answers along with
-// local ones. Verification failure leaves the old model serving.
+// local ones. The artifact already serving (the same identity) is not
+// swapped again, so a rollout from a node that has just swapped leaves
+// that node's cache and snapshot alone. Verification failure leaves the
+// old model serving.
 func (n *Node) ApplyModel(artifact []byte) (string, error) {
-	info, err := store.StatModelBytes(artifact)
+	p, info, err := store.ReadModel(bytes.NewReader(artifact))
 	if err != nil {
 		return "", err
 	}
-	var version string
-	if n.mgr != nil {
-		snap, err := n.mgr.ReloadFromBytes(artifact)
-		if err != nil {
-			return "", err
+	version := info.ID()
+	if version != n.modelVersion() {
+		if n.mgr != nil {
+			n.mgr.Swap(p, info, "")
+		} else {
+			// Publish the version before the generation bump, so no
+			// request admitted under the new generation can cache a
+			// forwarded answer as matching the old version.
+			n.version.Store(&version)
+			n.ps.SetParseFunc(func(text string) *core.ParsedRecord {
+				rec := p.Parse(text)
+				rec.ModelVersion = version
+				return rec
+			})
 		}
-		version = snap.Version
-	} else {
-		p, err := store.ReadModel(bytes.NewReader(artifact))
-		if err != nil {
-			return "", err
-		}
-		version = info.ID()
-		// Publish the version before the generation bump, so no
-		// request admitted under the new generation can cache a
-		// forwarded answer as matching the old version.
-		n.version.Store(&version)
-		n.ps.SetParseFunc(func(text string) *core.ParsedRecord {
-			rec := p.Parse(text)
-			rec.ModelVersion = version
-			return rec
-		})
+		n.met.applies.Inc()
+		n.log.Info("model applied", "version", version, "artifact", info.String())
 	}
 	n.artifact.Store(&artifact)
-	n.met.applies.Inc()
 	n.ready.Store(true)
-	n.log.Info("model applied", "version", version, "artifact", info.String())
 	return version, nil
 }
 
@@ -532,7 +528,7 @@ type RolloutReport struct {
 // exactly one model version.
 func (n *Node) Rollout(ctx context.Context, artifact []byte, stagger time.Duration) (RolloutReport, error) {
 	rep := RolloutReport{Failed: map[string]string{}}
-	if _, err := store.StatModelBytes(artifact); err != nil {
+	if _, err := store.VerifyModelBytes(artifact); err != nil {
 		return rep, fmt.Errorf("cluster: rollout: %w", err)
 	}
 	n.met.rollouts.Inc()

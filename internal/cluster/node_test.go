@@ -12,8 +12,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/lifecycle"
+	"repro/internal/modelreg"
 	"repro/internal/obs"
 	"repro/internal/serve"
+	"repro/internal/store"
 )
 
 // errClient is a ShardClient that fails every call the same way.
@@ -626,8 +628,8 @@ func TestNodeApplyModelRejectsCorruptArtifact(t *testing.T) {
 	if _, err := n.ApplyModel([]byte("not a model")); err == nil {
 		t.Fatal("garbage artifact accepted")
 	}
-	// Valid header, corrupt payload: StatModelBytes passes, the full
-	// CRC verification in ReadModel must still refuse the swap.
+	// Valid header, corrupt payload: the CRC verification in ReadModel
+	// must refuse the swap.
 	corrupt := append([]byte(nil), artA...)
 	corrupt[len(corrupt)-1] ^= 0xFF
 	if _, err := n.ApplyModel(corrupt); err == nil {
@@ -824,5 +826,120 @@ func TestNodeApplyModelOrphansForwarded(t *testing.T) {
 				t.Fatalf("local request after apply got %+v, %v; want a fresh parse stamped %q", rec, err, version)
 			}
 		})
+	}
+}
+
+// registryNode builds a node whose lifecycle manager serves art from a
+// fresh model registry, published as default/1.0.0 and promoted to
+// serving — a `rdapd -model-registry` node.
+func registryNode(t *testing.T, id string, art []byte, opts Options) (*Node, *lifecycle.Manager) {
+	t.Helper()
+	reg, err := modelreg.Open(t.TempDir(), modelreg.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Publish(modelreg.PublishRequest{Family: modelreg.DefaultFamily, Artifact: art}); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.SetCandidate(modelreg.DefaultFamily, "1.0.0"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := reg.Promote(modelreg.DefaultFamily, "1.0.0"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mgr, err := lifecycle.NewFromRegistry(reg, "", lifecycle.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := serve.NewFunc(mgr.ParseFunc(), serve.Options{Workers: 2})
+	mgr.Attach(ps)
+	t.Cleanup(func() { ps.Close() })
+	opts.ID = id
+	opts.Ring.LoadFactor = -1
+	n, err := NewNode(ps, mgr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	return n, mgr
+}
+
+// TestNodeIdentityAcrossLoadPaths: a registry-loaded node, a joined
+// node and a node handed the artifact bytes all serve one artifact, so
+// they report one model version, and CRF answers forwarded between
+// them are cached.
+func TestNodeIdentityAcrossLoadPaths(t *testing.T) {
+	artA, _ := artifacts(t)
+	info, err := store.VerifyModelBytes(artA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regA, regB := obs.NewRegistry(), obs.NewRegistry()
+	a, _ := registryNode(t, "node-a", artA, Options{Metrics: regA})
+	a.SetModelArtifact(artA)
+	b := testNode(t, "node-b", echoParse("node-b"), Options{Metrics: regB})
+	if _, err := b.JoinFetchModel(context.Background(), &InprocClient{B: a}); err != nil {
+		t.Fatal(err)
+	}
+	c := testNode(t, "node-c", echoParse("node-c"), Options{})
+	c.SetModelArtifact(artA)
+	for _, n := range []*Node{a, b, c} {
+		if got := n.Status().ModelVersion; got != info.ID() {
+			t.Fatalf("%s serves %q, want %q", n.ID(), got, info.ID())
+		}
+	}
+
+	link(a, b)
+	for _, tc := range []struct {
+		from, owner *Node
+		reg         *obs.Registry
+	}{{a, b, regA}, {b, a, regB}} {
+		d := domainOwnedBy(t, tc.from.Ring(), tc.owner.ID())
+		text := "Domain Name: " + d + "\r\nRegistrar: Example Registrar, Inc.\r\nRegistrant Country: US\r\n"
+		for i := 0; i < 2; i++ {
+			rec, err := tc.from.ParseDomain(context.Background(), d, text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.ModelVersion != info.ID() {
+				t.Fatalf("%s → %s: stamped %q, want %q", tc.from.ID(), tc.owner.ID(), rec.ModelVersion, info.ID())
+			}
+		}
+		if got := tc.reg.Counter("cluster.forwards").Value(); got != 1 {
+			t.Fatalf("%s forwards = %d, want 1", tc.from.ID(), got)
+		}
+		if got := tc.reg.Counter("cluster.remote.hits").Value(); got != 1 {
+			t.Fatalf("%s remote.hits = %d, want 1", tc.from.ID(), got)
+		}
+	}
+}
+
+// TestNodeApplyServingArtifactIsNoop: after a promote, rdapd swaps the
+// promoting node through ReloadServing and then rolls the same artifact
+// out to the ring, the promoting node included. Applying the artifact a
+// node already serves must not swap it again: the cache generation and
+// the snapshot's registry coordinates (the next retrain's parent link)
+// stay as they are.
+func TestNodeApplyServingArtifactIsNoop(t *testing.T) {
+	artA, _ := artifacts(t)
+	n, mgr := registryNode(t, "node-a", artA, Options{})
+	before, gen := mgr.Current(), n.Status().Generation
+
+	version, err := n.ApplyModel(artA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := mgr.Current()
+	if version != before.Version || after != before {
+		t.Fatalf("apply of the serving artifact swapped: %q (%s, %q) -> %q (%s, %q)",
+			before.Version, before.SemVer, before.Path, after.Version, after.SemVer, after.Path)
+	}
+	if got := n.Status().Generation; got != gen {
+		t.Fatalf("cache generation %d -> %d", gen, got)
+	}
+	if !n.Status().Ready {
+		t.Fatal("node not ready after apply")
 	}
 }

@@ -1,8 +1,6 @@
 package consistency
 
 import (
-	"sync"
-
 	"repro/internal/mathx"
 	"repro/internal/norm"
 	"repro/internal/obs"
@@ -19,9 +17,9 @@ type SentinelOptions struct {
 	// disagreement rate exceeds it (default 0.10).
 	ConflictCeiling float64
 	// OnDrift, when non-nil, is called on every flag transition with the
-	// registrar's display name, its new flagged state, and the windowed
-	// mean rate that triggered the transition. Called with the sentinel's
-	// lock released.
+	// registrar display name of the comparison that flipped the flag, its
+	// new flagged state, and the windowed mean rate that triggered the
+	// transition. Called with the sentinel's lock released.
 	OnDrift func(registrar string, flagged bool, rate float64)
 }
 
@@ -50,13 +48,9 @@ func (o SentinelOptions) withDefaults() SentinelOptions {
 // mean crosses the ceiling and unflagged when it recovers. Transitions,
 // not levels, fire OnDrift and the flag_events counters.
 type Sentinel struct {
-	opts SentinelOptions
-	met  *sentinelMetrics
-
-	mu    sync.Mutex
-	wins  map[string]*mathx.Window // norm.Registrar key → window
-	names map[string]string        // norm.Registrar key → first-seen display name
-	flags map[string]bool          // norm.Registrar key → flagged
+	opts  SentinelOptions
+	met   *sentinelMetrics
+	flags *mathx.WindowFlags // keyed by norm.Registrar, named by the first-seen display name
 }
 
 type sentinelMetrics struct {
@@ -69,12 +63,8 @@ type sentinelMetrics struct {
 
 // NewSentinel creates a sentinel with the given options.
 func NewSentinel(opts SentinelOptions) *Sentinel {
-	return &Sentinel{
-		opts:  opts.withDefaults(),
-		wins:  map[string]*mathx.Window{},
-		names: map[string]string{},
-		flags: map[string]bool{},
-	}
+	opts = opts.withDefaults()
+	return &Sentinel{opts: opts, flags: mathx.NewWindowFlags(opts.Window, opts.MinWindow)}
 }
 
 // Instrument wires the sentinel into reg under consistency.drift.*:
@@ -106,36 +96,12 @@ func (s *Sentinel) Observe(c Comparison) (flagged, unflagged bool) {
 	if c.Comparable() == 0 {
 		return false, false
 	}
-	key := norm.Registrar(c.Registrar)
-	rate := c.Rate()
-
-	s.mu.Lock()
-	w := s.wins[key]
-	if w == nil {
-		w = mathx.NewWindow(s.opts.Window)
-		s.wins[key] = w
-		s.names[key] = c.Registrar
-	}
-	w.Push(rate)
 	var mean float64
-	var total int
-	if w.Len() >= s.opts.MinWindow {
-		mean = w.Mean()
-		was := s.flags[key]
-		drifting := mean > s.opts.ConflictCeiling
-		switch {
-		case drifting && !was:
-			s.flags[key] = true
-			flagged = true
-		case !drifting && was:
-			delete(s.flags, key)
-			unflagged = true
-		}
-	}
-	total = len(s.flags)
-	name := s.names[key]
-	s.mu.Unlock()
-
+	flagged, unflagged, total := s.flags.Observe(norm.Registrar(c.Registrar), c.Registrar,
+		[]float64{c.Rate()}, func(means []float64) bool {
+			mean = means[0]
+			return mean > s.opts.ConflictCeiling
+		})
 	if flagged || unflagged {
 		if s.met != nil {
 			if flagged {
@@ -146,7 +112,7 @@ func (s *Sentinel) Observe(c Comparison) (flagged, unflagged bool) {
 			s.met.flagged.Set(int64(total))
 		}
 		if s.opts.OnDrift != nil {
-			s.opts.OnDrift(name, flagged, mean)
+			s.opts.OnDrift(c.Registrar, flagged, mean)
 		}
 	}
 	return flagged, unflagged
@@ -154,24 +120,12 @@ func (s *Sentinel) Observe(c Comparison) (flagged, unflagged bool) {
 
 // Flagged returns the display names of currently flagged registrars,
 // unordered.
-func (s *Sentinel) Flagged() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.flags))
-	for key := range s.flags {
-		out = append(out, s.names[key])
-	}
-	return out
-}
+func (s *Sentinel) Flagged() []string { return s.flags.Flagged() }
 
 // Reset clears all windows and flags — after a parser promotion or an
 // RDAP data migration, old evidence says nothing about the new state.
 func (s *Sentinel) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.wins = map[string]*mathx.Window{}
-	s.names = map[string]string{}
-	s.flags = map[string]bool{}
+	s.flags.Reset()
 	if s.met != nil {
 		s.met.flagged.Set(0)
 	}

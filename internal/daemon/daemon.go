@@ -7,10 +7,11 @@
 // -lifecycle or -model-registry; a tiered.Router for -tiered; and a
 // serve.Server bound to all of them.
 //
-// The model's identity comes from the artifact, never from the process:
-// "<family>/<semver>+<crc32c>" for a registry model, "wmdl-<crc32c>" for
-// a WMDL file, none for a parser trained in memory. It is stamped into
-// every CRF-served record; template-served records carry none.
+// The model's identity comes from the artifact, never from the process
+// or the load path: "wmdl-<crc32c>", read with the weights, whether the
+// artifact came from the registry's serving pointer or a WMDL file; none
+// for a parser trained in memory. It is stamped into every CRF-served
+// record; template-served records carry none.
 //
 // The Stack also owns the process plumbing around the model — one Reload
 // for SIGHUP and the admin endpoint, the metrics/debug listener,
@@ -187,11 +188,8 @@ func (s *Stack) load() error {
 			return err
 		}
 	case c.Model != "":
-		info, err := store.StatModel(c.Model)
-		if err != nil {
-			return err
-		}
-		if s.parser, err = store.LoadModel(c.Model); err != nil {
+		var info store.ModelInfo
+		if s.parser, info, err = store.LoadModel(c.Model); err != nil {
 			return err
 		}
 		s.id = info.ID()
@@ -231,9 +229,9 @@ func smallCorpus(seed int64) []*labels.LabeledRecord {
 	return synth.GenerateLabeled(synth.Config{N: 200, Seed: seed + 7919})
 }
 
-// ID is the identity stamped on the serving model's parses: the live
-// snapshot's version under a manager, else the artifact's
-// "wmdl-<crc32c>"; empty for a parser trained in memory.
+// ID is the identity stamped on the serving model's parses: the
+// artifact's "wmdl-<crc32c>" (under a manager, the live snapshot's
+// version); empty for a parser trained in memory.
 func (s *Stack) ID() string {
 	if s.Manager != nil {
 		return s.Manager.Current().Version

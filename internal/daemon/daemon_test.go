@@ -41,18 +41,11 @@ func newFixture(t *testing.T) *fixture {
 	b := train(t, recs)
 	dir := t.TempDir()
 	f := &fixture{path: filepath.Join(dir, "a.wmdl"), regDir: filepath.Join(dir, "reg"), b: b}
-	if err := store.SaveModel(a, f.path); err != nil {
-		t.Fatal(err)
-	}
 	var err error
-	if f.info, err = store.StatModel(f.path); err != nil {
+	if f.info, err = store.SaveModel(a, f.path); err != nil {
 		t.Fatal(err)
 	}
-	pathB := filepath.Join(dir, "b.wmdl")
-	if err := store.SaveModel(b, pathB); err != nil {
-		t.Fatal(err)
-	}
-	if f.infoB, err = store.StatModel(pathB); err != nil {
+	if f.infoB, err = store.SaveModel(b, filepath.Join(dir, "b.wmdl")); err != nil {
 		t.Fatal(err)
 	}
 	reg, err := modelreg.Open(f.regDir, modelreg.Options{})
@@ -120,11 +113,10 @@ func TestStackModes(t *testing.T) {
 	signal.Notify(warm, syscall.SIGUSR2)
 	signal.Stop(warm)
 
-	ref, err := store.LoadModel(f.path)
+	ref, _, err := store.LoadModel(f.path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	regID := modelreg.FormatVersionString(modelreg.DefaultFamily, "1.0.0", f.info.CRC32C)
 	modes := []struct {
 		name  string
 		flags Flags
@@ -136,7 +128,7 @@ func TestStackModes(t *testing.T) {
 		{"train-small", Flags{}, "", 0},
 		{"wmdl-file", Flags{Model: f.path}, f.info.ID(), 0},
 		{"wmdl-lifecycle", Flags{Model: f.path, Lifecycle: true}, f.info.ID(), 1},
-		{"registry", Flags{Registry: f.regDir, Family: modelreg.DefaultFamily}, regID, 2},
+		{"registry", Flags{Registry: f.regDir, Family: modelreg.DefaultFamily}, f.info.ID(), 2},
 	}
 	for _, m := range modes {
 		for _, tiered := range []bool{false, true} {
@@ -211,7 +203,7 @@ func checkStack(t *testing.T, f *fixture, stk *Stack, ref *core.Parser, id strin
 			t.Fatalf("Reload without a manager: err = %v", err)
 		}
 	case 1:
-		if err := store.SaveModel(f.b, model); err != nil {
+		if _, err := store.SaveModel(f.b, model); err != nil {
 			t.Fatal(err)
 		}
 		snap, changed, err := stk.Reload()
@@ -261,59 +253,73 @@ func checkStack(t *testing.T, f *fixture, stk *Stack, ref *core.Parser, id strin
 }
 
 // TestWarmStartMatchesCrawlStamp is the crawl → serve handoff: a store
-// written through a Sink by a file-model stack (whoiscrawl -store S
-// -model X) must warm-start a lifecycle stack serving the same file
-// (rdapd -lifecycle -model X -store S). Both sides derive the identity
-// from the artifact, so every crawled parse preloads; a record stamped
-// by another model does not.
+// written through a Sink by one stack (whoiscrawl -store S with -model X
+// or -model-registry R) must warm-start a stack serving the same
+// artifact however it loads it (rdapd -store S with -model X, with or
+// without -lifecycle, or -model-registry R). Every load path derives the
+// identity from the artifact, so every crawled parse preloads; a record
+// stamped by another model does not.
 func TestWarmStartMatchesCrawlStamp(t *testing.T) {
 	f := newFixture(t)
-	dir := t.TempDir()
+	file := Flags{Model: f.path}
+	registry := Flags{Registry: f.regDir, Family: modelreg.DefaultFamily}
+	lifecycle := Flags{Model: f.path, Lifecycle: true}
+	for _, tc := range []struct {
+		name         string
+		crawl, serve Flags
+	}{
+		{"file-to-lifecycle", file, lifecycle},
+		{"registry-to-file", registry, file},
+		{"file-to-registry", file, registry},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			crawl, err := Build(Config{Flags: tc.crawl, Mode: ModelIfSet})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer crawl.Close()
+			if crawl.Server != nil {
+				t.Fatal("ModelIfSet built a serving layer")
+			}
+			st, err := store.Open(dir, store.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sink := store.NewSink(st, store.SinkOptions{Parse: crawl.Parse, ModelVersion: crawl.ID()})
+			for i, text := range f.texts {
+				if err := sink.Put("d"+string(rune('a'+i%26)), "", text); err != nil {
+					t.Fatal(err)
+				}
+			}
+			foreign := f.b.Parse(f.texts[0] + "\n")
+			foreign.ModelVersion = "wmdl-00000000"
+			if err := st.Append(&store.Record{Domain: "x", Text: f.texts[0] + "\n", Parsed: foreign}); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	crawl, err := Build(Config{Flags: Flags{Model: f.path}, Mode: ModelIfSet})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer crawl.Close()
-	if crawl.Server != nil {
-		t.Fatal("ModelIfSet built a serving layer")
-	}
-	st, err := store.Open(dir, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := store.NewSink(st, store.SinkOptions{Parse: crawl.Parse, ModelVersion: crawl.ID()})
-	for i, text := range f.texts {
-		if err := sink.Put("d"+string(rune('a'+i%26)), "", text); err != nil {
-			t.Fatal(err)
-		}
-	}
-	foreign := f.b.Parse(f.texts[0] + "\n")
-	foreign.ModelVersion = "wmdl-00000000"
-	if err := st.Append(&store.Record{Domain: "x", Text: f.texts[0] + "\n", Parsed: foreign}); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	serving, err := Build(Config{Flags: Flags{Model: f.path, Lifecycle: true}, Mode: ServeModel, Seed: testSeed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer serving.Close()
-	st, err = store.Open(dir, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	n, err := serving.WarmStart(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(f.texts) {
-		t.Fatalf("warm start preloaded %d records, want %d (the crawl's stamp must match the serving identity %q)",
-			n, len(f.texts), serving.ID())
+			serving, err := Build(Config{Flags: tc.serve, Mode: ServeModel, Seed: testSeed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer serving.Close()
+			st, err = store.Open(dir, store.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			n, err := serving.WarmStart(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != len(f.texts) {
+				t.Fatalf("warm start preloaded %d records, want %d (the crawl's stamp %q must match the serving identity %q)",
+					n, len(f.texts), crawl.ID(), serving.ID())
+			}
+		})
 	}
 }
 

@@ -49,13 +49,7 @@ func RunSurvey(o Options) (SurveyResult, string, error) {
 	facts := make([]survey.Facts, 0, len(domains))
 	for i, d := range domains {
 		pr := parsed[i]
-		f := survey.FactsFrom(pr, d.Blacklisted)
-		if f.Registrar == "" {
-			// Legacy formats (netsol family) omit the registrar from the
-			// thick record; the paper's pipeline always had the thin
-			// record's "Registrar:" line to fall back on (§2.2).
-			f.Registrar = d.Reg.RegistrarName
-		}
+		f := survey.FactsWithThin(pr, d.Reg.RegistrarName, d.Blacklisted)
 		facts = append(facts, f)
 
 		if f.Registrar == d.Reg.RegistrarName {

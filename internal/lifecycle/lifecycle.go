@@ -29,7 +29,6 @@
 package lifecycle
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -93,17 +92,18 @@ type Snapshot struct {
 	Info store.ModelInfo
 	// Path is the artifact path the model was loaded from, if any.
 	Path string
-	// Family and SemVer identify the model in the registry when it was
+	// Family and SemVer name the model's registry entry when it was
 	// resolved from one (NewFromRegistry, ReloadServing, or a
-	// registry-backed Retrain); both empty otherwise.
+	// registry-backed Retrain); both empty otherwise. They describe the
+	// model for /admin/model, logs and the retrain parent link; they are
+	// never part of the stamp.
 	Family string
 	SemVer string
 	// Version is the string stamped into every ParsedRecord this
-	// snapshot produces. Registry-resolved models stamp the canonical
-	// "<family>/<semver>+<crc32c>" and other artifact-backed models
-	// stamp the artifact's own "wmdl-<crc32c>" (ModelInfo.ID). Both are
-	// deterministic across processes, so a crawler and a daemon that
-	// load the same model agree. Purely in-memory models stamp "m<seq>".
+	// snapshot produces: the artifact's "wmdl-<crc32c>" (ModelInfo.ID)
+	// however the artifact arrived — registry, file, cluster bytes or
+	// a promoted retrain — so every process serving the same bytes
+	// stamps the same string. Purely in-memory models stamp "m<seq>".
 	Version string
 }
 
@@ -296,34 +296,25 @@ type Manager struct {
 	queue    *alqueue
 }
 
-// regIdentity is a snapshot's registry coordinates; the zero value
-// means "not from a registry".
-type regIdentity struct {
-	Family string
-	SemVer string
-}
-
 // New builds a Manager serving p (an in-memory model; use NewFromFile
 // when the model has an artifact identity).
 func New(p *core.Parser, opts Options) *Manager {
-	return newManager(p, store.ModelInfo{}, "", regIdentity{}, opts)
+	return newManager(Snapshot{Parser: p}, opts)
 }
 
 // NewFromFile loads the WMDL artifact at path and builds a Manager
 // serving it, with the artifact identity (version, CRC) in the snapshot.
 func NewFromFile(path string, opts Options) (*Manager, error) {
-	info, err := store.StatModel(path)
+	p, info, err := store.LoadModel(path)
 	if err != nil {
 		return nil, err
 	}
-	p, err := store.LoadModel(path)
-	if err != nil {
-		return nil, err
-	}
-	return newManager(p, info, path, regIdentity{}, opts), nil
+	return newManager(Snapshot{Parser: p, Info: info, Path: path}, opts), nil
 }
 
-func newManager(p *core.Parser, info store.ModelInfo, path string, rid regIdentity, opts Options) *Manager {
+// newManager builds a Manager serving first, whose Seq and Version
+// publish assigns.
+func newManager(first Snapshot, opts Options) *Manager {
 	instrument := opts.Metrics != nil
 	opts = opts.withDefaults()
 	m := &Manager{
@@ -339,7 +330,7 @@ func newManager(p *core.Parser, info store.ModelInfo, path string, rid regIdenti
 		return float64(m.queue.len())
 	})
 	m.setState(StateServing)
-	m.publish(p, info, path, rid)
+	m.publish(first)
 	return m
 }
 
@@ -478,29 +469,26 @@ func (m *Manager) Flagged() []string {
 // returned. info/path carry the artifact identity when the model came
 // from disk; pass zero values for in-memory models.
 func (m *Manager) Swap(p *core.Parser, info store.ModelInfo, path string) *Snapshot {
-	return m.swap(p, info, path, regIdentity{})
+	return m.swap(Snapshot{Parser: p, Info: info, Path: path})
 }
 
-func (m *Manager) swap(p *core.Parser, info store.ModelInfo, path string, rid regIdentity) *Snapshot {
+func (m *Manager) swap(next Snapshot) *Snapshot {
 	m.mu.Lock()
-	snap := m.publish(p, info, path, rid)
+	snap := m.publish(next)
 	m.mu.Unlock()
 	m.met.swaps.Inc()
 	m.log.Info("model swapped", "version", snap.Version, "seq", snap.Seq,
-		"artifact", info.String())
+		"semver", snap.SemVer, "artifact", snap.Info.String())
 	return snap
 }
 
-// publish builds, instruments, stores, and rebinds. Callers other than
-// newManager must hold m.mu.
-func (m *Manager) publish(p *core.Parser, info store.ModelInfo, path string, rid regIdentity) *Snapshot {
-	seq := m.seq.Add(1)
-	version := versionString(seq, info)
-	if rid.Family != "" {
-		version = modelreg.FormatVersionString(rid.Family, rid.SemVer, info.CRC32C)
-	}
-	snap := &Snapshot{Parser: p, Seq: seq, Info: info, Path: path,
-		Family: rid.Family, SemVer: rid.SemVer, Version: version}
+// publish assigns next its Seq and Version, then instruments, stores,
+// and rebinds. Callers other than newManager must hold m.mu.
+func (m *Manager) publish(next Snapshot) *Snapshot {
+	next.Seq = m.seq.Add(1)
+	next.Version = versionString(next.Seq, next.Info)
+	snap := &next
+	p := snap.Parser
 	// Instrument before publication (Instrument is not safe once the
 	// parser is shared), exactly once per parser object, and only into
 	// a caller-provided registry — instrumenting into the manager's
@@ -511,7 +499,7 @@ func (m *Manager) publish(p *core.Parser, info store.ModelInfo, path string, rid
 		m.instrumented[p] = true
 	}
 	m.cur.Store(snap)
-	m.met.modelSeq.Set(int64(seq))
+	m.met.modelSeq.Set(int64(snap.Seq))
 	fn := m.parseFuncFor(snap)
 	for _, ps := range m.attached {
 		ps.SetParseFunc(fn)
@@ -524,37 +512,11 @@ func (m *Manager) publish(p *core.Parser, info store.ModelInfo, path string, rid
 // (magic, version, CRC, dimensions) before anything is published, so a
 // torn or corrupt file leaves the old model serving.
 func (m *Manager) ReloadFromFile(path string) (*Snapshot, error) {
-	info, err := store.StatModel(path)
-	if err != nil {
-		return nil, err
-	}
-	p, err := store.LoadModel(path)
+	p, info, err := store.LoadModel(path)
 	if err != nil {
 		return nil, err
 	}
 	snap := m.Swap(p, info, path)
-	m.met.reloads.Inc()
-	return snap, nil
-}
-
-// ReloadFromBytes loads a WMDL artifact from memory and swaps it live —
-// the cluster model-distribution path: a joining node fetches the
-// serving artifact from a peer over the shard protocol and applies it
-// only after the magic, format version, payload CRC32C, and feature
-// dimensions all verify. A corrupt or truncated transfer leaves the old
-// model serving, exactly like a bad file on the SIGHUP path. The
-// snapshot carries the artifact identity but no path (the bytes came
-// off the wire, not disk).
-func (m *Manager) ReloadFromBytes(data []byte) (*Snapshot, error) {
-	info, err := store.StatModelBytes(data)
-	if err != nil {
-		return nil, err
-	}
-	p, err := store.ReadModel(bytes.NewReader(data))
-	if err != nil {
-		return nil, err
-	}
-	snap := m.Swap(p, info, "")
 	m.met.reloads.Inc()
 	return snap, nil
 }

@@ -148,17 +148,11 @@ func TestNewFromFileAndReload(t *testing.T) {
 	dir := t.TempDir()
 	pathA := filepath.Join(dir, "a.model")
 	pathB := filepath.Join(dir, "b.model")
-	if err := store.SaveModel(weak, pathA); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.SaveModel(strong, pathB); err != nil {
-		t.Fatal(err)
-	}
-	infoA, err := store.StatModel(pathA)
+	infoA, err := store.SaveModel(weak, pathA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	infoB, err := store.StatModel(pathB)
+	infoB, err := store.SaveModel(strong, pathB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,14 +209,14 @@ func TestHotSwapUnderLoad(t *testing.T) {
 	dir := t.TempDir()
 	pathA := filepath.Join(dir, "a.model")
 	pathB := filepath.Join(dir, "b.model")
-	if err := store.SaveModel(weak, pathA); err != nil {
+	infoA, err := store.SaveModel(weak, pathA)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.SaveModel(strong, pathB); err != nil {
+	infoB, err := store.SaveModel(strong, pathB)
+	if err != nil {
 		t.Fatal(err)
 	}
-	infoA, _ := store.StatModel(pathA)
-	infoB, _ := store.StatModel(pathB)
 
 	const swaps = 6
 	// Stamps are the artifacts' own identities: pathA first, then

@@ -24,10 +24,10 @@ func (m *Manager) family() string {
 }
 
 // NewFromRegistry resolves the family's serving pointer in reg and
-// builds a Manager serving that model. The snapshot carries full
-// registry identity, so every parsed record is stamped with the
-// canonical "<family>/<semver>+<crc32c>" version string. opts.Registry
-// and opts.Family are overwritten from the arguments.
+// builds a Manager serving that model. The snapshot names its registry
+// entry (Family, SemVer) and stamps the artifact's "wmdl-<crc32c>", the
+// same stamp a daemon loading those bytes from a file carries.
+// opts.Registry and opts.Family are overwritten from the arguments.
 func NewFromRegistry(reg *modelreg.Registry, family string, opts Options) (*Manager, error) {
 	if family == "" {
 		family = modelreg.DefaultFamily
@@ -36,22 +36,31 @@ func NewFromRegistry(reg *modelreg.Registry, family string, opts Options) (*Mana
 	if err != nil {
 		return nil, err
 	}
-	p, err := store.LoadModel(res.Path)
+	next, err := loadResolved(res)
 	if err != nil {
 		return nil, err
 	}
 	opts.Registry = reg
 	opts.Family = family
-	return newManager(p, res.Info, res.Path,
-		regIdentity{Family: family, SemVer: res.Version}, opts), nil
+	return newManager(next, opts), nil
+}
+
+// loadResolved reads a resolved registry artifact into an unpublished
+// snapshot, its identity taken from the read that decoded the weights.
+func loadResolved(res *modelreg.Resolved) (Snapshot, error) {
+	p, info, err := store.LoadModel(res.Path)
+	if err != nil {
+		return Snapshot{}, err
+	}
+	return Snapshot{Parser: p, Info: info, Path: res.Path, Family: res.Family, SemVer: res.Version}, nil
 }
 
 // ReloadServing re-resolves the family's serving pointer and swaps the
 // resolved model live — the SIGHUP / admin path for registry-backed
-// daemons. When the pointer still names the version already serving,
-// nothing swaps and changed is false: a promote on another process (or
-// the CLI) becomes visible with a signal, while redundant signals are
-// free. The resolved artifact is fully validated before anything is
+// daemons. When the pointer still names the registry version already
+// serving, nothing swaps and changed is false: a promote on another
+// process (or the CLI) becomes visible with a signal, while redundant
+// signals are free. The resolved artifact is fully validated before anything is
 // published; a corrupt registry entry leaves the old model serving.
 func (m *Manager) ReloadServing() (snap *Snapshot, changed bool, err error) {
 	if m.opts.Registry == nil {
@@ -61,15 +70,14 @@ func (m *Manager) ReloadServing() (snap *Snapshot, changed bool, err error) {
 	if err != nil {
 		return nil, false, err
 	}
-	cur := m.cur.Load()
-	if cur != nil && cur.Version == res.VersionString() {
+	if cur := m.cur.Load(); cur.Family == res.Family && cur.SemVer == res.Version {
 		return cur, false, nil
 	}
-	p, err := store.LoadModel(res.Path)
+	next, err := loadResolved(res)
 	if err != nil {
 		return nil, false, err
 	}
-	snap = m.swap(p, res.Info, res.Path, regIdentity{Family: res.Family, SemVer: res.Version})
+	snap = m.swap(next)
 	m.met.reloads.Inc()
 	return snap, true, nil
 }
@@ -153,7 +161,7 @@ func tempArtifact(p *core.Parser) (scratch, error) {
 		return scratch{}, fmt.Errorf("lifecycle: scratch artifact: %w", err)
 	}
 	path := filepath.Join(dir, "candidate.wmdl")
-	if err := store.SaveModel(p, path); err != nil {
+	if _, err := store.SaveModel(p, path); err != nil {
 		os.RemoveAll(dir)
 		return scratch{}, fmt.Errorf("lifecycle: scratch artifact: %w", err)
 	}

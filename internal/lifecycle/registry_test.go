@@ -12,15 +12,17 @@ import (
 	"repro/internal/store"
 )
 
-// seedRegistry publishes p as <family>/1.0.0 and walks it to serving.
-func seedRegistry(t *testing.T, p *core.Parser, family string) *modelreg.Registry {
+// seedRegistry publishes p as <family>/1.0.0 and walks it to serving,
+// returning the registry and the artifact's identity.
+func seedRegistry(t *testing.T, p *core.Parser, family string) (*modelreg.Registry, store.ModelInfo) {
 	t.Helper()
 	reg, err := modelreg.Open(t.TempDir(), modelreg.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "seed.wmdl")
-	if err := store.SaveModel(p, path); err != nil {
+	info, err := store.SaveModel(p, path)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := reg.Publish(modelreg.PublishRequest{Family: family, ArtifactPath: path}); err != nil {
@@ -34,12 +36,12 @@ func seedRegistry(t *testing.T, p *core.Parser, family string) *modelreg.Registr
 			t.Fatal(err)
 		}
 	}
-	return reg
+	return reg, info
 }
 
 func TestNewFromRegistryStampsCanonicalVersion(t *testing.T) {
 	recs, weak, strong := fixtures(t)
-	reg := seedRegistry(t, weak, "default")
+	reg, info := seedRegistry(t, weak, "default")
 
 	m, err := NewFromRegistry(reg, "", Options{})
 	if err != nil {
@@ -49,8 +51,8 @@ func TestNewFromRegistryStampsCanonicalVersion(t *testing.T) {
 	if snap.Family != "default" || snap.SemVer != "1.0.0" {
 		t.Fatalf("snapshot identity = %q/%q", snap.Family, snap.SemVer)
 	}
-	want := modelreg.FormatVersionString("default", "1.0.0", snap.Info.CRC32C)
-	if snap.Version != want {
+	want := info.ID()
+	if snap.Version != want || snap.Info != info {
 		t.Fatalf("version = %q, want %q", snap.Version, want)
 	}
 	rec := m.Parse(recs[0].Text)
@@ -66,7 +68,8 @@ func TestNewFromRegistryStampsCanonicalVersion(t *testing.T) {
 	// Publish + promote a new version out-of-band (another process, the
 	// CLI); reload picks it up.
 	path := filepath.Join(t.TempDir(), "v2.wmdl")
-	if err := store.SaveModel(strong, path); err != nil {
+	info2, err := store.SaveModel(strong, path)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := reg.Publish(modelreg.PublishRequest{Family: "default", ArtifactPath: path, Parent: "1.0.0"}); err != nil {
@@ -84,8 +87,8 @@ func TestNewFromRegistryStampsCanonicalVersion(t *testing.T) {
 	if err != nil || !changed {
 		t.Fatalf("reload after promote: changed=%v err=%v", changed, err)
 	}
-	if snap2.SemVer != "1.1.0" {
-		t.Fatalf("reloaded semver = %q", snap2.SemVer)
+	if snap2.SemVer != "1.1.0" || snap2.Version != info2.ID() {
+		t.Fatalf("reloaded %q (%s), want %q (1.1.0)", snap2.Version, snap2.SemVer, info2.ID())
 	}
 	if m.Parse(recs[0].Text).ModelVersion != snap2.Version {
 		t.Fatal("parse not stamped with reloaded version")
@@ -100,7 +103,7 @@ func TestNewFromRegistryStampsCanonicalVersion(t *testing.T) {
 
 func TestRetrainPublishesAndPromotesThroughRegistry(t *testing.T) {
 	recs, weak, _ := fixtures(t)
-	reg := seedRegistry(t, weak, "default")
+	reg, _ := seedRegistry(t, weak, "default")
 
 	m, err := NewFromRegistry(reg, "default", Options{
 		Holdout:    holdoutSet(t),
@@ -144,8 +147,8 @@ func TestRetrainPublishesAndPromotesThroughRegistry(t *testing.T) {
 	if resolved.Version != "1.1.0" {
 		t.Fatalf("registry serving %q", resolved.Version)
 	}
-	if m.Current().Version != resolved.VersionString() {
-		t.Fatalf("snapshot %q, registry %q", m.Current().Version, resolved.VersionString())
+	if m.Current().Version != resolved.Info.ID() {
+		t.Fatalf("snapshot %q, registry %q", m.Current().Version, resolved.Info.ID())
 	}
 
 	// Attached servers stamp the new identity.
@@ -153,7 +156,7 @@ func TestRetrainPublishesAndPromotesThroughRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.ModelVersion != resolved.VersionString() {
+	if rec.ModelVersion != resolved.Info.ID() {
 		t.Fatalf("served %q", rec.ModelVersion)
 	}
 
@@ -166,7 +169,7 @@ func TestRetrainPublishesAndPromotesThroughRegistry(t *testing.T) {
 
 func TestRetrainRejectionParksAtShadow(t *testing.T) {
 	recs, _, strong := fixtures(t)
-	reg := seedRegistry(t, strong, "default")
+	reg, _ := seedRegistry(t, strong, "default")
 	m, err := NewFromRegistry(reg, "default", Options{Holdout: holdoutSet(t)})
 	if err != nil {
 		t.Fatal(err)

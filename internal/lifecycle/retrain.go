@@ -145,28 +145,22 @@ func (m *Manager) Retrain(records []*labels.LabeledRecord) (RetrainResult, error
 	// one". With a registry, that means walking the published version
 	// through candidate → shadow → serving (each move verify-gated);
 	// without one, an atomic overwrite of PromotePath.
-	var info store.ModelInfo
-	var rid regIdentity
-	path := m.opts.PromotePath
+	next := Snapshot{Parser: cand, Path: m.opts.PromotePath}
 	if m.opts.Registry != nil {
 		resolved, perr := m.promoteThroughRegistry(res.Manifest.Version)
 		if perr != nil {
 			m.met.retrainErrs.Inc()
 			return res, fmt.Errorf("lifecycle: promote: %w", perr)
 		}
-		info, path = resolved.Info, resolved.Path
-		rid = regIdentity{Family: resolved.Family, SemVer: resolved.Version}
-	} else if path != "" {
-		if err := store.SaveModel(cand, path); err != nil {
-			m.met.retrainErrs.Inc()
-			return res, fmt.Errorf("lifecycle: promote: %w", err)
-		}
-		if info, err = store.StatModel(path); err != nil {
+		next.Info, next.Path = resolved.Info, resolved.Path
+		next.Family, next.SemVer = resolved.Family, resolved.Version
+	} else if next.Path != "" {
+		if next.Info, err = store.SaveModel(cand, next.Path); err != nil {
 			m.met.retrainErrs.Inc()
 			return res, fmt.Errorf("lifecycle: promote: %w", err)
 		}
 	}
-	snap := m.swap(cand, info, path, rid)
+	snap := m.swap(next)
 	if m.opts.Tiered != nil {
 		// The candidate's training records are the freshest labeled view
 		// of every registrar's format; recompile L0 from them so the

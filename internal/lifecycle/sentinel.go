@@ -1,7 +1,6 @@
 package lifecycle
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/mathx"
@@ -24,31 +23,19 @@ import (
 // flapping windows do not spam logs or callbacks.
 type sentinel struct {
 	sampleEvery uint64
-	window      int
-	minWindow   int
 	confFloor   float64
 	nullCeil    float64
 
-	tick atomic.Uint64
-
-	mu    sync.Mutex
-	regs  map[string]*regWindow
-	flags map[string]bool
-}
-
-type regWindow struct {
-	conf, null *mathx.Window
+	tick  atomic.Uint64
+	flags *mathx.WindowFlags
 }
 
 func newSentinel(opts Options) *sentinel {
 	return &sentinel{
 		sampleEvery: uint64(opts.SampleEvery),
-		window:      opts.Window,
-		minWindow:   opts.MinWindow,
 		confFloor:   opts.ConfidenceFloor,
 		nullCeil:    opts.NullOtherCeiling,
-		regs:        map[string]*regWindow{},
-		flags:       map[string]bool{},
+		flags:       mathx.NewWindowFlags(opts.Window, opts.MinWindow),
 	}
 }
 
@@ -65,51 +52,14 @@ func (s *sentinel) shouldScore() bool {
 // flag transitioned, plus the total number of currently flagged
 // registrars (valid whenever a transition happened).
 func (s *sentinel) observe(registrar string, conf, nullRate float64) (flagged, unflagged bool, total int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	w := s.regs[registrar]
-	if w == nil {
-		w = &regWindow{
-			conf: mathx.NewWindow(s.window),
-			null: mathx.NewWindow(s.window),
-		}
-		s.regs[registrar] = w
-	}
-	w.conf.Push(conf)
-	w.null.Push(nullRate)
-
-	if w.conf.Len() < s.minWindow {
-		return false, false, len(s.flags)
-	}
-	drifting := w.conf.Mean() < s.confFloor || w.null.Mean() > s.nullCeil
-	was := s.flags[registrar]
-	switch {
-	case drifting && !was:
-		s.flags[registrar] = true
-		return true, false, len(s.flags)
-	case !drifting && was:
-		delete(s.flags, registrar)
-		return false, true, len(s.flags)
-	}
-	return false, false, len(s.flags)
+	return s.flags.Observe(registrar, registrar, []float64{conf, nullRate}, func(means []float64) bool {
+		return means[0] < s.confFloor || means[1] > s.nullCeil
+	})
 }
 
 // flagged returns the currently flagged registrars, unordered.
-func (s *sentinel) flagged() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.flags))
-	for r := range s.flags {
-		out = append(out, r)
-	}
-	return out
-}
+func (s *sentinel) flagged() []string { return s.flags.Flagged() }
 
 // reset clears all windows and flags — called after a promotion, since
 // the evidence of the old model's drift says nothing about the new one.
-func (s *sentinel) reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.regs = map[string]*regWindow{}
-	s.flags = map[string]bool{}
-}
+func (s *sentinel) reset() { s.flags.Reset() }

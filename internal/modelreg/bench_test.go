@@ -1,9 +1,6 @@
 package modelreg
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 func BenchmarkPublish(b *testing.B) {
 	art, _ := artifacts(b)
@@ -48,16 +45,5 @@ func BenchmarkVerify(b *testing.B) {
 		if _, err := r.Verify("default", "1.0.0"); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-var benchSink string
-
-func BenchmarkVersionString(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		benchSink = FormatVersionString("default", "1.2.3", uint32(i))
-	}
-	if len(benchSink) == 0 {
-		b.Fatal(fmt.Errorf("empty"))
 	}
 }

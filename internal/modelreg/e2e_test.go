@@ -43,10 +43,12 @@ func TestPromotionUnderLoad(t *testing.T) {
 	scratch := t.TempDir()
 	artA := filepath.Join(scratch, "a.wmdl")
 	artB := filepath.Join(scratch, "b.wmdl")
-	if err := store.SaveModel(pA, artA); err != nil {
+	infoA, err := store.SaveModel(pA, artA)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.SaveModel(pB, artB); err != nil {
+	infoB, err := store.SaveModel(pB, artB)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -77,8 +79,8 @@ func TestPromotionUnderLoad(t *testing.T) {
 	mgr.Attach(ps)
 
 	v1 := mgr.Current().Version
-	if !strings.HasPrefix(v1, fam+"/"+m1.Version+"+") {
-		t.Fatalf("serving identity %q does not carry %s/%s", v1, fam, m1.Version)
+	if v1 != infoA.ID() || mgr.Current().SemVer != m1.Version {
+		t.Fatalf("serving %q (%s), want %q (%s)", v1, mgr.Current().SemVer, infoA.ID(), m1.Version)
 	}
 
 	// Load: workers hammer the serving layer with rotating texts for the
@@ -149,8 +151,8 @@ func TestPromotionUnderLoad(t *testing.T) {
 		t.Fatalf("serving promote did not swap: changed=%v err=%v", changed, err)
 	}
 	v2 := snap.Version
-	if !strings.HasPrefix(v2, fam+"/"+m2.Version+"+") {
-		t.Fatalf("post-promote identity %q", v2)
+	if v2 != infoB.ID() || snap.SemVer != m2.Version {
+		t.Fatalf("post-promote serving %q (%s), want %q (%s)", v2, snap.SemVer, infoB.ID(), m2.Version)
 	}
 	settle()
 

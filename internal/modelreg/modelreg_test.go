@@ -48,7 +48,7 @@ func artifacts(t testing.TB) ([]byte, []byte) {
 			dst *[]byte
 		}{{pA, &artA}, {pB, &artB}} {
 			path := filepath.Join(dir, "m.wmdl")
-			if err := store.SaveModel(f.p, path); err != nil {
+			if _, err := store.SaveModel(f.p, path); err != nil {
 				artErr = err
 				return
 			}

@@ -294,20 +294,6 @@ type Resolved struct {
 	Manifest *Manifest
 }
 
-// VersionString is the identity stamp daemons put on every parsed
-// record served by this model: "family/semver+crc32c". Deterministic
-// across processes — a crawler stamping records and a daemon
-// warm-starting from them agree without coordination.
-func (res *Resolved) VersionString() string {
-	return FormatVersionString(res.Family, res.Version, res.Info.CRC32C)
-}
-
-// FormatVersionString renders the canonical (family, version, crc)
-// stamp.
-func FormatVersionString(family, version string, crc uint32) string {
-	return fmt.Sprintf("%s/%s+%08x", family, version, crc)
-}
-
 // Resolve looks up the version a stage pointer names. The pointer's
 // recorded CRC must match both the manifest and the artifact header —
 // a cheap torn-state check on every resolution, without the full

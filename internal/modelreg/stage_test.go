@@ -4,6 +4,8 @@ import (
 	"errors"
 	"os"
 	"testing"
+
+	"repro/internal/store"
 )
 
 // publishTwo seeds a registry with 1.0.0 (artifact a) and 1.1.0
@@ -54,9 +56,14 @@ func TestPromotionPipeline(t *testing.T) {
 	if res.Manifest.Artifact.CRC32C != res.Info.CRC32C {
 		t.Fatal("manifest and header disagree on CRC")
 	}
-	want := FormatVersionString("default", "1.0.0", res.Info.CRC32C)
-	if res.VersionString() != want {
-		t.Fatalf("VersionString = %q, want %q", res.VersionString(), want)
+	// The resolved identity is the published artifact's own.
+	art, _ := artifacts(t)
+	info, err := store.VerifyModelBytes(art)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Info.ID() != info.ID() {
+		t.Fatalf("resolved identity %q, want %q", res.Info.ID(), info.ID())
 	}
 
 	// Candidate and shadow pointers were consumed by the walk.

@@ -96,9 +96,9 @@ func parseModelHeader(hdr []byte) (ModelInfo, error) {
 
 // StatModel reads only the WMDL header of the artifact at path and
 // returns its identity, without decoding (or even reading) the payload.
-// Daemons call it at startup to log exactly which model they loaded, and
-// the lifecycle manager uses it to version cache entries across hot
-// reloads.
+// The registry uses it as a cheap torn-state check on every resolution;
+// a daemon's identity comes from LoadModel, which reads the header and
+// the weights together.
 func StatModel(path string) (ModelInfo, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -112,40 +112,36 @@ func StatModel(path string) (ModelInfo, error) {
 	return parseModelHeader(hdr)
 }
 
-// StatModelBytes is StatModel over an in-memory artifact — the cluster
-// model-distribution path inspects fetched bytes before the (much more
-// expensive) full decode. The payload CRC is NOT verified here; that is
-// ReadModel's job.
-func StatModelBytes(data []byte) (ModelInfo, error) {
-	return parseModelHeader(data)
-}
-
 // SaveModel writes the trained parser to path in the versioned artifact
 // format, via a temp file + rename so a crash never leaves a torn model
-// where a good one stood.
-func SaveModel(p *core.Parser, path string) error {
+// where a good one stood, and returns the identity of what it wrote.
+func SaveModel(p *core.Parser, path string) (ModelInfo, error) {
 	var payload bytes.Buffer
 	if _, err := p.WriteTo(&payload); err != nil {
-		return fmt.Errorf("store: save model: %w", err)
+		return ModelInfo{}, fmt.Errorf("store: save model: %w", err)
 	}
-	var blockDim, fieldDim uint64
-	blockDim = uint64(p.BlockModel().NumFeatures())
+	info := ModelInfo{
+		FormatVersion: modelVersion,
+		BlockFeatures: uint64(p.BlockModel().NumFeatures()),
+		PayloadBytes:  uint64(payload.Len()),
+		CRC32C:        crc32.Checksum(payload.Bytes(), castagnoli),
+	}
 	if p.FieldModel() != nil {
-		fieldDim = uint64(p.FieldModel().NumFeatures())
+		info.FieldFeatures = uint64(p.FieldModel().NumFeatures())
 	}
 
 	hdr := make([]byte, modelHeaderLen)
 	copy(hdr, modelMagic[:])
-	binary.LittleEndian.PutUint16(hdr[4:], modelVersion)
-	binary.LittleEndian.PutUint64(hdr[6:], blockDim)
-	binary.LittleEndian.PutUint64(hdr[14:], fieldDim)
-	binary.LittleEndian.PutUint32(hdr[22:], crc32.Checksum(payload.Bytes(), castagnoli))
-	binary.LittleEndian.PutUint64(hdr[26:], uint64(payload.Len()))
+	binary.LittleEndian.PutUint16(hdr[4:], info.FormatVersion)
+	binary.LittleEndian.PutUint64(hdr[6:], info.BlockFeatures)
+	binary.LittleEndian.PutUint64(hdr[14:], info.FieldFeatures)
+	binary.LittleEndian.PutUint32(hdr[22:], info.CRC32C)
+	binary.LittleEndian.PutUint64(hdr[26:], info.PayloadBytes)
 
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
-		return fmt.Errorf("store: save model: %w", err)
+		return ModelInfo{}, fmt.Errorf("store: save model: %w", err)
 	}
 	if _, err := f.Write(hdr); err == nil {
 		_, err = f.Write(payload.Bytes())
@@ -160,23 +156,25 @@ func SaveModel(p *core.Parser, path string) error {
 	}
 	if err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("store: save model: %w", err)
+		return ModelInfo{}, fmt.Errorf("store: save model: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("store: save model: %w", err)
+		return ModelInfo{}, fmt.Errorf("store: save model: %w", err)
 	}
-	return nil
+	return info, nil
 }
 
 // LoadModel reads a model artifact written by SaveModel, verifying the
 // magic, version, checksum, and that the decoded CRF feature spaces
 // match the dimensions recorded at save time. The returned parser is
-// ready to Parse or to warm-start a Retrain.
-func LoadModel(path string) (*core.Parser, error) {
+// ready to Parse or to warm-start a Retrain; the returned identity is
+// the header those weights were verified against, so a caller that
+// stamps it can never pair one artifact's CRC with another's weights.
+func LoadModel(path string) (*core.Parser, ModelInfo, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("store: load model: %w", err)
+		return nil, ModelInfo{}, fmt.Errorf("store: load model: %w", err)
 	}
 	defer f.Close()
 	return ReadModel(f)
@@ -187,41 +185,41 @@ func LoadModel(path string) (*core.Parser, error) {
 // StatModel, VerifyModel, the registry — runs, so "what counts as a
 // WMDL" cannot drift between the file load path and the registry. A
 // bare parser gob (no envelope) is rejected with ErrNotModel.
-func ReadModel(r io.Reader) (*core.Parser, error) {
+func ReadModel(r io.Reader) (*core.Parser, ModelInfo, error) {
 	hdr := make([]byte, modelHeaderLen)
 	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, fmt.Errorf("%w: short header", ErrNotModel)
+		return nil, ModelInfo{}, fmt.Errorf("%w: short header", ErrNotModel)
 	}
 	info, err := parseModelHeader(hdr)
 	if err != nil {
-		return nil, err
+		return nil, ModelInfo{}, err
 	}
 	const maxModelBytes = 1 << 31
 	if info.PayloadBytes > maxModelBytes {
-		return nil, fmt.Errorf("%w: payload length %d", ErrNotModel, info.PayloadBytes)
+		return nil, ModelInfo{}, fmt.Errorf("%w: payload length %d", ErrNotModel, info.PayloadBytes)
 	}
 	payload := make([]byte, info.PayloadBytes)
 	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("%w: short payload", ErrModelChecksum)
+		return nil, ModelInfo{}, fmt.Errorf("%w: short payload", ErrModelChecksum)
 	}
 	if crc32.Checksum(payload, castagnoli) != info.CRC32C {
-		return nil, ErrModelChecksum
+		return nil, ModelInfo{}, ErrModelChecksum
 	}
 	p, err := core.Read(bytes.NewReader(payload))
 	if err != nil {
-		return nil, fmt.Errorf("store: load model: %w", err)
+		return nil, ModelInfo{}, fmt.Errorf("store: load model: %w", err)
 	}
 	if got := uint64(p.BlockModel().NumFeatures()); got != info.BlockFeatures {
-		return nil, fmt.Errorf("%w: first level %d vs %d", ErrModelDimensions, got, info.BlockFeatures)
+		return nil, ModelInfo{}, fmt.Errorf("%w: first level %d vs %d", ErrModelDimensions, got, info.BlockFeatures)
 	}
 	var gotField uint64
 	if p.FieldModel() != nil {
 		gotField = uint64(p.FieldModel().NumFeatures())
 	}
 	if gotField != info.FieldFeatures {
-		return nil, fmt.Errorf("%w: second level %d vs %d", ErrModelDimensions, gotField, info.FieldFeatures)
+		return nil, ModelInfo{}, fmt.Errorf("%w: second level %d vs %d", ErrModelDimensions, gotField, info.FieldFeatures)
 	}
-	return p, nil
+	return p, info, nil
 }
 
 // VerifyModel re-reads the artifact at path and confirms the payload is
@@ -243,7 +241,7 @@ func VerifyModel(path string) (ModelInfo, error) {
 
 // VerifyModelBytes is VerifyModel over an in-memory artifact — the
 // registry publish path and the cluster distribution path both verify
-// fetched bytes before anything is written or swapped.
+// bytes before anything is written or pushed.
 func VerifyModelBytes(data []byte) (ModelInfo, error) {
 	return verifyModelStream(bytes.NewReader(data))
 }

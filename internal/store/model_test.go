@@ -33,12 +33,21 @@ func getParser(t testing.TB) *core.Parser {
 func TestModelRoundTrip(t *testing.T) {
 	p := getParser(t)
 	path := filepath.Join(t.TempDir(), "parser.model")
-	if err := SaveModel(p, path); err != nil {
-		t.Fatal(err)
-	}
-	p2, err := LoadModel(path)
+	saved, err := SaveModel(p, path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	p2, loaded, err := LoadModel(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Save and load report the same identity, the one the header holds.
+	stat, err := StatModel(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if saved != stat || loaded != stat {
+		t.Fatalf("identity: saved %+v, loaded %+v, header %+v", saved, loaded, stat)
 	}
 	// Same model → same parse of the same text.
 	text := "Domain Name: roundtrip.com\nRegistrar: Example Registrar\nRegistrant Name: Jane Roe\nRegistrant Country: US\n"
@@ -56,7 +65,7 @@ func TestModelRejectsCorruption(t *testing.T) {
 	p := getParser(t)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "parser.model")
-	if err := SaveModel(p, path); err != nil {
+	if _, err := SaveModel(p, path); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -95,7 +104,7 @@ func TestModelRejectsCorruption(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			mutated := tc.mutate(append([]byte(nil), data...))
-			_, err := ReadModel(bytes.NewReader(mutated))
+			_, _, err := ReadModel(bytes.NewReader(mutated))
 			if !errors.Is(err, tc.wantErr) {
 				t.Fatalf("err = %v, want %v", err, tc.wantErr)
 			}
@@ -117,7 +126,7 @@ func TestModelLegacySniff(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadModel(path); !errors.Is(err, ErrNotModel) {
+	if _, _, err := LoadModel(path); !errors.Is(err, ErrNotModel) {
 		t.Fatalf("LoadModel on legacy gob: err = %v, want ErrNotModel", err)
 	}
 }
@@ -126,11 +135,11 @@ func TestSaveModelIsAtomic(t *testing.T) {
 	p := getParser(t)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "parser.model")
-	if err := SaveModel(p, path); err != nil {
+	if _, err := SaveModel(p, path); err != nil {
 		t.Fatal(err)
 	}
 	// Overwrite in place: no .tmp litter, artifact still valid.
-	if err := SaveModel(p, path); err != nil {
+	if _, err := SaveModel(p, path); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)
@@ -140,7 +149,7 @@ func TestSaveModelIsAtomic(t *testing.T) {
 	if len(entries) != 1 {
 		t.Fatalf("dir holds %d entries, want 1", len(entries))
 	}
-	if _, err := LoadModel(path); err != nil {
+	if _, _, err := LoadModel(path); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -148,7 +157,7 @@ func TestSaveModelIsAtomic(t *testing.T) {
 func TestStatModelMatchesArtifact(t *testing.T) {
 	p := getParser(t)
 	path := filepath.Join(t.TempDir(), "parser.model")
-	if err := SaveModel(p, path); err != nil {
+	if _, err := SaveModel(p, path); err != nil {
 		t.Fatal(err)
 	}
 	info, err := StatModel(path)
@@ -194,7 +203,7 @@ func TestStatModelMatchesArtifact(t *testing.T) {
 func TestVerifyModel(t *testing.T) {
 	p := getParser(t)
 	path := filepath.Join(t.TempDir(), "parser.model")
-	if err := SaveModel(p, path); err != nil {
+	if _, err := SaveModel(p, path); err != nil {
 		t.Fatal(err)
 	}
 	info, err := VerifyModel(path)

@@ -16,11 +16,11 @@ type SinkOptions struct {
 	// Blacklist, when non-nil, supplies the DBL membership bit for the
 	// derived facts.
 	Blacklist func(domain string) bool
-	// ModelVersion identifies the parser behind Parse (the artifact's
-	// ModelInfo.ID, e.g. "wmdl-9a1b2c3d", or a registry version string
-	// "<family>/<semver>+<crc32c>"). It is stamped into every appended
-	// record's facts so later drift analysis can segment the corpus by
-	// the model that parsed it. Ignored when Parse is nil.
+	// ModelVersion identifies the parser behind Parse: the artifact's
+	// ModelInfo.ID, e.g. "wmdl-9a1b2c3d", whether the model came from a
+	// file or a registry. It is stamped into every appended record's
+	// facts so later drift analysis can segment the corpus by the model
+	// that parsed it. Ignored when Parse is nil.
 	ModelVersion string
 	// CheckpointEvery fsyncs the store after every N records (<= 0
 	// means 256) — the checkpoint cadence that bounds how much a crash
@@ -59,16 +59,13 @@ func (k *Sink) Put(domain, registrar, text string) error {
 	blacklisted := k.opts.Blacklist != nil && k.opts.Blacklist(domain)
 	if k.opts.Parse != nil {
 		rec.Parsed = k.opts.Parse(text)
-		rec.Facts = survey.FactsFrom(rec.Parsed, blacklisted)
+		rec.Facts = survey.FactsWithThin(rec.Parsed, registrar, blacklisted)
 		rec.Facts.Domain = domain
 		if k.opts.ModelVersion != "" {
 			rec.Facts.ModelVersion = k.opts.ModelVersion
 		}
 	} else {
-		rec.Facts = survey.Facts{Domain: domain, Blacklisted: blacklisted}
-	}
-	if rec.Facts.Registrar == "" {
-		rec.Facts.Registrar = registrar
+		rec.Facts = survey.Facts{Domain: domain, Registrar: registrar, Blacklisted: blacklisted}
 	}
 
 	k.mu.Lock()

@@ -60,6 +60,18 @@ func CanonicalCountry(v string) string { return norm.Country(v) }
 // 4-digit year.
 func ParseDate(s string) (time.Time, bool) { return norm.ParseDate(s) }
 
+// FactsWithThin is FactsFrom joined with the thin record, as in the
+// paper's two-step crawl (§4.1): when the thick record names no
+// registrar — legacy formats such as Network Solutions' omit it — the
+// registrar comes from the thin record's "Registrar:" line.
+func FactsWithThin(pr *core.ParsedRecord, thinRegistrar string, blacklisted bool) Facts {
+	f := FactsFrom(pr, blacklisted)
+	if f.Registrar == "" {
+		f.Registrar = thinRegistrar
+	}
+	return f
+}
+
 // FactsFrom derives survey facts from one parsed record. The blacklist
 // bit comes from the DBL feed, not from the record.
 func FactsFrom(pr *core.ParsedRecord, blacklisted bool) Facts {

@@ -96,17 +96,24 @@ func Retrain(prev *Parser, records []*LabeledRecord, cfg Config) (*Parser, Train
 // checksum; see internal/store). The write is atomic: a temp file is
 // fsynced and renamed into place.
 func Save(p *Parser, path string) error {
-	return store.SaveModel(p, path)
+	_, err := store.SaveModel(p, path)
+	return err
 }
 
 // Load reads a parser written by Save, verifying the artifact (magic,
 // version, checksum, dimensions) before deserializing. A file that is
 // not a model artifact — a bare parser gob included — fails with
 // store.ErrNotModel.
-func Load(path string) (*Parser, error) { return store.LoadModel(path) }
+func Load(path string) (*Parser, error) {
+	p, _, err := store.LoadModel(path)
+	return p, err
+}
 
 // ReadParser is Load over a stream: a model artifact as Save writes it.
-func ReadParser(r io.Reader) (*Parser, error) { return store.ReadModel(r) }
+func ReadParser(r io.Reader) (*Parser, error) {
+	p, _, err := store.ReadModel(r)
+	return p, err
+}
 
 // ReadLabeled parses labeled records from the sectioned text format.
 func ReadLabeled(r io.Reader) ([]*LabeledRecord, error) { return labels.ReadRecords(r) }
