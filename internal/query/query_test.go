@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -403,6 +404,63 @@ func TestAutoBuild(t *testing.T) {
 	}
 	if _, err := LoadZoneMap(firstZM); err != nil {
 		t.Fatalf("auto-built zone map invalid: %v", err)
+	}
+}
+
+// goroutinesJoined notes the goroutine count; the returned check polls
+// briefly until the count is back at that baseline, so a goroutine the
+// code under test started and did not join fails the test.
+func goroutinesJoined(t *testing.T) func() {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	return func() {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<16)
+				t.Fatalf("%d goroutines after Close, %d before Open:\n%s",
+					runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+}
+
+// TestAutoBuildJoinsGoroutines: a store that rotates, compresses and
+// compacts under AutoBuild has run every sidecar build, and left no
+// goroutine behind, once Close returns.
+func TestAutoBuildJoinsGoroutines(t *testing.T) {
+	joined := goroutinesJoined(t)
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{SegmentBytes: 4 << 10, BlockRecords: 5, Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	New(st, Options{Metrics: obs.NewRegistry()}).AutoBuild()
+	rng := rand.New(rand.NewSource(11))
+	const n = 300
+	for i := 0; i < n; i++ {
+		if err := st.Append(genRecord(i, rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := st.CompressSealed(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	merged := st.SegmentInfos()[0]
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	joined()
+	z, err := LoadZoneMap(ZonePath(dir, merged.ID))
+	if err != nil {
+		t.Fatalf("compacted segment's zone map: %v", err)
+	}
+	if z.Records != n {
+		t.Fatalf("zone map covers %d records, want the %d of the compacted segment", z.Records, n)
 	}
 }
 

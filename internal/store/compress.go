@@ -24,29 +24,26 @@ type CompressStats struct {
 // compressed segment identically to a plain one (sidecar fingerprints
 // change, which marks derived indexes stale for rebuild).
 //
-// Crash safety mirrors Compact: each segment is rewritten to a temp
-// file, fsynced, and renamed over the original; a crash between segments
-// leaves a mix of compressed and plain segments, all intact. Appends
-// proceed concurrently — the active segment is never touched. Runs of
-// Compact and CompressSealed serialize against each other; a concurrent
-// call no-ops.
+// Each segment is rewritten and swapped on its own, with the crash
+// safety of every sealed-segment rewrite (see rewrite): a crash between
+// segments leaves a mix of compressed and plain segments, all intact.
+// Appends proceed concurrently — the active segment is never touched. A
+// CompressSealed that finds another Compact or CompressSealed running is
+// a no-op.
 func (s *Store) CompressSealed() (CompressStats, error) {
 	var stats CompressStats
 	start := time.Now()
 
 	s.mu.Lock()
-	if s.closed {
+	ok, err := s.beginRewriteLocked()
+	if !ok {
 		s.mu.Unlock()
-		return stats, fmt.Errorf("store: compress on closed store")
+		return stats, err
 	}
-	if s.compactBusy {
-		s.mu.Unlock()
-		return stats, nil
-	}
-	s.compactBusy = true
+	defer s.endRewrite()
 	// Candidates: sealed segments (all but the last) with plain frames.
-	// Segment pointers are stable while compactBusy is held — rotation
-	// only appends to the slice and compaction/compression serialize.
+	// Their pointers stay valid while this rewrite holds the slot: only a
+	// rewrite replaces segments, and rotation only appends.
 	var todo []*segment
 	for _, seg := range s.segments[:len(s.segments)-1] {
 		if seg.plain > 0 && seg.records > 0 {
@@ -54,12 +51,27 @@ func (s *Store) CompressSealed() (CompressStats, error) {
 		}
 	}
 	s.mu.Unlock()
-	defer s.clearCompactBusy()
 
 	for _, seg := range todo {
-		if err := s.compressSegment(seg, &stats); err != nil {
+		s.mu.Lock()
+		var r *SegmentReader
+		err := errClosed
+		if !s.closed {
+			r, err = openSegmentLocked(seg, true)
+		}
+		s.mu.Unlock()
+		if err != nil {
 			return stats, err
 		}
+		out, err := s.rewrite([]*SegmentReader{r}, nil)
+		r.Close()
+		if err != nil {
+			return stats, err
+		}
+		stats.Segments++
+		stats.Records += out.records
+		stats.BytesIn += r.info.Size
+		stats.BytesOut += out.size
 	}
 	if stats.Segments > 0 {
 		s.met.compressions.Add(uint64(stats.Segments))
@@ -69,78 +81,6 @@ func (s *Store) CompressSealed() (CompressStats, error) {
 		}
 	}
 	return stats, nil
-}
-
-// compressSegment rewrites one sealed segment into block frames and
-// swaps it in place. Readers holding pre-swap snapshots keep their fds
-// on the old bytes; new snapshots see the compressed file.
-func (s *Store) compressSegment(seg *segment, stats *CompressStats) error {
-	s.mu.Lock()
-	r, err := openSegmentLocked(seg, true)
-	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	info := r.Info()
-
-	tmpPath := seg.path + ".ztmp"
-	f, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: compress temp: %w", err)
-	}
-	defer func() {
-		f.Close()
-		os.Remove(tmpPath) // no-op after a successful rename
-	}()
-	var hdr [segHeaderLen]byte
-	copy(hdr[:], segMagic[:])
-	hdr[4] = segVersion
-	if _, err := f.Write(hdr[:]); err != nil {
-		return fmt.Errorf("store: compress header: %w", err)
-	}
-	out := &segment{size: segHeaderLen}
-	bw := newBlockWriter(f, out, s.opts.BlockRecords, s.opts.IndexEvery)
-	err = r.Frames(func(_ int64, payloads [][]byte) error {
-		for _, p := range payloads {
-			if err := bw.add(p); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if err := bw.flush(); err != nil {
-		return err
-	}
-	if out.records != info.Records {
-		return fmt.Errorf("store: compress %s: rewrote %d of %d records", seg.path, out.records, info.Records)
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("store: compress sync: %w", err)
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := os.Rename(tmpPath, seg.path); err != nil {
-		return fmt.Errorf("store: compress swap: %w", err)
-	}
-	if d, derr := os.Open(s.dir); derr == nil {
-		_ = d.Sync() // best-effort directory durability for the swap
-		d.Close()
-	}
-	seg.size = out.size
-	seg.index = out.index
-	seg.plain = 0
-	seg.blocks = out.blocks
-	stats.Segments++
-	stats.Records += info.Records
-	stats.BytesIn += info.Size
-	stats.BytesOut += out.size
-	s.sealedLocked(seg.id)
-	return nil
 }
 
 // blockFlushBytes flushes a pending block early once its raw payloads

@@ -7,12 +7,25 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
+// sealActive rotates the active segment, sealing its records as plain
+// frames — what a crawl's rotation leaves for CompressSealed.
+func sealActive(t *testing.T, st *Store) {
+	t.Helper()
+	st.mu.Lock()
+	err := st.rotateLocked()
+	st.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // compressedFixture builds a store whose only non-empty segment is
-// compressed: n records appended, Compact seals them into segment 1,
-// CompressSealed rewrites it into blocks of blockRecords.
+// compressed: n records appended and sealed into segment 1, which
+// CompressSealed rewrites into blocks of blockRecords.
 func compressedFixture(t *testing.T, dir string, n, blockRecords int) {
 	t.Helper()
 	st, err := Open(dir, Options{BlockRecords: blockRecords})
@@ -24,9 +37,7 @@ func compressedFixture(t *testing.T, dir string, n, blockRecords int) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := st.Compact(); err != nil {
-		t.Fatal(err)
-	}
+	sealActive(t, st)
 	cs, err := st.CompressSealed()
 	if err != nil {
 		t.Fatal(err)
@@ -80,6 +91,99 @@ func TestCompressRoundTrip(t *testing.T) {
 	}
 }
 
+// segmentFrames returns the record payloads of each frame of segment id.
+func segmentFrames(t *testing.T, st *Store, id uint64) [][][]byte {
+	t.Helper()
+	r, err := st.OpenSegment(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var frames [][][]byte
+	err = r.Frames(func(_ int64, payloads [][]byte) error {
+		var frame [][]byte
+		for _, p := range payloads {
+			frame = append(frame, append([]byte(nil), p...))
+		}
+		frames = append(frames, frame)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frames
+}
+
+// TestV1SegmentFixture pins the on-disk format with a checked-in store:
+// testdata/v1 holds a sealed segment of plain frames carrying
+// testRecord(0..22) and an empty active segment. It must open to those
+// records, and CompressSealed must expand, in order, to exactly its
+// record payloads, in blocks of BlockRecords.
+func TestV1SegmentFixture(t *testing.T) {
+	const n, blockRecords = 23, 5
+	dir := t.TempDir()
+	for _, name := range []string{"00000001.seg", "00000002.seg"} {
+		b, err := os.ReadFile(filepath.Join("testdata", "v1", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := Open(dir, Options{BlockRecords: blockRecords})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	it := st.Iter()
+	var i int
+	for it.Next() {
+		want, err := decodeRecord(appendRecord(nil, testRecord(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(it.Record(), want) {
+			t.Fatalf("record %d:\n got %+v\nwant %+v", i, it.Record(), want)
+		}
+		i++
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+	it.Close()
+	if i != n {
+		t.Fatalf("iterated %d records, want %d", i, n)
+	}
+
+	plain := segmentFrames(t, st, 1)
+	if len(plain) != n {
+		t.Fatalf("fixture has %d frames, want %d plain frames", len(plain), n)
+	}
+	cs, err := st.CompressSealed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs.Segments != 1 || cs.Records != n {
+		t.Fatalf("CompressSealed = %+v, want 1 segment / %d records", cs, n)
+	}
+	var got [][]byte
+	for k, block := range segmentFrames(t, st, 1) {
+		if want := min(blockRecords, n-k*blockRecords); len(block) != want {
+			t.Fatalf("block %d holds %d records, want %d", k, len(block), want)
+		}
+		got = append(got, block...)
+	}
+	if len(got) != n {
+		t.Fatalf("compressed segment holds %d records, want %d", len(got), n)
+	}
+	for k, frame := range plain {
+		if !bytes.Equal(got[k], frame[0]) {
+			t.Fatalf("record %d payload changed by compression", k)
+		}
+	}
+}
+
 // TestIterFromAcrossBlocks: positional seeks must land on the right
 // record even when the sparse index points at a block frame and the
 // target sits mid-block.
@@ -108,14 +212,14 @@ func TestIterFromAcrossBlocks(t *testing.T) {
 }
 
 // TestCompactOverCompressed: a compaction whose inputs are compressed
-// segments must still dedupe newest-wins, and with Options.Compress its
-// merged output comes out compressed.
+// segments must still dedupe newest-wins, and its merged output is
+// block frames.
 func TestCompactOverCompressed(t *testing.T) {
 	dir := t.TempDir()
 	const n = 40
 	compressedFixture(t, dir, n, 6)
 
-	st, err := Open(dir, Options{Compress: true, BlockRecords: 6})
+	st, err := Open(dir, Options{BlockRecords: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,45 +273,6 @@ func TestCompactOverCompressed(t *testing.T) {
 		if orgs[domain] != want {
 			t.Fatalf("domain %s: Org %q, want %q", domain, orgs[domain], want)
 		}
-	}
-}
-
-// TestAutoCompressOnRotate: with Options.Compress, rotation kicks off a
-// background rewrite of the sealed segment.
-func TestAutoCompressOnRotate(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir, Options{SegmentBytes: 4 << 10, Compress: true, BlockRecords: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		if err := st.Append(testRecord(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.Close(); err != nil { // Close waits for background work
-		t.Fatal(err)
-	}
-	st2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	if got := st2.Len(); got != 200 {
-		t.Fatalf("Len = %d, want 200", got)
-	}
-	infos := st2.SegmentInfos()
-	if len(infos) < 2 {
-		t.Fatalf("expected rotations, got %d segments", len(infos))
-	}
-	compressed := 0
-	for _, info := range infos[:len(infos)-1] {
-		if info.Blocks > 0 && info.Plain == 0 {
-			compressed++
-		}
-	}
-	if compressed == 0 {
-		t.Fatal("no sealed segment was auto-compressed")
 	}
 }
 
@@ -402,9 +467,7 @@ func TestSegmentReaderFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := st.Compact(); err != nil { // seals segment 1
-		t.Fatal(err)
-	}
+	sealActive(t, st)
 	infos := st.SegmentInfos()
 	r, err := st.OpenSegment(infos[0].ID)
 	if err != nil {

@@ -10,9 +10,9 @@ import (
 )
 
 // ErrSegmentCompacted is surfaced when a reader reaches for a segment
-// that a compaction (or compression rewrite) has already removed or
-// replaced — the typed form of the ENOENT a slow reader racing the
-// background compactor would otherwise see. Iterator snapshots hold file
+// that a Compact (or CompressSealed) rewrite has already removed or
+// replaced — the typed form of the ENOENT a slow reader racing another
+// goroutine's rewrite would otherwise see. Iterator snapshots hold file
 // descriptors precisely to avoid this; paths that re-open by id
 // (OpenSegment, the query engine's sidecar builder) report it so callers
 // can re-plan instead of failing on a raw *os.PathError.

@@ -15,7 +15,9 @@ import (
 )
 
 // Options tunes a Store. The zero value picks production defaults; tests
-// shrink SegmentBytes to exercise rotation and compaction.
+// shrink SegmentBytes to exercise rotation and compaction. Sealed
+// segments are rewritten only by an explicit Compact or CompressSealed,
+// and appends are durable after Sync or Close.
 type Options struct {
 	// SegmentBytes is the rotation threshold for the active segment;
 	// <= 0 means 64 MiB.
@@ -24,20 +26,8 @@ type Options struct {
 	// per this many records; <= 0 means 1024. At the paper's 102M-record
 	// scale the default keeps the index near 100K entries per run.
 	IndexEvery int
-	// SyncEvery fsyncs the active segment after every N appends;
-	// 0 means only on Sync/Close (the crawler sink calls Sync at its
-	// own checkpoints).
-	SyncEvery int
-	// AutoCompactSegments, when > 0, kicks off a background compaction
-	// whenever a rotation leaves at least this many sealed segments.
-	AutoCompactSegments int
-	// Compress rewrites sealed segments into flate block frames in the
-	// background after every rotation (and makes compaction emit
-	// compressed output). The active segment always stays plain, so
-	// crash recovery keeps byte-granular tail truncation.
-	Compress bool
-	// BlockRecords is the records-per-compressed-block target for
-	// Compress / CompressSealed; <= 0 means 256.
+	// BlockRecords is the records-per-block target of the flate block
+	// frames Compact and CompressSealed write; <= 0 means 256.
 	BlockRecords int
 	// Metrics is the observability registry (store.* metrics, DESIGN.md
 	// §5c naming). Nil means a private registry reachable via Metrics().
@@ -86,16 +76,19 @@ type Store struct {
 	dir  string
 	opts Options
 
-	mu          sync.Mutex // guards segments, active file, counters
-	segments    []*segment
-	active      *os.File
-	unsynced    int
-	closed      bool
-	recovered   int64 // bytes truncated from a torn tail at Open
-	compactWG   sync.WaitGroup
-	compactBusy bool
-
-	onSeal func(id uint64) // see SetOnSeal
+	mu        sync.Mutex // guards the fields from segments to sealBusy
+	segments  []*segment
+	active    *os.File
+	unsynced  int
+	closed    bool            // set when Close begins; nothing starts after it
+	recovered int64           // bytes truncated from a torn tail at Open
+	rewriting bool            // a Compact or CompressSealed is running
+	onSeal    func(id uint64) // see SetOnSeal
+	sealQueue []uint64        // seal-hook ids the worker has yet to run
+	sealBusy  bool            // the seal worker is running
+	// wg counts the running rewrite and the seal worker. Add is called
+	// only under mu while !closed, so Close's Wait never races an Add.
+	wg sync.WaitGroup
 
 	reg *obs.Registry
 	met storeMetrics
@@ -210,15 +203,20 @@ func listSegments(dir string) ([]uint64, error) {
 	return ids, nil
 }
 
-func writeSegmentHeader(path string) error {
-	var hdr [segHeaderLen]byte
-	copy(hdr[:], segMagic[:])
+// segHeader returns the header every segment file starts with.
+func segHeader() []byte {
+	hdr := make([]byte, segHeaderLen)
+	copy(hdr, segMagic[:])
 	hdr[4] = segVersion
+	return hdr
+}
+
+func writeSegmentHeader(path string) error {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: create segment: %w", err)
 	}
-	if _, err := f.Write(hdr[:]); err != nil {
+	if _, err := f.Write(segHeader()); err != nil {
 		f.Close()
 		return fmt.Errorf("store: write segment header: %w", err)
 	}
@@ -329,14 +327,11 @@ func scanSegment(path string, id uint64, indexEvery int, isLast bool) (*segment,
 }
 
 func rewriteHeader(path string) error {
-	var hdr [segHeaderLen]byte
-	copy(hdr[:], segMagic[:])
-	hdr[4] = segVersion
 	f, err := os.OpenFile(path, os.O_WRONLY, 0)
 	if err != nil {
 		return fmt.Errorf("store: rewrite header: %w", err)
 	}
-	if _, err := f.Write(hdr[:]); err != nil {
+	if _, err := f.Write(segHeader()); err != nil {
 		f.Close()
 		return fmt.Errorf("store: rewrite header: %w", err)
 	}
@@ -385,7 +380,7 @@ func (s *Store) RecoveredBytes() int64 {
 
 // Append encodes rec and appends it to the active segment, rotating
 // first when the segment is over the size threshold. The record is
-// durable after the next Sync (or per Options.SyncEvery).
+// durable after the next Sync or Close.
 func (s *Store) Append(rec *Record) error {
 	start := time.Now()
 	payload := appendRecord(nil, rec)
@@ -413,11 +408,6 @@ func (s *Store) Append(rec *Record) error {
 	active.records++
 	active.plain++
 	s.unsynced++
-	if s.opts.SyncEvery > 0 && s.unsynced >= s.opts.SyncEvery {
-		if err := s.syncLocked(); err != nil {
-			return err
-		}
-	}
 	s.met.appends.Inc()
 	s.met.appendSeconds.ObserveSince(start)
 	s.met.frameBytes.Observe(float64(len(frame)))
@@ -456,53 +446,55 @@ func (s *Store) rotateLocked() error {
 	})
 	s.met.rotations.Inc()
 	// The previous active segment is now sealed: tell the seal hook (the
-	// query engine builds sidecar indexes off it) and, under
-	// Options.Compress, rewrite it into block frames in the background.
+	// query engine builds sidecar indexes off it).
 	s.sealedLocked(last.id)
-	if s.opts.Compress && !s.compactBusy {
-		s.compactWG.Add(1)
-		go func() {
-			defer s.compactWG.Done()
-			_, _ = s.CompressSealed()
-		}()
-	}
-	// Background compaction trigger. Compact itself serializes via
-	// compactBusy (a concurrent call no-ops), so a double spawn is
-	// harmless; rotations from inside a running Compact never spawn.
-	if n := s.opts.AutoCompactSegments; n > 0 && len(s.segments)-1 >= n && !s.compactBusy {
-		s.compactWG.Add(1)
-		go func() {
-			defer s.compactWG.Done()
-			_, _ = s.Compact()
-		}()
-	}
 	return nil
 }
 
-// SetOnSeal registers fn to be called (each time in its own goroutine)
-// with a segment id whenever that segment becomes sealed — by rotation —
-// or a sealed segment's bytes are rewritten in place by compaction or
-// compression. Derived artifacts keyed to a segment's content (the query
-// engine's zone maps and secondary indexes) hang off this hook to stay
-// fresh without polling. Close waits for every running call.
+// SetOnSeal registers fn to be called with a segment id whenever that
+// segment becomes sealed — by rotation — or a sealed segment's bytes are
+// rewritten in place by Compact or CompressSealed. Derived artifacts
+// keyed to a segment's content (the query engine's zone maps and
+// secondary indexes) hang off this hook to stay fresh without polling.
+// Calls run one at a time, in seal order, on a single worker goroutine
+// the store owns; Close waits for every queued call.
 func (s *Store) SetOnSeal(fn func(id uint64)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.onSeal = fn
 }
 
-// sealedLocked runs the seal hook for segment id on a goroutine Close
-// joins. Callers hold s.mu.
+// sealedLocked queues the seal hook for segment id, starting the seal
+// worker if it is idle. Callers hold s.mu and have checked !s.closed.
 func (s *Store) sealedLocked(id uint64) {
-	fn := s.onSeal
-	if fn == nil {
+	if s.onSeal == nil {
 		return
 	}
-	s.compactWG.Add(1)
-	go func() {
-		defer s.compactWG.Done()
+	s.sealQueue = append(s.sealQueue, id)
+	if !s.sealBusy {
+		s.sealBusy = true
+		s.wg.Add(1)
+		go s.runSealHooks()
+	}
+}
+
+// runSealHooks is the seal worker: it runs queued hook calls in FIFO
+// order outside the lock and exits once the queue is empty.
+func (s *Store) runSealHooks() {
+	defer s.wg.Done()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for len(s.sealQueue) > 0 {
+		id, fn := s.sealQueue[0], s.onSeal
+		s.sealQueue = s.sealQueue[1:]
+		if fn == nil {
+			continue
+		}
+		s.mu.Unlock()
 		fn(id)
-	}()
+		s.mu.Lock()
+	}
+	s.sealBusy = false
 }
 
 // Dir reports the store's directory — sidecar artifacts (zone maps,
@@ -531,23 +523,21 @@ func (s *Store) Sync() error {
 	return s.syncLocked()
 }
 
-// Close syncs and closes the store. Any background compaction and any
-// running seal hook finish first.
+// Close syncs and closes the store. Appends and new rewrites fail from
+// the moment it begins; a running Compact or CompressSealed stops at its
+// next swap, and every queued seal hook has run before Close returns.
 func (s *Store) Close() error {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	wasClosed := s.closed
+	s.closed = true
+	s.mu.Unlock()
+	s.wg.Wait()
+	if wasClosed {
 		return nil
 	}
-	s.mu.Unlock()
-	s.compactWG.Wait()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.closed = true
 	err := s.syncLocked()
 	if cerr := s.active.Close(); err == nil {
 		err = cerr

@@ -5,8 +5,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/labels"
@@ -344,32 +347,6 @@ func TestCompactEmptyAndSingleSegment(t *testing.T) {
 	}
 }
 
-func TestAutoCompactTriggersInBackground(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir, Options{SegmentBytes: 2 << 10, AutoCompactSegments: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Repeatedly rewrite the same few domains so compaction has work.
-	for i := 0; i < 400; i++ {
-		rec := testRecord(i % 10)
-		if err := st.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.Close(); err != nil { // Close waits for background compaction
-		t.Fatal(err)
-	}
-	st2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	if got := st2.Len(); got >= 400 {
-		t.Fatalf("auto-compaction never ran: %d records remain", got)
-	}
-}
-
 func TestDomainsStreams(t *testing.T) {
 	st, err := Open(t.TempDir(), Options{})
 	if err != nil {
@@ -485,6 +462,99 @@ func TestConcurrentAppendIterateCompact(t *testing.T) {
 	}
 	if n == 0 {
 		t.Fatal("no records after concurrent run")
+	}
+}
+
+// TestCloseStopsRewrite: Close waits for a caller's running
+// CompressSealed, which stops at its next swap, and joins the seal
+// worker, so no seal hook starts after Close returns and no rewrite
+// starts at all.
+func TestCloseStopsRewrite(t *testing.T) {
+	st, err := Open(t.TempDir(), Options{SegmentBytes: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; st.Segments() <= 100; i++ {
+		if err := st.Append(testRecord(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var closed atomic.Bool
+	var late atomic.Int32
+	first, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	st.SetOnSeal(func(uint64) {
+		if closed.Load() {
+			late.Add(1)
+		}
+		once.Do(func() { close(first); <-release })
+	})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_, _ = st.CompressSealed() // fails once Close has begun
+	}()
+	<-first // a segment has been swapped; its hook blocks
+	time.AfterFunc(10*time.Millisecond, func() { close(release) })
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	closed.Store(true)
+	<-done
+	if n := late.Load(); n > 0 {
+		t.Fatalf("%d seal hooks started after Close returned", n)
+	}
+	if _, err := st.Compact(); err == nil {
+		t.Fatal("Compact on a closed store succeeded")
+	}
+}
+
+// goroutinesJoined notes the goroutine count; the returned check polls
+// briefly until the count is back at that baseline, so a goroutine the
+// code under test started and did not join fails the test.
+func goroutinesJoined(t *testing.T) func() {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	return func() {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<16)
+				t.Fatalf("%d goroutines after Close, %d before Open:\n%s",
+					runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+}
+
+// TestCloseJoinsGoroutines: rotation, compression and compaction with a
+// seal hook leave no goroutine behind once Close returns.
+func TestCloseJoinsGoroutines(t *testing.T) {
+	joined := goroutinesJoined(t)
+	st, err := Open(t.TempDir(), Options{SegmentBytes: 2 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hooks atomic.Int32
+	st.SetOnSeal(func(uint64) { hooks.Add(1) })
+	for i := 0; i < 100; i++ {
+		if err := st.Append(testRecord(i % 30)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := st.CompressSealed(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	joined()
+	if hooks.Load() == 0 {
+		t.Fatal("seal hook never ran")
 	}
 }
 
