@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"log/slog"
 	"os"
 	"strings"
 	"time"
@@ -75,9 +76,9 @@ func main() {
 		log.Fatal(err)
 	}
 	defer stk.Close()
-	logger := obs.NewLogger("whoiscrawl", os.Stderr)
-	if !*verbose {
-		logger.SetLevel(obs.LevelError)
+	var logger *slog.Logger // nil drops the crawler's warnings
+	if *verbose {
+		logger = obs.NewLogger("whoiscrawl", os.Stderr)
 	}
 
 	// Persistent sink: records land in the store as their domains finish,

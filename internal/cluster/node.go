@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"math/rand/v2"
 	"sort"
 	"sync"
@@ -54,7 +55,7 @@ type Options struct {
 	// Metrics receives cluster.* metrics; nil means a private registry.
 	Metrics *obs.Registry
 	// Log receives cluster events; nil discards.
-	Log *obs.Logger
+	Log *slog.Logger
 }
 
 func (o Options) withDefaults() Options {
@@ -150,7 +151,7 @@ type Node struct {
 	ring *Ring
 	ps   *serve.Server
 	mgr  *lifecycle.Manager // optional; nil = plain serve.Server
-	log  *obs.Logger
+	log  *slog.Logger
 	met  nodeMetrics
 
 	// peers maps member id -> peer. Guarded by pmu; the ring is the

@@ -3,14 +3,17 @@ package cluster
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/store"
 )
 
 // TCP transport: one frame out, one frame back, connections reused
@@ -39,7 +42,7 @@ const (
 type TCPServer struct {
 	b   Backend
 	ln  net.Listener
-	log *obs.Logger
+	log *slog.Logger
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -47,8 +50,9 @@ type TCPServer struct {
 	wg     sync.WaitGroup
 }
 
-// ServeTCP starts serving b on ln in the background. log may be nil.
-func ServeTCP(ln net.Listener, b Backend, log *obs.Logger) *TCPServer {
+// ServeTCP starts serving b on ln in the background. log receives
+// corrupt-frame warnings; nil drops them.
+func ServeTCP(ln net.Listener, b Backend, log *slog.Logger) *TCPServer {
 	if log == nil {
 		log = obs.NewLogger("cluster", io.Discard)
 	}
@@ -91,17 +95,21 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	}()
 	br := bufio.NewReaderSize(conn, 1<<16)
 	bw := bufio.NewWriterSize(conn, 1<<16)
-	var inBuf, outBuf []byte
+	var inBuf, outBuf, frame []byte
 	for {
 		_ = conn.SetReadDeadline(time.Now().Add(tcpIdleTimeout))
-		req, buf, err := readFrame(br, inBuf)
-		inBuf = buf
+		req, _, err := store.ReadFrame(br, &inBuf, maxWireFrame)
 		if err != nil {
-			return // EOF, idle timeout, or garbage — hang up either way
+			// EOF, idle timeout, or garbage — hang up either way.
+			if errors.Is(err, store.ErrBadChecksum) || errors.Is(err, store.ErrFrameTooBig) {
+				s.log.Warn("corrupt request frame", "peer", conn.RemoteAddr().String(), "err", err)
+			}
+			return
 		}
 		_ = conn.SetDeadline(time.Now().Add(tcpIOTimeout))
 		outBuf = s.dispatch(outBuf, req)
-		if err := writeFrame(bw, outBuf); err != nil {
+		frame = store.AppendFrame(frame[:0], outBuf)
+		if _, err := bw.Write(frame); err != nil {
 			return
 		}
 		if err := bw.Flush(); err != nil {
@@ -133,12 +141,11 @@ func (s *TCPServer) dispatch(buf, req []byte) []byte {
 		if err != nil {
 			return encodeErrorResp(buf, err)
 		}
-		return appendBytes(append(buf[:0], stOK), data)
+		return store.AppendString(append(buf[:0], stOK), data)
 	case opApplyModel:
-		r := &wireReader{b: body}
-		artifact := r.bytes()
-		if r.bad || r.pos != len(body) {
-			return encodeErrorResp(buf, fmt.Errorf("%w: apply request", ErrBadMessage))
+		artifact, err := decodeBlob(body, "apply request")
+		if err != nil {
+			return encodeErrorResp(buf, err)
 		}
 		// The artifact slice aliases the connection's read buffer,
 		// which the next request will overwrite — the backend keeps it,
@@ -147,7 +154,7 @@ func (s *TCPServer) dispatch(buf, req []byte) []byte {
 		if err != nil {
 			return encodeErrorResp(buf, err)
 		}
-		return appendString(append(buf[:0], stOK), version)
+		return store.AppendString(append(buf[:0], stOK), version)
 	case opStatus:
 		return encodeStatusResp(buf, s.b.Status())
 	default:
@@ -188,8 +195,8 @@ type tcpConn struct {
 	c  net.Conn
 	br *bufio.Reader
 	bw *bufio.Writer
-	// buf is the reusable frame read buffer.
-	buf []byte
+	// rbuf and wbuf are the reusable frame read and write buffers.
+	rbuf, wbuf []byte
 }
 
 // DialTCP returns a lazy client for the shard server at addr — no
@@ -246,7 +253,8 @@ func (c *TCPClient) call(ctx context.Context, req []byte) ([]byte, error) {
 		deadline = d
 	}
 	_ = tc.c.SetDeadline(deadline)
-	if err := writeFrame(tc.bw, req); err != nil {
+	tc.wbuf = store.AppendFrame(tc.wbuf[:0], req)
+	if _, err := tc.bw.Write(tc.wbuf); err != nil {
 		tc.c.Close()
 		return nil, fmt.Errorf("cluster: write %s: %w", c.addr, err)
 	}
@@ -254,8 +262,7 @@ func (c *TCPClient) call(ctx context.Context, req []byte) ([]byte, error) {
 		tc.c.Close()
 		return nil, fmt.Errorf("cluster: write %s: %w", c.addr, err)
 	}
-	payload, buf, err := readFrame(tc.br, tc.buf)
-	tc.buf = buf
+	payload, _, err := store.ReadFrame(tc.br, &tc.rbuf, maxWireFrame)
 	if err != nil {
 		tc.c.Close()
 		return nil, fmt.Errorf("cluster: read %s: %w", c.addr, err)
@@ -288,17 +295,16 @@ func (c *TCPClient) FetchModel(ctx context.Context) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &wireReader{b: body}
-	data := r.bytes()
-	if r.bad || r.pos != len(body) {
-		return nil, fmt.Errorf("%w: fetch response", ErrBadMessage)
+	data, err := decodeBlob(body, "fetch response")
+	if err != nil {
+		return nil, err
 	}
 	return append([]byte(nil), data...), nil
 }
 
 // ApplyModel implements ShardClient.
 func (c *TCPClient) ApplyModel(ctx context.Context, artifact []byte) (string, error) {
-	req := appendBytes([]byte{opApplyModel}, artifact)
+	req := store.AppendString([]byte{opApplyModel}, artifact)
 	resp, err := c.call(ctx, req)
 	if err != nil {
 		return "", err
@@ -307,12 +313,8 @@ func (c *TCPClient) ApplyModel(ctx context.Context, artifact []byte) (string, er
 	if err != nil {
 		return "", err
 	}
-	r := &wireReader{b: body}
-	version := r.str()
-	if r.bad || r.pos != len(body) {
-		return "", fmt.Errorf("%w: apply response", ErrBadMessage)
-	}
-	return version, nil
+	version, err := decodeBlob(body, "apply response")
+	return string(version), err
 }
 
 // Status implements ShardClient.

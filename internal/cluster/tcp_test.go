@@ -6,11 +6,15 @@ import (
 	"context"
 	"errors"
 	"net"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
+	"repro/internal/store"
 )
 
 // fakeBackend is a scriptable Backend for transport tests.
@@ -181,27 +185,34 @@ func TestTCPConcurrentClients(t *testing.T) {
 
 // TestTCPServerHangsUpOnGarbage sends a corrupt frame and checks the
 // server drops the connection instead of answering garbage with
-// garbage.
+// garbage, and says why in its log.
 func TestTCPServerHangsUpOnGarbage(t *testing.T) {
-	srv, _ := startTCP(t, &fakeBackend{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logs bytes.Buffer
+	srv := ServeTCP(ln, &fakeBackend{}, obs.NewLogger("cluster", &logs))
+	defer srv.Close()
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
 	// A frame whose CRC is wrong.
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, []byte{opStatus}); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := store.AppendFrame(nil, []byte{opStatus})
 	raw[len(raw)-1] ^= 0xff
 	if _, err := conn.Write(raw); err != nil {
 		t.Fatal(err)
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, _, err := readFrame(bufio.NewReader(conn), nil); err == nil {
+	var scratch []byte
+	if _, _, err := store.ReadFrame(bufio.NewReader(conn), &scratch, maxWireFrame); err == nil {
 		t.Fatal("server answered a corrupt frame")
+	}
+	srv.Close() // joins the connection goroutine, so its log write is visible
+	if got := logs.String(); !strings.Contains(got, `level=WARN msg="corrupt request frame" comp=cluster`) {
+		t.Fatalf("log %q, want a corrupt-frame warning", got)
 	}
 }
 
@@ -215,11 +226,12 @@ func TestTCPUnknownOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := writeFrame(conn, []byte{0x7F}); err != nil {
+	if _, err := conn.Write(store.AppendFrame(nil, []byte{0x7F})); err != nil {
 		t.Fatal(err)
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	resp, _, err := readFrame(bufio.NewReader(conn), nil)
+	var scratch []byte
+	resp, _, err := store.ReadFrame(bufio.NewReader(conn), &scratch, maxWireFrame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,5 +254,50 @@ func TestTCPClientDialFailure(t *testing.T) {
 	defer cancel()
 	if _, err := cli.Parse(ctx, "example.com", "text"); err == nil {
 		t.Fatal("Parse against a dead address succeeded")
+	}
+}
+
+// goroutinesJoined notes the goroutine count; the returned check polls
+// briefly until the count is back at that baseline, so a goroutine the
+// code under test started and did not join fails the test.
+func goroutinesJoined(t *testing.T) func() {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	return func() {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<16)
+				t.Fatalf("%d goroutines after Close, %d before start:\n%s",
+					runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+}
+
+// TestTCPCloseJoinsGoroutines: a server with live pooled client
+// connections leaves no goroutine behind once Close returns.
+func TestTCPCloseJoinsGoroutines(t *testing.T) {
+	joined := goroutinesJoined(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := ServeTCP(ln, &fakeBackend{}, nil)
+	var clients []*TCPClient
+	for i := 0; i < 3; i++ {
+		cli := DialTCP(srv.Addr())
+		clients = append(clients, cli)
+		if _, err := cli.Status(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	joined()
+	for _, cli := range clients {
+		cli.Close()
 	}
 }

@@ -10,6 +10,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"log/slog"
 	"math"
 	"sort"
 	"sync"
@@ -49,7 +51,7 @@ type Config struct {
 	// must be safe for concurrent use.
 	OnResult func(Result)
 	// Log receives structured diagnostics; nil drops them.
-	Log *obs.Logger
+	Log *slog.Logger
 	// Metrics is the registry crawl counters and stage timings are
 	// recorded into (crawler.* and per-host whoisclient.<server>.*);
 	// nil means a private registry reachable via Crawler.Metrics.
@@ -162,6 +164,9 @@ func New(cfg Config) (*Crawler, error) {
 	}
 	if len(cfg.Sources) == 0 {
 		cfg.Sources = []string{""}
+	}
+	if cfg.Log == nil {
+		cfg.Log = obs.NewLogger("crawler", io.Discard)
 	}
 	reg := cfg.Metrics
 	if reg == nil {

@@ -1,7 +1,11 @@
 package crawler
 
 import (
+	"bytes"
 	"context"
+	"log"
+	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -247,5 +251,75 @@ func TestOnResultStreamsEveryDomain(t *testing.T) {
 		if n != 1 {
 			t.Errorf("OnResult called %d times for %s, want 1", n, d)
 		}
+	}
+}
+
+// TestNilLogWritesNothing: a whoisd server, a whoisd cluster and a
+// crawler with no Log go through a read failure, rate-limited queries
+// and a close with an open connection without panicking and without
+// writing a byte to stderr or to the default logger.
+func TestNilLogWritesNothing(t *testing.T) {
+	var std bytes.Buffer
+	log.SetOutput(&std)
+	defer log.SetOutput(os.Stderr)
+	stderr, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stderr.Close()
+	saved := os.Stderr
+	os.Stderr = stderr
+	defer func() { os.Stderr = saved }()
+
+	// A lone server whose silent client hits its read timeout.
+	srv := whoisd.NewServer("t", whoisd.HandlerFunc(func(_, q string) string { return q }))
+	srv.ReadTimeout = 20 * time.Millisecond
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.DialTimeout("tcp", addr.String(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Fatal("server answered a silent client")
+	}
+	conn.Close()
+	srv.Close()
+
+	// A cluster whose registrars rate-limit a crawler, then close with
+	// an idle connection open.
+	cluster, domains := startEcosystem(t, 30, 0, 2)
+	c, err := New(Config{Resolver: cluster.Directory, Workers: 4, InitialInterval: time.Millisecond, MaxInterval: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if _, stats := c.Crawl(ctx, names(domains)); stats.RateLimitHits == 0 {
+		t.Fatal("no query was rate limited")
+	}
+	regAddr, err := cluster.Directory.Resolve(registry.RegistryServerName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle, err := net.DialTimeout("tcp", regAddr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	// Close finds the idle connection either in accept or mid-read; both
+	// paths must stay silent.
+	cluster.Close()
+
+	if std.Len() != 0 {
+		t.Errorf("default logger got %q", std.String())
+	}
+	if fi, err := stderr.Stat(); err != nil {
+		t.Fatal(err)
+	} else if fi.Size() != 0 {
+		t.Errorf("stderr got %d bytes", fi.Size())
 	}
 }

@@ -31,6 +31,7 @@ package lifecycle
 import (
 	"fmt"
 	"io"
+	"log/slog"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -119,7 +120,7 @@ type Options struct {
 	Metrics *obs.Registry
 	// Log receives lifecycle events (swaps, drift flags, promotion
 	// verdicts); nil discards them.
-	Log *obs.Logger
+	Log *slog.Logger
 
 	// SampleEvery scores every Nth parse with posterior confidence
 	// (ParseWithConfidence costs one extra forward-backward over the
@@ -274,7 +275,7 @@ func newMetrics(reg *obs.Registry) metrics {
 // safe for concurrent use.
 type Manager struct {
 	opts Options
-	log  *obs.Logger
+	log  *slog.Logger
 	met  metrics
 
 	cur   atomic.Pointer[Snapshot]

@@ -7,13 +7,13 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+
+	"repro/internal/store"
 )
 
 // ErrManifestChecksum reports a manifest whose self-checksum does not
 // match its content — the file was edited or damaged after publish.
 var ErrManifestChecksum = errors.New("modelreg: manifest checksum mismatch")
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ArtifactInfo pins the manifest to one exact artifact: the WMDL
 // header's identity fields plus the byte size. Verify cross-checks all
@@ -81,7 +81,7 @@ func (m *Manifest) seal() (uint32, error) {
 	if err != nil {
 		return 0, err
 	}
-	return crc32.Checksum(data, castagnoli), nil
+	return crc32.Checksum(data, store.Castagnoli), nil
 }
 
 // encode seals and serializes the manifest.

@@ -43,6 +43,7 @@ package modelreg
 import (
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -79,7 +80,7 @@ type Options struct {
 	Metrics *obs.Registry
 	// Log receives registry events (publishes, promotions, GC); nil
 	// discards them.
-	Log *obs.Logger
+	Log *slog.Logger
 	// Now is the clock manifests and journal entries are stamped with;
 	// nil means time.Now. A test seam — Publish output becomes
 	// deterministic with a fixed clock.
@@ -109,7 +110,7 @@ func newMetrics(reg *obs.Registry) metrics {
 // Registry is a handle on one registry root directory.
 type Registry struct {
 	root string
-	log  *obs.Logger
+	log  *slog.Logger
 	now  func() time.Time
 	met  metrics
 
@@ -318,47 +319,4 @@ func (r *Registry) List() ([]*FamilyListing, error) {
 		out = append(out, l)
 	}
 	return out, nil
-}
-
-// --- fsync plumbing shared by publish and stage moves ---
-
-// writeFileSync writes data to path atomically: temp file in the same
-// directory, fsync, rename, fsync the directory. A crash leaves either
-// the old file or the new one, never a torn mix.
-func writeFileSync(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	_, werr := tmp.Write(data)
-	if werr == nil {
-		werr = tmp.Sync()
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmpName)
-		return werr
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so a rename within it is durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -249,7 +249,7 @@ func (r *Registry) GC(family string, keep int) ([]string, error) {
 		r.log.Info("gc removed", "family", family, "version", v)
 	}
 	if len(removed) > 0 {
-		if err := syncDir(filepath.Join(r.familyDir(family), versionsDir)); err != nil {
+		if err := store.SyncDir(filepath.Join(r.familyDir(family), versionsDir)); err != nil {
 			return removed, err
 		}
 	}

@@ -104,13 +104,13 @@ func (r *Registry) Publish(req PublishRequest) (*Manifest, error) {
 	if err != nil {
 		return nil, fmt.Errorf("modelreg: publish %s/%s: %w", req.Family, version, err)
 	}
-	if err := writeFileSync(r.ArtifactPath(req.Family, version), data); err != nil {
+	if err := store.WriteFileSync(r.ArtifactPath(req.Family, version), data); err != nil {
 		return nil, fmt.Errorf("modelreg: publish %s/%s: artifact: %w", req.Family, version, err)
 	}
-	if err := writeFileSync(r.ManifestPath(req.Family, version), manifestBytes); err != nil {
+	if err := store.WriteFileSync(r.ManifestPath(req.Family, version), manifestBytes); err != nil {
 		return nil, fmt.Errorf("modelreg: publish %s/%s: manifest: %w", req.Family, version, err)
 	}
-	if err := syncDir(vdir); err != nil {
+	if err := store.SyncDir(vdir); err != nil {
 		return nil, fmt.Errorf("modelreg: publish %s/%s: %w", req.Family, version, err)
 	}
 	r.met.publishes.Inc()

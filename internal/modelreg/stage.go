@@ -104,7 +104,7 @@ func (r *Registry) readPointer(family string, st Stage) (Pointer, error) {
 // writePointer moves a stage pointer — one atomic, fsynced rename.
 func (r *Registry) writePointer(family string, st Stage, p Pointer) error {
 	line := fmt.Sprintf("%s %08x\n", p.Version, p.CRC32C)
-	return writeFileSync(r.pointerPath(family, st), []byte(line))
+	return store.WriteFileSync(r.pointerPath(family, st), []byte(line))
 }
 
 // clearPointer removes a stage pointer (absent is fine).
@@ -113,7 +113,7 @@ func (r *Registry) clearPointer(family string, st Stage) error {
 	if err != nil && !os.IsNotExist(err) {
 		return err
 	}
-	return syncDir(r.familyDir(family))
+	return store.SyncDir(r.familyDir(family))
 }
 
 // StageOf reports which stage currently names (family, version).

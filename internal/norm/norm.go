@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
 
 	"repro/internal/identity"
 )
@@ -118,10 +119,11 @@ func Email(s string) string {
 
 // Host folds a hostname (nameserver, WHOIS server): trimmed,
 // ASCII-lowercased, trailing dots removed (the DNS root label is
-// presentation noise).
+// presentation noise), along with any space they leave exposed, so a
+// folded host folds to itself.
 func Host(s string) string {
 	s = strings.ToLower(strings.TrimSpace(s))
-	return strings.TrimRight(s, ".")
+	return strings.TrimRightFunc(s, func(r rune) bool { return r == '.' || unicode.IsSpace(r) })
 }
 
 // Hosts folds a hostname list into a sorted, deduplicated set — the

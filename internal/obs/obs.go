@@ -1,9 +1,8 @@
 // Package obs is the repo's stdlib-only observability layer: lock-free
 // counters, gauges, and fixed-bucket histograms collected in a Registry
-// that snapshots to expvar-compatible JSON; a leveled key=value logger
-// with a swappable sink that replaces the scattered `Logf func(...)`
-// callbacks; and a lightweight span API that records per-stage duration
-// and outcome.
+// that snapshots to expvar-compatible JSON; NewLogger, the one place
+// that decides the log format; and a lightweight span API that records
+// per-stage duration and outcome.
 //
 // The paper's production framing (102M records in §6, the ROADMAP's
 // "heavy traffic from millions of users") makes per-stage visibility a
@@ -23,10 +22,23 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"sort"
 	"sync"
 )
+
+// NewLogger returns the structured logger for one component: log/slog's
+// text format on w at info level, every record tagged comp=component.
+// One record is one line:
+//
+//	time=2026-08-06T12:00:00.000Z level=WARN msg="write failed" comp=whoisd peer=127.0.0.2 err="broken pipe"
+//
+// Every Log field in the repository is a *slog.Logger, and a nil one
+// drops everything.
+func NewLogger(component string, w io.Writer) *slog.Logger {
+	return slog.New(slog.NewTextHandler(w, nil)).With("comp", component)
+}
 
 // Registry is a concurrent-safe collection of named metrics. Metrics are
 // created lazily and idempotently: two goroutines asking for the same

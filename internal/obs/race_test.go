@@ -6,13 +6,10 @@ package obs
 // counters must not drop increments under contention).
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestConcurrentCounterIncrements(t *testing.T) {
@@ -65,68 +62,6 @@ func TestConcurrentHistogramObserveAndMerge(t *testing.T) {
 	}
 	if dst.Quantile(0.5) <= 0 {
 		t.Error("merged histogram has non-positive median")
-	}
-}
-
-// lockedBuffer is a concurrency-safe sink for the swap test.
-type lockedBuffer struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (b *lockedBuffer) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.Write(p)
-}
-
-func (b *lockedBuffer) String() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.String()
-}
-
-func TestLoggerSinkSwapUnderLoad(t *testing.T) {
-	first, second := &lockedBuffer{}, &lockedBuffer{}
-	l := NewLogger("swap", io.Discard)
-	l.SetSink(first)
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-					l.Info("tick", "g", g, "i", i)
-				}
-			}
-		}(g)
-	}
-	time.Sleep(5 * time.Millisecond)
-	l.SetSink(second)
-	l.SetLevel(LevelWarn) // racing level change as well
-	l.SetLevel(LevelInfo)
-	time.Sleep(5 * time.Millisecond)
-	close(stop)
-	wg.Wait()
-
-	for name, buf := range map[string]*lockedBuffer{"first": first, "second": second} {
-		out := buf.String()
-		if out == "" {
-			t.Errorf("%s sink received no records", name)
-			continue
-		}
-		for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
-			if !strings.HasPrefix(line, "ts=") || !strings.Contains(line, "msg=tick") {
-				t.Errorf("%s sink has an interleaved/garbled line: %q", name, line)
-				break
-			}
-		}
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"repro/internal/store"
 )
 
 // Sidecar formats. Both files share the envelope
@@ -57,8 +59,6 @@ const (
 // wrong magic, version, checksum, or malformed body. Callers treat it
 // exactly like a missing sidecar.
 var ErrBadSidecar = errors.New("query: malformed sidecar")
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Zone-map flag bits.
 const (
@@ -177,67 +177,11 @@ type sidecarWriter struct{ b []byte }
 func (w *sidecarWriter) uvarint(v uint64) { w.b = binary.AppendUvarint(w.b, v) }
 func (w *sidecarWriter) u32(v uint32)     { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
 func (w *sidecarWriter) byte(v byte)      { w.b = append(w.b, v) }
-func (w *sidecarWriter) str(s string) {
-	w.uvarint(uint64(len(s)))
-	w.b = append(w.b, s...)
-}
+func (w *sidecarWriter) str(s string)     { w.b = store.AppendString(w.b, s) }
 
 // finish appends the trailing CRC and returns the complete file bytes.
 func (w *sidecarWriter) finish() []byte {
-	return binary.LittleEndian.AppendUint32(w.b, crc32.Checksum(w.b, castagnoli))
-}
-
-// sidecarReader decodes a sidecar body without ever over-reading: each
-// primitive validates against the remaining bytes and latches bad.
-type sidecarReader struct {
-	b   []byte
-	pos int
-	bad bool
-}
-
-func (r *sidecarReader) fail() { r.bad = true }
-
-func (r *sidecarReader) remaining() int { return len(r.b) - r.pos }
-
-func (r *sidecarReader) byte() byte {
-	if r.pos >= len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := r.b[r.pos]
-	r.pos++
-	return v
-}
-
-func (r *sidecarReader) uvarint() uint64 {
-	v, n := binary.Uvarint(r.b[r.pos:])
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.pos += n
-	return v
-}
-
-func (r *sidecarReader) u32() uint32 {
-	if r.remaining() < 4 {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b[r.pos:])
-	r.pos += 4
-	return v
-}
-
-func (r *sidecarReader) str() string {
-	n := r.uvarint()
-	if r.bad || n > uint64(r.remaining()) {
-		r.fail()
-		return ""
-	}
-	s := string(r.b[r.pos : r.pos+int(n)])
-	r.pos += int(n)
-	return s
+	return binary.LittleEndian.AppendUint32(w.b, crc32.Checksum(w.b, store.Castagnoli))
 }
 
 // checkEnvelope validates magic, version, and trailing CRC, returning
@@ -253,7 +197,7 @@ func checkEnvelope(data []byte, magic [4]byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: version %d", ErrBadSidecar, data[4])
 	}
 	body, sum := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.Checksum(body, castagnoli) != sum {
+	if crc32.Checksum(body, store.Castagnoli) != sum {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadSidecar)
 	}
 	return body[5:], nil
@@ -296,30 +240,30 @@ func decodeZoneMap(data []byte) (*ZoneMap, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &sidecarReader{b: body}
+	r := store.NewCursor(body)
 	z := &ZoneMap{}
-	z.SegID = r.uvarint()
-	z.Fingerprint = r.u32()
-	z.Records = r.uvarint()
-	flags := r.byte()
+	z.SegID = r.Uvarint()
+	z.Fingerprint = r.U32()
+	z.Records = r.Uvarint()
+	flags := r.Byte()
 	z.RegOverflow = flags&zfRegOverflow != 0
 	z.CountryOverflow = flags&zfCountryOverflow != 0
 	z.YearZero = flags&zfYearZero != 0
-	minY, maxY := r.uvarint(), r.uvarint()
-	if r.bad || minY > 9999 || maxY > 9999 || minY > maxY {
+	minY, maxY := r.Uvarint(), r.Uvarint()
+	if r.Bad() || minY > 9999 || maxY > 9999 || minY > maxY {
 		return nil, fmt.Errorf("%w: year range", ErrBadSidecar)
 	}
 	z.MinYear, z.MaxYear = int(minY), int(maxY)
 	for _, dst := range []*[]string{&z.Registrars, &z.Countries} {
-		n := r.uvarint()
-		if r.bad || n > maxZoneKeys || n > uint64(r.remaining()) {
+		n := r.Uvarint()
+		if r.Bad() || n > maxZoneKeys || n > uint64(r.Remaining()) {
 			return nil, fmt.Errorf("%w: key set", ErrBadSidecar)
 		}
 		set := make([]string, 0, n)
 		prev := ""
 		for i := uint64(0); i < n; i++ {
-			s := r.str()
-			if r.bad || (i > 0 && s <= prev) {
+			s := r.Str()
+			if r.Bad() || (i > 0 && s <= prev) {
 				return nil, fmt.Errorf("%w: key set order", ErrBadSidecar)
 			}
 			set = append(set, s)
@@ -327,7 +271,7 @@ func decodeZoneMap(data []byte) (*ZoneMap, error) {
 		}
 		*dst = set
 	}
-	if r.bad || r.remaining() != 0 {
+	if !r.Done() {
 		return nil, fmt.Errorf("%w: trailing bytes", ErrBadSidecar)
 	}
 	return z, nil
@@ -343,17 +287,17 @@ func writePostings(w *sidecarWriter, ps []Posting) {
 	}
 }
 
-func readPostings(r *sidecarReader) ([]Posting, error) {
-	n := r.uvarint()
+func readPostings(r *store.Cursor) ([]Posting, error) {
+	n := r.Uvarint()
 	// Each posting costs at least two bytes on the wire.
-	if r.bad || n > uint64(r.remaining()/2)+1 {
+	if r.Bad() || n > uint64(r.Remaining()/2)+1 {
 		return nil, fmt.Errorf("%w: posting count", ErrBadSidecar)
 	}
 	ps := make([]Posting, 0, n)
 	var prev Posting
 	for i := uint64(0); i < n; i++ {
-		d, idx := r.uvarint(), r.uvarint()
-		if r.bad || d > 1<<40 || idx > 1<<24 {
+		d, idx := r.Uvarint(), r.Uvarint()
+		if r.Bad() || d > 1<<40 || idx > 1<<24 {
 			return nil, fmt.Errorf("%w: posting", ErrBadSidecar)
 		}
 		p := Posting{Off: prev.Off + int64(d), Idx: int(idx)}
@@ -415,18 +359,18 @@ func decodeIndex(data []byte) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &sidecarReader{b: body}
+	r := store.NewCursor(body)
 	x := &Index{}
-	x.SegID = r.uvarint()
-	x.Fingerprint = r.u32()
-	x.Records = r.uvarint()
-	flags := r.byte()
-	if r.bad {
+	x.SegID = r.Uvarint()
+	x.Fingerprint = r.U32()
+	x.Records = r.Uvarint()
+	flags := r.Byte()
+	if r.Bad() {
 		return nil, fmt.Errorf("%w: header", ErrBadSidecar)
 	}
 	for i, overflowed := range []bool{flags&xfRegOverflow != 0, flags&xfCountryOverflow != 0} {
-		n := r.uvarint()
-		if r.bad || n > maxIndexKeys || n > uint64(r.remaining()) {
+		n := r.Uvarint()
+		if r.Bad() || n > maxIndexKeys || n > uint64(r.Remaining()) {
 			return nil, fmt.Errorf("%w: section size", ErrBadSidecar)
 		}
 		if overflowed && n != 0 {
@@ -438,8 +382,8 @@ func decodeIndex(data []byte) (*Index, error) {
 		}
 		prev := ""
 		for j := uint64(0); j < n; j++ {
-			k := r.str()
-			if r.bad || (j > 0 && k <= prev) {
+			k := r.Str()
+			if r.Bad() || (j > 0 && k <= prev) {
 				return nil, fmt.Errorf("%w: key order", ErrBadSidecar)
 			}
 			ps, err := readPostings(r)
@@ -455,8 +399,8 @@ func decodeIndex(data []byte) (*Index, error) {
 			x.Country = m
 		}
 	}
-	n := r.uvarint()
-	if r.bad || n > maxIndexKeys || n > uint64(r.remaining()) {
+	n := r.Uvarint()
+	if r.Bad() || n > maxIndexKeys || n > uint64(r.Remaining()) {
 		return nil, fmt.Errorf("%w: year section size", ErrBadSidecar)
 	}
 	if flags&xfYearOverflow != 0 {
@@ -468,8 +412,8 @@ func decodeIndex(data []byte) (*Index, error) {
 	}
 	prevYear := int64(-1)
 	for j := uint64(0); j < n; j++ {
-		y := r.uvarint()
-		if r.bad || y > 9999 || int64(y) <= prevYear {
+		y := r.Uvarint()
+		if r.Bad() || y > 9999 || int64(y) <= prevYear {
 			return nil, fmt.Errorf("%w: year key", ErrBadSidecar)
 		}
 		ps, err := readPostings(r)
@@ -479,7 +423,7 @@ func decodeIndex(data []byte) (*Index, error) {
 		x.Year[int(y)] = ps
 		prevYear = int64(y)
 	}
-	if r.bad || r.remaining() != 0 {
+	if !r.Done() {
 		return nil, fmt.Errorf("%w: trailing bytes", ErrBadSidecar)
 	}
 	return x, nil

@@ -127,7 +127,7 @@ func (bw *blockWriter) flush() error {
 	if err != nil {
 		return err
 	}
-	bw.frame = appendFrame(bw.frame[:0], payload)
+	bw.frame = AppendFrame(bw.frame[:0], payload)
 	if _, err := bw.f.Write(bw.frame); err != nil {
 		return fmt.Errorf("store: compress write: %w", err)
 	}

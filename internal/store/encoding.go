@@ -19,7 +19,9 @@
 //
 //	frame := uvarint(len(payload)) | payload | crc32c(payload) LE32
 //
-// The CRC is Castagnoli (CRC32C). A frame whose length varint is torn,
+// The CRC is Castagnoli (CRC32C). The cluster wire uses the same
+// envelope, written by AppendFrame and read by ReadFrame, and decodes
+// its messages with the same Cursor. A frame whose length varint is torn,
 // whose payload is short, or whose CRC mismatches marks the end of the
 // recoverable region: Open truncates a torn tail on the newest segment
 // (a crash mid-append) and refuses corruption anywhere else.
@@ -52,13 +54,12 @@ const (
 	// larger length prefixes before allocating, so a corrupt varint can
 	// never cause a multi-gigabyte allocation.
 	maxFramePayload = 16 << 20
-
-	// frameCRCLen is the trailing checksum size.
-	frameCRCLen = 4
 )
 
-// castagnoli is the CRC32C table shared by frames and model artifacts.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// Castagnoli is the one CRC32C table in the program: segment frames,
+// model artifacts, the cluster wire, query sidecars and registry
+// manifests all checksum with it.
+var Castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Decode errors. ErrTornFrame specifically means "the bytes end mid-frame"
 // — recoverable when it is the tail of the newest segment, fatal anywhere
@@ -108,8 +109,10 @@ const (
 	blockKind  = 2
 )
 
-// appendUvarint, appendString: little encoding helpers over a shared buf.
-func appendString(buf []byte, s string) []byte {
+// AppendString appends s with its uvarint length prefix: the string and
+// byte-string encoding of record payloads, wire messages and sidecars.
+// Cursor.Str and Cursor.Bytes read it back.
+func AppendString[S string | []byte](buf []byte, s S) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
 }
@@ -143,32 +146,32 @@ func appendRecord(buf []byte, rec *Record) []byte {
 		flags |= flagHasDomainMeta
 	}
 	buf = append(buf, flags)
-	buf = appendString(buf, rec.Domain)
-	buf = appendString(buf, rec.Facts.Registrar)
-	buf = appendString(buf, rec.Facts.Country)
+	buf = AppendString(buf, rec.Domain)
+	buf = AppendString(buf, rec.Facts.Registrar)
+	buf = AppendString(buf, rec.Facts.Country)
 	buf = binary.AppendUvarint(buf, uint64(rec.Facts.CreatedYear))
-	buf = appendString(buf, rec.Facts.PrivacySvc)
-	buf = appendString(buf, rec.Facts.Org)
+	buf = AppendString(buf, rec.Facts.PrivacySvc)
+	buf = AppendString(buf, rec.Facts.Org)
 	if rec.Text != "" {
-		buf = appendString(buf, rec.Text)
+		buf = AppendString(buf, rec.Text)
 	}
 	if pr := rec.Parsed; pr != nil {
-		buf = appendString(buf, pr.Registrar)
-		buf = appendString(buf, pr.RegistrarURL)
-		buf = appendString(buf, pr.DomainName)
-		buf = appendString(buf, pr.WhoisServer)
-		buf = appendString(buf, pr.CreatedDate)
-		buf = appendString(buf, pr.UpdatedDate)
-		buf = appendString(buf, pr.ExpiresDate)
+		buf = AppendString(buf, pr.Registrar)
+		buf = AppendString(buf, pr.RegistrarURL)
+		buf = AppendString(buf, pr.DomainName)
+		buf = AppendString(buf, pr.WhoisServer)
+		buf = AppendString(buf, pr.CreatedDate)
+		buf = AppendString(buf, pr.UpdatedDate)
+		buf = AppendString(buf, pr.ExpiresDate)
 		buf = appendContact(buf, &pr.Registrant)
 		buf = binary.AppendUvarint(buf, uint64(len(pr.Lines)))
 		for i := range pr.Lines {
-			buf = appendString(buf, pr.Lines[i].Raw)
+			buf = AppendString(buf, pr.Lines[i].Raw)
 			buf = append(buf, byte(pr.Blocks[i]), byte(pr.Fields[i]))
 		}
 	}
 	if modelVersion != "" {
-		buf = appendString(buf, modelVersion)
+		buf = AppendString(buf, modelVersion)
 	}
 	if flags&flagHasDomainMeta != 0 {
 		buf = appendStrings(buf, rec.Parsed.NameServers)
@@ -180,40 +183,55 @@ func appendRecord(buf []byte, rec *Record) []byte {
 func appendStrings(buf []byte, ss []string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(ss)))
 	for _, s := range ss {
-		buf = appendString(buf, s)
+		buf = AppendString(buf, s)
 	}
 	return buf
 }
 
 func appendContact(buf []byte, c *core.Contact) []byte {
-	buf = appendString(buf, c.Name)
-	buf = appendString(buf, c.ID)
-	buf = appendString(buf, c.Org)
-	buf = appendString(buf, c.Street)
-	buf = appendString(buf, c.City)
-	buf = appendString(buf, c.State)
-	buf = appendString(buf, c.Postcode)
-	buf = appendString(buf, c.Country)
-	buf = appendString(buf, c.Phone)
-	buf = appendString(buf, c.Fax)
-	buf = appendString(buf, c.Email)
+	buf = AppendString(buf, c.Name)
+	buf = AppendString(buf, c.ID)
+	buf = AppendString(buf, c.Org)
+	buf = AppendString(buf, c.Street)
+	buf = AppendString(buf, c.City)
+	buf = AppendString(buf, c.State)
+	buf = AppendString(buf, c.Postcode)
+	buf = AppendString(buf, c.Country)
+	buf = AppendString(buf, c.Phone)
+	buf = AppendString(buf, c.Fax)
+	buf = AppendString(buf, c.Email)
 	return buf
 }
 
-// reader is a bounds-checked cursor over a payload. Every read method
-// reports failure instead of panicking or reading past the slice — the
-// decoder's fuzz target leans on this.
-type reader struct {
+// Cursor is a bounds-checked reader over one payload: a record, a wire
+// message or a sidecar body. A read that would run past the end latches
+// the cursor bad and returns a zero value, and every later read does the
+// same, so a decoder reads all its fields and checks Bad (or Done) once.
+// No method panics or reads outside the slice; the fuzz targets of the
+// store, the cluster and the query engine lean on this.
+type Cursor struct {
 	b   []byte
 	pos int
 	bad bool
 }
 
-func (r *reader) fail() { r.bad = true }
+// NewCursor returns a cursor at the start of b.
+func NewCursor(b []byte) *Cursor { return &Cursor{b: b} }
 
-func (r *reader) byte() byte {
+// Bad reports whether a read has failed.
+func (r *Cursor) Bad() bool { return r.bad }
+
+// Remaining returns the number of unread bytes.
+func (r *Cursor) Remaining() int { return len(r.b) - r.pos }
+
+// Done reports whether every read succeeded and consumed the payload
+// exactly, with no trailing bytes.
+func (r *Cursor) Done() bool { return !r.bad && r.pos == len(r.b) }
+
+// Byte reads one byte.
+func (r *Cursor) Byte() byte {
 	if r.bad || r.pos >= len(r.b) {
-		r.fail()
+		r.bad = true
 		return 0
 	}
 	c := r.b[r.pos]
@@ -221,50 +239,64 @@ func (r *reader) byte() byte {
 	return c
 }
 
-func (r *reader) uvarint() uint64 {
+// Uvarint reads one unsigned varint.
+func (r *Cursor) Uvarint() uint64 {
 	if r.bad {
 		return 0
 	}
 	v, n := binary.Uvarint(r.b[r.pos:])
 	if n <= 0 {
-		r.fail()
+		r.bad = true
 		return 0
 	}
 	r.pos += n
 	return v
 }
 
-func (r *reader) str() string {
-	n := r.uvarint()
-	if r.bad {
-		return ""
+// U32 reads one little-endian uint32.
+func (r *Cursor) U32() uint32 {
+	if r.bad || r.Remaining() < 4 {
+		r.bad = true
+		return 0
 	}
-	if n > uint64(len(r.b)-r.pos) {
-		r.fail()
-		return ""
-	}
-	s := string(r.b[r.pos : r.pos+int(n)])
-	r.pos += int(n)
-	return s
+	v := binary.LittleEndian.Uint32(r.b[r.pos:])
+	r.pos += 4
+	return v
 }
+
+// Bytes reads one length-prefixed byte string. The result aliases the
+// payload, so it is valid only as long as the payload is.
+func (r *Cursor) Bytes() []byte {
+	n := r.Uvarint()
+	if r.bad || n > uint64(r.Remaining()) {
+		r.bad = true
+		return nil
+	}
+	b := r.b[r.pos : r.pos+int(n)]
+	r.pos += int(n)
+	return b
+}
+
+// Str reads one length-prefixed string into a copy of its own.
+func (r *Cursor) Str() string { return string(r.Bytes()) }
 
 // decodeRecord parses one payload produced by appendRecord. It never
 // panics or over-reads: every length is validated against the remaining
 // bytes before use.
 func decodeRecord(payload []byte) (*Record, error) {
-	r := &reader{b: payload}
-	if kind := r.byte(); r.bad || kind != recordKind {
+	r := NewCursor(payload)
+	if kind := r.Byte(); r.Bad() || kind != recordKind {
 		return nil, fmt.Errorf("%w: unknown kind", ErrBadRecord)
 	}
-	flags := r.byte()
+	flags := r.Byte()
 	rec := &Record{}
-	rec.Domain = r.str()
-	rec.Facts.Registrar = r.str()
-	rec.Facts.Country = r.str()
-	year := r.uvarint()
-	rec.Facts.PrivacySvc = r.str()
-	rec.Facts.Org = r.str()
-	if r.bad {
+	rec.Domain = r.Str()
+	rec.Facts.Registrar = r.Str()
+	rec.Facts.Country = r.Str()
+	year := r.Uvarint()
+	rec.Facts.PrivacySvc = r.Str()
+	rec.Facts.Org = r.Str()
+	if r.Bad() {
 		return nil, fmt.Errorf("%w: truncated facts", ErrBadRecord)
 	}
 	if year > 9999 {
@@ -275,35 +307,35 @@ func decodeRecord(payload []byte) (*Record, error) {
 	rec.Facts.Privacy = flags&flagPrivacy != 0
 	rec.Facts.Blacklisted = flags&flagBlacklisted != 0
 	if flags&flagHasText != 0 {
-		rec.Text = r.str()
+		rec.Text = r.Str()
 	}
 	if flags&flagHasParsed != 0 {
 		pr := &core.ParsedRecord{}
-		pr.Registrar = r.str()
-		pr.RegistrarURL = r.str()
-		pr.DomainName = r.str()
-		pr.WhoisServer = r.str()
-		pr.CreatedDate = r.str()
-		pr.UpdatedDate = r.str()
-		pr.ExpiresDate = r.str()
+		pr.Registrar = r.Str()
+		pr.RegistrarURL = r.Str()
+		pr.DomainName = r.Str()
+		pr.WhoisServer = r.Str()
+		pr.CreatedDate = r.Str()
+		pr.UpdatedDate = r.Str()
+		pr.ExpiresDate = r.Str()
 		decodeContact(r, &pr.Registrant)
-		nLines := r.uvarint()
-		if r.bad {
+		nLines := r.Uvarint()
+		if r.Bad() {
 			return nil, fmt.Errorf("%w: truncated parsed record", ErrBadRecord)
 		}
 		// Each line costs at least 3 bytes (empty-string varint + two
 		// label bytes), so a count beyond remaining/3 is corrupt — reject
 		// before allocating.
-		if nLines > uint64(len(payload)-r.pos)/3 {
+		if nLines > uint64(r.Remaining())/3 {
 			return nil, fmt.Errorf("%w: line count %d exceeds payload", ErrBadRecord, nLines)
 		}
 		pr.Lines = make([]tokenize.Line, nLines)
 		pr.Blocks = make([]labels.Block, nLines)
 		pr.Fields = make([]labels.Field, nLines)
 		for i := range pr.Lines {
-			pr.Lines[i].Raw = r.str()
-			b, fd := r.byte(), r.byte()
-			if r.bad {
+			pr.Lines[i].Raw = r.Str()
+			b, fd := r.Byte(), r.Byte()
+			if r.Bad() {
 				return nil, fmt.Errorf("%w: truncated line %d", ErrBadRecord, i)
 			}
 			if int(b) >= labels.NumBlocks || int(fd) >= labels.NumFields {
@@ -315,7 +347,7 @@ func decodeRecord(payload []byte) (*Record, error) {
 		rec.Parsed = pr
 	}
 	if flags&flagHasModelVersion != 0 {
-		rec.Facts.ModelVersion = r.str()
+		rec.Facts.ModelVersion = r.Str()
 		if rec.Parsed != nil {
 			rec.Parsed.ModelVersion = rec.Facts.ModelVersion
 		}
@@ -327,11 +359,11 @@ func decodeRecord(payload []byte) (*Record, error) {
 		rec.Parsed.NameServers = decodeStrings(r)
 		rec.Parsed.Statuses = decodeStrings(r)
 	}
-	if r.bad {
+	if r.Bad() {
 		return nil, fmt.Errorf("%w: truncated payload", ErrBadRecord)
 	}
-	if r.pos != len(payload) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadRecord, len(payload)-r.pos)
+	if !r.Done() {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadRecord, r.Remaining())
 	}
 	return rec, nil
 }
@@ -339,15 +371,15 @@ func decodeRecord(payload []byte) (*Record, error) {
 // decodeStrings mirrors appendStrings. A zero count decodes to nil so
 // the encoder/decoder stay exact mirrors (the encoder never writes an
 // empty list without the gating flag's other half being non-empty).
-func decodeStrings(r *reader) []string {
-	n := r.uvarint()
-	if r.bad {
+func decodeStrings(r *Cursor) []string {
+	n := r.Uvarint()
+	if r.Bad() {
 		return nil
 	}
 	// Each entry costs at least one byte (its length varint), so a count
 	// beyond the remaining bytes is corrupt — reject before allocating.
-	if n > uint64(len(r.b)-r.pos) {
-		r.fail()
+	if n > uint64(r.Remaining()) {
+		r.bad = true
 		return nil
 	}
 	if n == 0 {
@@ -355,23 +387,23 @@ func decodeStrings(r *reader) []string {
 	}
 	out := make([]string, n)
 	for i := range out {
-		out[i] = r.str()
+		out[i] = r.Str()
 	}
 	return out
 }
 
-func decodeContact(r *reader, c *core.Contact) {
-	c.Name = r.str()
-	c.ID = r.str()
-	c.Org = r.str()
-	c.Street = r.str()
-	c.City = r.str()
-	c.State = r.str()
-	c.Postcode = r.str()
-	c.Country = r.str()
-	c.Phone = r.str()
-	c.Fax = r.str()
-	c.Email = r.str()
+func decodeContact(r *Cursor, c *core.Contact) {
+	c.Name = r.Str()
+	c.ID = r.Str()
+	c.Org = r.Str()
+	c.Street = r.Str()
+	c.City = r.Str()
+	c.State = r.Str()
+	c.Postcode = r.Str()
+	c.Country = r.Str()
+	c.Phone = r.Str()
+	c.Fax = r.Str()
+	c.Email = r.Str()
 }
 
 // Block frames. A block payload is
@@ -431,13 +463,13 @@ func appendBlock(buf []byte, payloads [][]byte) ([]byte, error) {
 // after the caller's frame buffer is reused. It never panics and bounds
 // every allocation against the declared sizes.
 func decodeBlock(payload []byte) ([][]byte, error) {
-	r := &reader{b: payload}
-	if kind := r.byte(); r.bad || kind != blockKind {
+	r := NewCursor(payload)
+	if kind := r.Byte(); r.Bad() || kind != blockKind {
 		return nil, fmt.Errorf("%w: not a block", ErrBadBlock)
 	}
-	count := r.uvarint()
-	rawLen := r.uvarint()
-	if r.bad {
+	count := r.Uvarint()
+	rawLen := r.Uvarint()
+	if r.Bad() {
 		return nil, fmt.Errorf("%w: truncated header", ErrBadBlock)
 	}
 	if rawLen > maxBlockRaw {
@@ -460,17 +492,14 @@ func decodeBlock(payload []byte) ([][]byte, error) {
 		return nil, fmt.Errorf("%w: oversized decompression", ErrBadBlock)
 	}
 	out := make([][]byte, 0, count)
-	br := &reader{b: raw}
+	br := NewCursor(raw)
 	for i := uint64(0); i < count; i++ {
-		n := br.uvarint()
-		if br.bad || n > uint64(len(raw)-br.pos) {
+		if out = append(out, br.Bytes()); br.Bad() {
 			return nil, fmt.Errorf("%w: truncated entry %d", ErrBadBlock, i)
 		}
-		out = append(out, raw[br.pos:br.pos+int(n)])
-		br.pos += int(n)
 	}
-	if br.pos != len(raw) {
-		return nil, fmt.Errorf("%w: %d trailing raw bytes", ErrBadBlock, len(raw)-br.pos)
+	if !br.Done() {
+		return nil, fmt.Errorf("%w: %d trailing raw bytes", ErrBadBlock, br.Remaining())
 	}
 	return out, nil
 }
@@ -493,15 +522,65 @@ func EncodeRecord(buf []byte, rec *Record) []byte { return appendRecord(buf, rec
 // input.
 func DecodeRecord(payload []byte) (*Record, error) { return decodeRecord(payload) }
 
-// appendFrame wraps payload in the frame envelope: length varint, bytes,
-// CRC32C.
-func appendFrame(buf, payload []byte) []byte {
+// AppendFrame wraps payload in the frame envelope that the segment log
+// and the cluster wire share: length varint, bytes, CRC32C LE32.
+func AppendFrame(buf, payload []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(payload)))
 	buf = append(buf, payload...)
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, Castagnoli))
 }
 
-// frameScanner streams frames off a reader with a single reusable
+// ReadFrame reads one AppendFrame envelope from r into *buf, growing it
+// as needed, and returns the payload (valid until *buf is reused) and
+// the bytes consumed. A clean end of input before the frame returns
+// io.EOF; input that ends mid-frame returns ErrTornFrame; a length over
+// limit returns ErrFrameTooBig before anything is allocated; an intact
+// frame failing its checksum returns ErrBadChecksum. limit is the
+// caller's constant: maxFramePayload for records, the cluster's for the
+// wire.
+func ReadFrame(r *bufio.Reader, buf *[]byte, limit int) (payload []byte, n int, err error) {
+	// Length varint, byte by byte. Every limit fits 4 bytes (< 2^28);
+	// anything longer is corruption, but at the tail of a segment it is
+	// indistinguishable from a torn write, so it reports ErrTornFrame and
+	// the caller decides.
+	var size uint64
+	for shift := uint(0); ; shift += 7 {
+		c, rerr := r.ReadByte()
+		if rerr != nil {
+			if shift == 0 && rerr == io.EOF {
+				return nil, n, io.EOF
+			}
+			return nil, n, ErrTornFrame
+		}
+		n++
+		size |= uint64(c&0x7f) << shift
+		if c < 0x80 {
+			break
+		}
+		if shift >= 28 {
+			return nil, n, ErrTornFrame
+		}
+	}
+	if size > uint64(limit) {
+		return nil, n, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, size)
+	}
+	need := int(size) + 4
+	if cap(*buf) < need {
+		*buf = make([]byte, need)
+	}
+	b := (*buf)[:need]
+	if _, rerr := io.ReadFull(r, b); rerr != nil {
+		return nil, n, ErrTornFrame
+	}
+	n += need
+	payload = b[:size]
+	if crc32.Checksum(payload, Castagnoli) != binary.LittleEndian.Uint32(b[size:]) {
+		return nil, n, ErrBadChecksum
+	}
+	return payload, n, nil
+}
+
+// frameScanner streams a segment's frames with a single reusable
 // payload buffer, so iterating a multi-gigabyte segment holds one frame
 // in memory at a time. It tracks byte offsets for the sparse index and
 // for recovery truncation.
@@ -515,50 +594,12 @@ func newFrameScanner(r io.Reader, start int64) *frameScanner {
 	return &frameScanner{r: bufio.NewReaderSize(r, 1<<16), off: start}
 }
 
-// next returns the next frame's payload and its start offset. A clean
-// end of input returns io.EOF; input that ends mid-frame returns
-// ErrTornFrame; an intact frame failing its checksum returns
-// ErrBadChecksum. The payload is only valid until the following call.
+// next returns the next frame's payload and its start offset, with
+// ReadFrame's errors. The payload is only valid until the following
+// call.
 func (fs *frameScanner) next() (payload []byte, start int64, err error) {
 	start = fs.off
-	// Length varint, byte by byte. A valid length fits 4 bytes
-	// (maxFramePayload < 2^28); anything longer is corruption, but at the
-	// tail of a segment it is indistinguishable from a torn write, so it
-	// reports ErrTornFrame and the caller decides.
-	var n uint64
-	for shift := uint(0); ; shift += 7 {
-		c, rerr := fs.r.ReadByte()
-		if rerr != nil {
-			if shift == 0 && rerr == io.EOF {
-				return nil, start, io.EOF
-			}
-			return nil, start, ErrTornFrame
-		}
-		fs.off++
-		n |= uint64(c&0x7f) << shift
-		if c < 0x80 {
-			break
-		}
-		if shift >= 28 {
-			return nil, start, ErrTornFrame
-		}
-	}
-	if n > maxFramePayload {
-		return nil, start, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, n)
-	}
-	need := int(n) + frameCRCLen
-	if cap(fs.buf) < need {
-		fs.buf = make([]byte, need)
-	}
-	b := fs.buf[:need]
-	if _, rerr := io.ReadFull(fs.r, b); rerr != nil {
-		return nil, start, ErrTornFrame
-	}
-	fs.off += int64(need)
-	payload = b[:n]
-	want := binary.LittleEndian.Uint32(b[n:])
-	if crc32.Checksum(payload, castagnoli) != want {
-		return nil, start, ErrBadChecksum
-	}
-	return payload, start, nil
+	payload, n, err := ReadFrame(fs.r, &fs.buf, maxFramePayload)
+	fs.off += int64(n)
+	return payload, start, err
 }

@@ -66,8 +66,8 @@ func FuzzRecordDecode(f *testing.F) {
 // matching checksum by construction.
 func FuzzFrameScan(f *testing.F) {
 	// Valid single and double frames, plus torn and corrupt variants.
-	one := appendFrame(nil, appendRecord(nil, testRecord(1)))
-	two := appendFrame(append([]byte(nil), one...), appendRecord(nil, testRecord(2)))
+	one := AppendFrame(nil, appendRecord(nil, testRecord(1)))
+	two := AppendFrame(append([]byte(nil), one...), appendRecord(nil, testRecord(2)))
 	f.Add(one)
 	f.Add(two)
 	f.Add(one[:len(one)-2])                     // torn CRC

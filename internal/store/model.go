@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 
 	"repro/internal/core"
 )
@@ -113,24 +114,29 @@ func StatModel(path string) (ModelInfo, error) {
 }
 
 // SaveModel writes the trained parser to path in the versioned artifact
-// format, via a temp file + rename so a crash never leaves a torn model
-// where a good one stood, and returns the identity of what it wrote.
+// format through WriteFileSync, so a crash never leaves a torn model
+// where a good one stood and concurrent saves to one path never collide,
+// and returns the identity of what it wrote.
 func SaveModel(p *core.Parser, path string) (ModelInfo, error) {
-	var payload bytes.Buffer
-	if _, err := p.WriteTo(&payload); err != nil {
+	// The header is filled in place once the payload behind it is known.
+	var file bytes.Buffer
+	file.Write(make([]byte, modelHeaderLen))
+	if _, err := p.WriteTo(&file); err != nil {
 		return ModelInfo{}, fmt.Errorf("store: save model: %w", err)
 	}
+	data := file.Bytes()
+	payload := data[modelHeaderLen:]
 	info := ModelInfo{
 		FormatVersion: modelVersion,
 		BlockFeatures: uint64(p.BlockModel().NumFeatures()),
-		PayloadBytes:  uint64(payload.Len()),
-		CRC32C:        crc32.Checksum(payload.Bytes(), castagnoli),
+		PayloadBytes:  uint64(len(payload)),
+		CRC32C:        crc32.Checksum(payload, Castagnoli),
 	}
 	if p.FieldModel() != nil {
 		info.FieldFeatures = uint64(p.FieldModel().NumFeatures())
 	}
 
-	hdr := make([]byte, modelHeaderLen)
+	hdr := data[:modelHeaderLen]
 	copy(hdr, modelMagic[:])
 	binary.LittleEndian.PutUint16(hdr[4:], info.FormatVersion)
 	binary.LittleEndian.PutUint64(hdr[6:], info.BlockFeatures)
@@ -138,31 +144,55 @@ func SaveModel(p *core.Parser, path string) (ModelInfo, error) {
 	binary.LittleEndian.PutUint32(hdr[22:], info.CRC32C)
 	binary.LittleEndian.PutUint64(hdr[26:], info.PayloadBytes)
 
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return ModelInfo{}, fmt.Errorf("store: save model: %w", err)
-	}
-	if _, err := f.Write(hdr); err == nil {
-		_, err = f.Write(payload.Bytes())
-		if err == nil {
-			err = f.Sync()
-		}
-	} else {
-		err = fmt.Errorf("write header: %w", err)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return ModelInfo{}, fmt.Errorf("store: save model: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := WriteFileSync(path, data); err != nil {
 		return ModelInfo{}, fmt.Errorf("store: save model: %w", err)
 	}
 	return info, nil
+}
+
+// WriteFileSync writes data to path durably and atomically: a uniquely
+// named temp file in the same directory, fsync, rename, fsync the
+// directory. A crash leaves either the old file or the new one, never a
+// torn mix, and concurrent writers to one path each rename a whole file.
+func WriteFileSync(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, ".tmp-*")
+	if err != nil {
+		return err
+	}
+	tmpName := tmp.Name()
+	werr := tmp.Chmod(0o644)
+	if werr == nil {
+		_, werr = tmp.Write(data)
+	}
+	if werr == nil {
+		werr = tmp.Sync()
+	}
+	if cerr := tmp.Close(); werr == nil {
+		werr = cerr
+	}
+	if werr != nil {
+		os.Remove(tmpName)
+		return werr
+	}
+	if err := os.Rename(tmpName, path); err != nil {
+		os.Remove(tmpName)
+		return err
+	}
+	return SyncDir(dir)
+}
+
+// SyncDir fsyncs a directory so a rename or unlink within it is durable.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // LoadModel reads a model artifact written by SaveModel, verifying the
@@ -202,7 +232,7 @@ func ReadModel(r io.Reader) (*core.Parser, ModelInfo, error) {
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, ModelInfo{}, fmt.Errorf("%w: short payload", ErrModelChecksum)
 	}
-	if crc32.Checksum(payload, castagnoli) != info.CRC32C {
+	if crc32.Checksum(payload, Castagnoli) != info.CRC32C {
 		return nil, ModelInfo{}, ErrModelChecksum
 	}
 	p, err := core.Read(bytes.NewReader(payload))
@@ -259,7 +289,7 @@ func verifyModelStream(r io.Reader) (ModelInfo, error) {
 	if err != nil {
 		return ModelInfo{}, err
 	}
-	h := crc32.New(castagnoli)
+	h := crc32.New(Castagnoli)
 	n, err := io.Copy(h, r)
 	if err != nil {
 		return info, fmt.Errorf("store: verify model: %w", err)

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -61,6 +62,42 @@ func TestModelRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSaveModelConcurrentSamePath: saves racing to one path each write
+// a whole artifact of their own and rename it into place, so every save
+// succeeds, the file always loads, and no temp file is left behind.
+func TestSaveModelConcurrentSamePath(t *testing.T) {
+	p := getParser(t)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "parser.model")
+	for round := 0; round < 20; round++ {
+		var wg sync.WaitGroup
+		errs := make(chan error, 4)
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := SaveModel(p, path); err != nil {
+					errs <- err
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Errorf("round %d: %v", round, err)
+		}
+		if _, _, err := LoadModel(path); err != nil {
+			t.Fatalf("round %d: load: %v", round, err)
+		}
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 {
+		t.Fatalf("directory holds %d entries, want only the model", len(ents))
+	}
+}
 func TestModelRejectsCorruption(t *testing.T) {
 	p := getParser(t)
 	dir := t.TempDir()
@@ -181,7 +218,7 @@ func TestStatModelMatchesArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := crc32.Checksum(raw[modelHeaderLen:], castagnoli); got != info.CRC32C {
+	if got := crc32.Checksum(raw[modelHeaderLen:], Castagnoli); got != info.CRC32C {
 		t.Errorf("CRC32C = %08x, payload hashes to %08x", info.CRC32C, got)
 	}
 	if info.PayloadBytes != uint64(len(raw)-modelHeaderLen) {

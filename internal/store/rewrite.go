@@ -104,10 +104,7 @@ func (s *Store) rewrite(in []*SegmentReader, keep []bool) (*segment, error) {
 			return nil, fmt.Errorf("store: rewrite cleanup: %w", err)
 		}
 	}
-	if d, derr := os.Open(s.dir); derr == nil {
-		_ = d.Sync() // best-effort directory durability for the swap
-		d.Close()
-	}
+	_ = SyncDir(s.dir) // best-effort directory durability for the swap
 	// Splice out in place of the inputs. Only this rewrite removes
 	// segments and rotation only appends, so the inputs are still
 	// adjacent in s.segments.

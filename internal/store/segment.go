@@ -140,7 +140,7 @@ const fingerprintSample = 4096
 // or foreign sidecar is detected — and regenerated — rather than
 // trusted, without re-reading the whole segment on every query.
 func (r *SegmentReader) Fingerprint() (uint32, error) {
-	h := crc32.New(castagnoli)
+	h := crc32.New(Castagnoli)
 	head := int64(fingerprintSample)
 	if head > r.info.Size {
 		head = r.info.Size

@@ -384,7 +384,7 @@ func (s *Store) RecoveredBytes() int64 {
 func (s *Store) Append(rec *Record) error {
 	start := time.Now()
 	payload := appendRecord(nil, rec)
-	frame := appendFrame(make([]byte, 0, len(payload)+8), payload)
+	frame := AppendFrame(make([]byte, 0, len(payload)+8), payload)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"strings"
 	"sync"
@@ -52,7 +53,7 @@ type Server struct {
 	WriteTimeout time.Duration
 	// Log, when non-nil, receives structured diagnostics, including
 	// per-connection read and write errors. A nil logger drops them.
-	Log *obs.Logger
+	Log *slog.Logger
 
 	mu       sync.Mutex
 	listener net.Listener
@@ -159,9 +160,12 @@ func (s *Server) isClosed() bool {
 	return s.closed
 }
 
-// warn logs a per-connection diagnostic tagged with the server name.
+// warn logs a diagnostic tagged with the server name; a nil Log drops
+// it.
 func (s *Server) warn(msg string, kvs ...any) {
-	s.Log.Warn(msg, append([]any{"server", s.Name}, kvs...)...)
+	if s.Log != nil {
+		s.Log.Warn(msg, append([]any{"server", s.Name}, kvs...)...)
+	}
 }
 
 // Close stops the listener, closes live connections, and waits for the
@@ -233,7 +237,6 @@ func (d *Directory) Names() []string {
 type Cluster struct {
 	Directory *Directory
 	servers   []*Server
-	log       *obs.Logger
 }
 
 // ClusterConfig tunes the per-server rate limits.
@@ -245,7 +248,7 @@ type ClusterConfig struct {
 	Window         time.Duration
 	Penalty        time.Duration
 	// Log receives structured diagnostics; nil drops them.
-	Log *obs.Logger
+	Log *slog.Logger
 	// Metrics, when non-nil, receives cluster-wide query counters
 	// (whoisd.queries, whoisd.ratelimited, whoisd.nomatch).
 	Metrics *obs.Registry
@@ -259,7 +262,7 @@ type ClusterConfig struct {
 
 // StartCluster binds every server in the ecosystem to a loopback port.
 func StartCluster(eco *registry.Ecosystem, cfg ClusterConfig) (*Cluster, error) {
-	c := &Cluster{Directory: NewDirectory(), log: cfg.Log}
+	c := &Cluster{Directory: NewDirectory()}
 	now := time.Now
 	mkLimiter := func(limit int) *registry.RateLimiter {
 		if limit <= 0 {
@@ -330,7 +333,7 @@ func StartCluster(eco *registry.Ecosystem, cfg ClusterConfig) (*Cluster, error) 
 func (c *Cluster) Close() {
 	for _, s := range c.servers {
 		if err := s.Close(); err != nil {
-			c.log.Warn("close failed", "server", s.Name, "err", err)
+			s.warn("close failed", "err", err)
 		}
 	}
 }

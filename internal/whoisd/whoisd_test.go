@@ -3,6 +3,7 @@ package whoisd
 import (
 	"context"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -253,4 +254,80 @@ func TestServerReadTimeoutDropsSilentClients(t *testing.T) {
 	if time.Since(start) > 3*time.Second {
 		t.Errorf("silent client held for %v", time.Since(start))
 	}
+}
+
+// goroutinesJoined notes the goroutine count; the returned check polls
+// briefly until the count is back at that baseline, so a goroutine the
+// code under test started and did not join fails the test.
+func goroutinesJoined(t *testing.T) func() {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	return func() {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<16)
+				t.Fatalf("%d goroutines after Close, %d before start:\n%s",
+					runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+}
+
+// openIdleConn dials s and waits until s is serving the connection, so
+// Close finds it mid-read.
+func openIdleConn(t *testing.T, s *Server, addr string) net.Conn {
+	t.Helper()
+	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		s.mu.Lock()
+		n := len(s.conns)
+		s.mu.Unlock()
+		if n > 0 {
+			return conn
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("server never picked up the connection")
+		}
+	}
+}
+
+// TestServerCloseJoinsGoroutines: a server with an idle open connection
+// leaves no goroutine behind once Close returns.
+func TestServerCloseJoinsGoroutines(t *testing.T) {
+	joined := goroutinesJoined(t)
+	s := NewServer("t", HandlerFunc(echoHandler))
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := openIdleConn(t, s, addr.String())
+	defer conn.Close()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	joined()
+}
+
+// TestClusterCloseJoinsGoroutines: the same for a whole cluster, with an
+// idle connection open to its registry server.
+func TestClusterCloseJoinsGoroutines(t *testing.T) {
+	joined := goroutinesJoined(t)
+	eco := registry.BuildEcosystem(synth.Generate(synth.Config{N: 10, Seed: 62}), 0)
+	c, err := StartCluster(eco, ClusterConfig{RegistryLimit: 5, Window: time.Second, Penalty: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := c.Directory.Resolve(registry.RegistryServerName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := openIdleConn(t, c.servers[0], addr)
+	defer conn.Close()
+	c.Close()
+	joined()
 }
