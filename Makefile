@@ -83,7 +83,7 @@ benchcheck:
 	  $(GO) test -run '^$$' -bench 'BenchmarkHotSwap$$|BenchmarkParseDuringSwap$$' -benchtime 4096x -count 3 ./internal/lifecycle && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkTiered' -benchtime 200x -count 3 ./internal/tiered && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkRingLookup$$|BenchmarkRingLookupBounded$$|BenchmarkShardForward$$|BenchmarkShardForwardRemoteHit$$|BenchmarkShardForwardTCP$$' -benchtime 20000x -count 3 ./internal/cluster && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkQueryPruned$$|BenchmarkQueryFullScan$$|BenchmarkZoneMapBuild$$' -benchtime 20x -count 3 ./internal/query && \
+	  $(GO) test -run '^$$' -bench 'BenchmarkQueryPruned$$|BenchmarkQueryFullScan$$|BenchmarkSidecarBuild$$' -benchtime 20x -count 3 ./internal/query && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkConsistencyCheck$$|BenchmarkConsistencyBatch$$' -benchtime 20000x -count 3 ./internal/consistency && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkPublish$$|BenchmarkResolveServing$$' -benchtime 50x -count 3 ./internal/modelreg ) \
 	  | /tmp/benchcheck BENCH_serve.json BENCH_inference.json BENCH_store.json BENCH_lifecycle.json BENCH_tiered.json BENCH_cluster.json BENCH_query.json BENCH_consistency.json BENCH_modelreg.json
@@ -100,15 +100,16 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRecordDecode -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzFrameScan -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime 10s ./internal/cluster/
-	$(GO) test -run '^$$' -fuzz FuzzIndexDecode -fuzztime 10s ./internal/query/
+	$(GO) test -run '^$$' -fuzz FuzzFactsDecode -fuzztime 10s ./internal/query/
 	$(GO) test -run '^$$' -fuzz FuzzNorm -fuzztime 10s ./internal/norm/
 	$(GO) test -run '^$$' -fuzz FuzzScan -fuzztime 10s ./internal/tokenize/
 
 # query-diff: the differential gate for the query engine. A randomized
 # store (fresh seed daily in CI) is queried with every supported
-# predicate through both the index-pruned planner and the brute-force
-# full scan; any byte of difference fails. The corrupt-sidecar variant
-# re-runs the comparison with each sidecar failure mode injected.
+# predicate through Scan and Survey, which answer sealed segments from
+# their facts sidecars, and through the brute-force full scan; any byte
+# of difference fails. The corrupt-sidecar variant re-runs the
+# comparison with each sidecar failure mode injected.
 query-diff:
 	@echo "query-diff: QUERYDIFF_N=$(QUERYDIFF_N) QUERYDIFF_SEED=$(QUERYDIFF_SEED)"
 	QUERYDIFF_N=$(QUERYDIFF_N) QUERYDIFF_SEED=$(QUERYDIFF_SEED) \

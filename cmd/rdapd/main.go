@@ -407,7 +407,8 @@ func adminTiered(router *tiered.Router) http.HandlerFunc {
 // ?registrar= ?country= ?year= ?since= add single dimensions. The JSON
 // reply carries the match count, the top registrars/countries and the
 // per-year histogram of the matching rows, and the planner's execution
-// stats (how many segments were pruned, seeked, scanned, rebuilt).
+// stats (how many segments were pruned, answered from their sidecars,
+// scanned in full, rebuilt).
 func adminQuery(e *query.Engine) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()

@@ -11,11 +11,11 @@
 //
 // A -store survey accepts -where to restrict it to a predicate
 // (registrar=X, country=Y, year=N, since=N, comma-conjoined). Predicated
-// surveys run through internal/query: per-segment zone maps prune
-// segments that cannot match and posting indexes seek straight to the
-// rows that might, so a selective survey reads a small fraction of the
-// corpus instead of all of it — with byte-identical tables to the full
-// scan (the query-differential CI gate holds it to that).
+// surveys run through internal/query: each sealed segment's facts
+// sidecar answers the predicate and feeds the tables without a record
+// being decoded, and segments whose sidecar rules the predicate out are
+// skipped — with byte-identical tables to the full scan (the
+// query-differential CI gate holds it to that).
 //
 // Usage:
 //
@@ -290,10 +290,10 @@ func runConsistency(w io.Writer, dir, where string, src consistency.RDAPSource, 
 }
 
 // surveyWhere surveys the subset of a store matching a predicate through
-// the query engine: zone maps prune segments that cannot match, posting
-// indexes seek the rest, and missing or stale sidecars are rebuilt
-// in-line (first predicated survey over a fresh store pays the build;
-// later ones ride it).
+// the query engine: sealed segments are folded from their facts
+// sidecars, and missing or stale sidecars are rebuilt in-line (first
+// predicated survey over a fresh store pays the build; later ones ride
+// it).
 func surveyWhere(dir, where string, reg *obs.Registry) error {
 	p, err := query.ParsePred(where)
 	if err != nil {

@@ -127,9 +127,11 @@ func (a *Auditor) Skip() {
 }
 
 // AuditStore runs the batch audit: scan the store through the query
-// engine under p (zone-map pruning applies, so registrar/country/year
-// cohorts audit without full scans), obtain each matched record's RDAP
-// answer from src, and fold the comparison in. Records without a parsed
+// engine under p (the facts sidecars prune segments and name the frames
+// holding a match, so registrar/country/year cohorts audit without full
+// scans; the audit needs the parsed records, so it reads them through
+// Scan), obtain each matched record's RDAP answer from src, and fold
+// the comparison in. Records without a parsed
 // WHOIS side or without an RDAP answer count as skipped. Returns the
 // number of records scored.
 func (a *Auditor) AuditStore(e *query.Engine, p query.Pred, src RDAPSource) (int, error) {

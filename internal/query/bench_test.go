@@ -21,12 +21,12 @@ func benchStore(b *testing.B) (*store.Store, *Engine) {
 }
 
 // benchPred is the selective predicate of the benchcheck ratio gate:
-// present in two records, absent from every other segment's zone map.
+// present in two records, absent from every other segment's dictionary.
 var benchPred = Pred{Registrar: rareRegistrar, Country: "Australia"}
 
-// BenchmarkQueryPruned measures the planner path: zone maps prune all
-// but the segments actually holding the rare registrar, postings seek
-// straight to its frames. benchcheck enforces a minimum ratio over
+// BenchmarkQueryPruned measures the sidecar path: dictionaries prune all
+// but the segments actually holding the rare registrar, whose sidecar
+// rows name the frames to read. benchcheck enforces a minimum ratio over
 // BenchmarkQueryFullScan (see BENCH_query.json).
 func BenchmarkQueryPruned(b *testing.B) {
 	st, e := benchStore(b)
@@ -68,9 +68,10 @@ func BenchmarkQueryFullScan(b *testing.B) {
 	}
 }
 
-// BenchmarkZoneMapBuild measures deriving both sidecars for one sealed
-// segment — the cost AutoBuild pays in the background on every seal.
-func BenchmarkZoneMapBuild(b *testing.B) {
+// BenchmarkSidecarBuild measures deriving the facts sidecar of one sealed
+// segment, in memory — the cost AutoBuild pays in the background on
+// every seal, less the durable file write.
+func BenchmarkSidecarBuild(b *testing.B) {
 	st, _ := benchStore(b)
 	defer st.Close()
 	infos := st.SegmentInfos()
@@ -81,7 +82,7 @@ func BenchmarkZoneMapBuild(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := Build(r); err != nil {
+		if _, err := buildSidecar(r); err != nil {
 			b.Fatal(err)
 		}
 		r.Close()

@@ -1,16 +1,19 @@
-// Package query is the survey-scale query engine over the record store:
-// per-segment zone maps and secondary indexes persisted as sidecar files
-// next to the segments they describe, and a scan planner that answers a
-// predicate by pruning segments whose zone map cannot match, seeking
-// directly to indexed frames where a posting list applies, and falling
-// back to a bounded-parallel full scan for everything else.
+// Package query is the survey-scale query engine over the record store.
+// Each sealed segment gets one facts sidecar, a file next to it holding
+// every record's survey facts (dictionary-coded) and frame location.
+// Survey folds the matching rows straight from the sidecars, decoding no
+// record; Scan tests the predicate on the sidecar and reads only the
+// frames holding a match. A segment whose dictionary lacks the wanted
+// registrar or country, or whose years miss the wanted ones, is pruned
+// outright; the active segment, and any segment without a usable
+// sidecar, is scanned in full, across bounded parallel workers.
 //
 // Sidecars are derived, disposable artifacts: each one records the id and
 // content fingerprint of the segment it was built from, so a stale,
 // foreign, or corrupted sidecar is detected and ignored (or rebuilt) —
-// never trusted. Every pruned or seeked record is re-checked against the
-// predicate before it is emitted, so the engine can be wrong only by
-// doing extra work, not by returning extra (or missing) rows.
+// never trusted. Every record Scan decodes is re-checked against the
+// predicate before it is emitted, so a bad sidecar can cost time, never
+// rows.
 package query
 
 import (
@@ -39,8 +42,8 @@ type Pred struct {
 func (p Pred) IsEmpty() bool { return p == Pred{} }
 
 // Match reports whether one record's facts satisfy the predicate. This
-// is the ground truth the planner's pruning must agree with: every
-// candidate an index seek produces is re-checked here before emission.
+// is the ground truth: sidecar rows are matched with it, and every
+// record Scan decodes is re-checked with it before emission.
 func (p Pred) Match(f *survey.Facts) bool {
 	if p.Registrar != "" && f.Registrar != p.Registrar {
 		return false

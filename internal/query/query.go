@@ -3,9 +3,10 @@ package query
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -30,55 +31,39 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
-// Engine answers predicates over a record store using per-segment
-// sidecars for pruning and seeking. Safe for concurrent use; all
-// correctness rests on the store's snapshot semantics (readers hold fds)
-// plus the final Pred.Match re-check on every candidate record.
+// Engine answers predicates over a record store from one facts sidecar
+// per sealed segment. Safe for concurrent use; all correctness rests on
+// the store's snapshot semantics (readers hold fds), the fingerprint
+// check before any sidecar is used, and the Pred.Match re-check of every
+// record Scan decodes.
 type Engine struct {
-	st      *store.Store
-	opts    Options
-	met     engineMetrics
-	buildMu sync.Mutex // serializes sidecar rebuilds
+	st   *store.Store
+	opts Options
+	met  engineMetrics
 
-	// cache holds decoded sidecars across queries, keyed by segment id
-	// and guarded by the fingerprint: every query still fingerprints the
-	// live segment, so a hit can never serve a rewritten segment's stale
-	// view — it only skips re-reading and re-decoding bytes that were
-	// already validated against this exact fingerprint. Entries are
-	// immutable once published; updates replace the whole entry.
+	// cache holds one decoded sidecar per segment id across queries. It
+	// is used only while its fingerprint matches the live segment's,
+	// which every query computes afresh, so a hit can never serve a
+	// rewritten segment's stale view: it only skips re-reading and
+	// re-decoding bytes already validated against this exact
+	// fingerprint. Sidecars are immutable once published.
 	cacheMu sync.Mutex
-	cache   map[uint64]*cacheEnt
+	cache   map[uint64]*sidecar
 }
 
-type cacheEnt struct {
-	fp uint32
-	z  *ZoneMap
-	x  *Index // nil until a query survives pruning and needs it
-}
-
-func (e *Engine) cacheGet(id uint64, fp uint32) (*ZoneMap, *Index) {
+func (e *Engine) cacheGet(id uint64, fp uint32) *sidecar {
 	e.cacheMu.Lock()
 	defer e.cacheMu.Unlock()
-	if ent := e.cache[id]; ent != nil && ent.fp == fp {
-		return ent.z, ent.x
+	if sc := e.cache[id]; sc != nil && sc.fingerprint == fp {
+		return sc
 	}
-	return nil, nil
+	return nil
 }
 
-// cachePut merges z and/or x into the entry for id, keeping whichever
-// halves the current same-fingerprint entry already has.
-func (e *Engine) cachePut(id uint64, fp uint32, z *ZoneMap, x *Index) {
+func (e *Engine) cachePut(sc *sidecar) {
 	e.cacheMu.Lock()
 	defer e.cacheMu.Unlock()
-	if ent := e.cache[id]; ent != nil && ent.fp == fp {
-		if z == nil {
-			z = ent.z
-		}
-		if x == nil {
-			x = ent.x
-		}
-	}
-	e.cache[id] = &cacheEnt{fp: fp, z: z, x: x}
+	e.cache[sc.segID] = sc
 }
 
 // cachePrune drops entries for segments compaction removed.
@@ -93,23 +78,23 @@ func (e *Engine) cachePrune(live map[uint64]bool) {
 }
 
 type engineMetrics struct {
-	queries    *obs.Counter
-	seconds    *obs.Histogram
-	pruned     *obs.Counter
-	indexSeek  *obs.Counter
-	fullScan   *obs.Counter
-	rebuilds   *obs.Counter
-	invalid    *obs.Counter
-	fallbacks  *obs.Counter
-	recordsIn  *obs.Counter
-	recordsOut *obs.Counter
+	queries     *obs.Counter
+	seconds     *obs.Histogram
+	pruned      *obs.Counter
+	fromSidecar *obs.Counter
+	fullScan    *obs.Counter
+	rebuilds    *obs.Counter
+	invalid     *obs.Counter
+	fallbacks   *obs.Counter
+	recordsIn   *obs.Counter
+	recordsOut  *obs.Counter
 }
 
 func (m *engineMetrics) register(reg *obs.Registry) {
 	m.queries = reg.Counter("query.queries")
 	m.seconds = reg.Histogram("query.seconds", obs.DurationBounds())
 	m.pruned = reg.Counter("query.segments.pruned")
-	m.indexSeek = reg.Counter("query.segments.indexseek")
+	m.fromSidecar = reg.Counter("query.segments.sidecar")
 	m.fullScan = reg.Counter("query.segments.fullscan")
 	m.rebuilds = reg.Counter("query.sidecar.rebuilds")
 	m.invalid = reg.Counter("query.sidecar.invalid")
@@ -126,7 +111,7 @@ func New(st *store.Store, opts Options) *Engine {
 	if opts.Metrics == nil {
 		opts.Metrics = obs.Default
 	}
-	e := &Engine{st: st, opts: opts, cache: make(map[uint64]*cacheEnt)}
+	e := &Engine{st: st, opts: opts, cache: make(map[uint64]*sidecar)}
 	e.met.register(opts.Metrics)
 	return e
 }
@@ -139,12 +124,10 @@ func (e *Engine) AutoBuild() {
 	e.st.SetOnSeal(func(id uint64) { _, _ = e.BuildSegment(id) })
 }
 
-// BuildSegment (re)derives the sidecars for segment id unless fresh ones
-// already exist. Reports whether it built, and treats a segment that was
+// BuildSegment (re)derives the sidecar for segment id unless a fresh one
+// already exists. Reports whether it built, and treats a segment that was
 // compacted away in the meantime as a no-op.
 func (e *Engine) BuildSegment(id uint64) (bool, error) {
-	e.buildMu.Lock()
-	defer e.buildMu.Unlock()
 	r, err := e.st.OpenSegment(id)
 	if err != nil {
 		if errors.Is(err, store.ErrSegmentCompacted) {
@@ -161,29 +144,18 @@ func (e *Engine) BuildSegment(id uint64) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	dir := e.st.Dir()
-	if z, zerr := LoadZoneMap(ZonePath(dir, id)); zerr == nil && sidecarFresh(z.SegID, z.Fingerprint, z.Records, info, fp) {
-		if x, xerr := LoadIndex(IndexPath(dir, id)); xerr == nil && sidecarFresh(x.SegID, x.Fingerprint, x.Records, info, fp) {
-			return false, nil
-		}
+	if _, ok := e.load(info, fp); ok {
+		return false, nil
 	}
-	z, x, err := Build(r)
-	if err != nil {
+	if _, err := e.build(r); err != nil {
 		return false, err
 	}
-	if err := WriteSidecars(dir, z, x); err != nil {
-		return false, err
-	}
-	e.met.rebuilds.Inc()
 	return true, nil
 }
 
-func sidecarFresh(segID uint64, fp uint32, records uint64, info store.SegmentInfo, wantFP uint32) bool {
-	return segID == info.ID && fp == wantFP && records == info.Records
-}
-
-// BuildAll derives sidecars for every sealed segment that lacks fresh
-// ones and removes orphaned sidecars of segments compaction dropped.
+// BuildAll derives sidecars for every sealed segment that lacks a fresh
+// one, removes the sidecars of segments compaction dropped, and removes
+// the zone maps (.zm) and posting indexes (.idx) older builds wrote.
 // Returns how many segments were (re)built.
 func (e *Engine) BuildAll() (int, error) {
 	built := 0
@@ -205,7 +177,8 @@ func (e *Engine) BuildAll() (int, error) {
 	return built, nil
 }
 
-// removeOrphans deletes sidecars whose segment no longer exists.
+// removeOrphans deletes sidecars whose segment no longer exists, and the
+// sidecar files of older builds.
 func (e *Engine) removeOrphans(live map[uint64]bool) {
 	entries, err := os.ReadDir(e.st.Dir())
 	if err != nil {
@@ -213,44 +186,40 @@ func (e *Engine) removeOrphans(live map[uint64]bool) {
 	}
 	for _, ent := range entries {
 		name := ent.Name()
-		var base string
-		switch {
-		case strings.HasSuffix(name, ".zm"):
-			base = strings.TrimSuffix(name, ".zm")
-		case strings.HasSuffix(name, ".idx"):
-			base = strings.TrimSuffix(name, ".idx")
-		default:
+		ext := filepath.Ext(name)
+		id, err := strconv.ParseUint(strings.TrimSuffix(name, ext), 10, 64)
+		if err != nil {
 			continue
 		}
-		id, err := strconv.ParseUint(base, 10, 64)
-		if err != nil || live[id] {
-			continue
+		if ext == ".zm" || ext == ".idx" || ext == sidecarSuffix && !live[id] {
+			_ = os.Remove(filepath.Join(e.st.Dir(), name))
 		}
-		_ = os.Remove(ZonePath(e.st.Dir(), id))
-		_ = os.Remove(IndexPath(e.st.Dir(), id))
 	}
 }
 
 // Stats describes how one query was executed.
 type Stats struct {
 	Segments    int    `json:"segments"`
-	Pruned      int    `json:"pruned"`       // skipped via zone map
-	IndexSeeked int    `json:"index_seeked"` // answered via postings
+	Pruned      int    `json:"pruned"`       // skipped: the sidecar rules out every record
+	FromSidecar int    `json:"from_sidecar"` // rows matched on the sidecar
 	FullScanned int    `json:"full_scanned"` // scanned frame by frame
 	Rebuilt     int    `json:"rebuilt"`      // sidecars rebuilt in-line
-	Fallbacks   int    `json:"fallbacks"`    // bad sidecar/seek → full scan
-	RecordsRead uint64 `json:"records_read"`
+	Fallbacks   int    `json:"fallbacks"`    // bad sidecar → full scan
+	RecordsRead uint64 `json:"records_read"` // records decoded
 	Matched     uint64 `json:"matched"`
 }
 
 // String renders the stats the way the CLIs log them.
 func (st Stats) String() string {
-	return fmt.Sprintf("segments=%d pruned=%d indexseek=%d fullscan=%d rebuilt=%d fallbacks=%d read=%d matched=%d",
-		st.Segments, st.Pruned, st.IndexSeeked, st.FullScanned, st.Rebuilt, st.Fallbacks, st.RecordsRead, st.Matched)
+	return fmt.Sprintf("segments=%d pruned=%d sidecar=%d fullscan=%d rebuilt=%d fallbacks=%d read=%d matched=%d",
+		st.Segments, st.Pruned, st.FromSidecar, st.FullScanned, st.Rebuilt, st.Fallbacks, st.RecordsRead, st.Matched)
 }
 
-// segPlan is how one segment will be (or was) served.
+// segResult is how one segment answered a predicate: decoded records,
+// or, for a survey answered from the sidecar, the matching rows of sc.
 type segResult struct {
+	sc      *sidecar
+	rows    []int
 	matches []*store.Record
 	stats   Stats
 	err     error
@@ -263,12 +232,58 @@ type segResult struct {
 // calling goroutine, serially.
 func (e *Engine) Scan(p Pred, fn func(rec *store.Record) error) (Stats, error) {
 	start := time.Now()
-	e.met.queries.Inc()
-	var stats Stats
-
-	readers, err := e.st.OpenSegments()
+	results, stats, err := e.run(p, true)
 	if err != nil {
 		return stats, err
+	}
+	for i := range results {
+		for _, rec := range results[i].matches {
+			stats.Matched++
+			if err := fn(rec); err != nil {
+				return stats, err
+			}
+		}
+	}
+	e.recordStats(stats, start)
+	return stats, nil
+}
+
+// Survey folds every record matching p into a fresh incremental survey:
+// the whoissurvey -where and perfbench entry point. A sealed segment
+// with a fresh sidecar is folded from the sidecar's rows, so no block
+// is inflated and no record decoded.
+func (e *Engine) Survey(p Pred) (*survey.Survey, Stats, error) {
+	start := time.Now()
+	results, stats, err := e.run(p, false)
+	if err != nil {
+		return nil, stats, err
+	}
+	sv := &survey.Survey{}
+	for i := range results {
+		res := &results[i]
+		for _, row := range res.rows {
+			sv.Add(res.sc.facts(row))
+		}
+		for _, rec := range res.matches {
+			sv.Add(rec.Facts)
+		}
+		stats.Matched += uint64(len(res.rows) + len(res.matches))
+	}
+	e.recordStats(stats, start)
+	return sv, stats, nil
+}
+
+// run answers p over one snapshot of every segment, across at most
+// Options.Workers goroutines, and returns the per-segment results in
+// segment order with their stats summed, all but Matched, which the
+// caller counts. decode is Scan's mode: every match comes back as a
+// decoded record.
+func (e *Engine) run(p Pred, decode bool) ([]segResult, Stats, error) {
+	e.met.queries.Inc()
+	var stats Stats
+	readers, err := e.st.OpenSegments()
+	if err != nil {
+		return nil, stats, err
 	}
 	defer func() {
 		for _, r := range readers {
@@ -292,7 +307,7 @@ func (e *Engine) Scan(p Pred, fn func(rec *store.Record) error) (Stats, error) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			results[i] = e.scanSegment(r, p)
+			results[i] = e.segment(r, p, decode)
 		}(i, r)
 	}
 	wg.Wait()
@@ -300,167 +315,129 @@ func (e *Engine) Scan(p Pred, fn func(rec *store.Record) error) (Stats, error) {
 	for i := range results {
 		res := &results[i]
 		if res.err != nil {
-			return stats, res.err
+			return nil, stats, res.err
 		}
 		stats.Pruned += res.stats.Pruned
-		stats.IndexSeeked += res.stats.IndexSeeked
+		stats.FromSidecar += res.stats.FromSidecar
 		stats.FullScanned += res.stats.FullScanned
 		stats.Rebuilt += res.stats.Rebuilt
 		stats.Fallbacks += res.stats.Fallbacks
 		stats.RecordsRead += res.stats.RecordsRead
-		for _, rec := range res.matches {
-			stats.Matched++
-			if err := fn(rec); err != nil {
-				return stats, err
-			}
-		}
 	}
-	e.recordStats(stats, start)
-	return stats, nil
+	return results, stats, nil
 }
 
 func (e *Engine) recordStats(st Stats, start time.Time) {
 	e.met.seconds.ObserveSince(start)
 	e.met.pruned.Add(uint64(st.Pruned))
-	e.met.indexSeek.Add(uint64(st.IndexSeeked))
+	e.met.fromSidecar.Add(uint64(st.FromSidecar))
 	e.met.fullScan.Add(uint64(st.FullScanned))
 	e.met.fallbacks.Add(uint64(st.Fallbacks))
 	e.met.recordsIn.Add(st.RecordsRead)
 	e.met.recordsOut.Add(st.Matched)
 }
 
-// scanSegment plans and executes one segment: zone-map prune, posting
-// seek, or full scan — degrading toward full scan on any sidecar or seek
-// problem, so a bad sidecar can cost time but never rows.
-func (e *Engine) scanSegment(r *store.SegmentReader, p Pred) segResult {
+// segment answers p over one segment snapshot: pruned by its sidecar,
+// matched on its sidecar's rows, or scanned in full, degrading toward
+// the full scan on any sidecar problem, so a bad sidecar can cost time
+// but never rows. With decode, the matching records are read from the
+// frames that hold them; without it, the matching rows are returned.
+func (e *Engine) segment(r *store.SegmentReader, p Pred, decode bool) segResult {
 	var res segResult
 	info := r.Info()
 	if info.Records == 0 {
 		return res
 	}
-	// The active segment has no sidecars (its bytes still move); an
-	// empty predicate cannot prune or seek.
-	if !info.Sealed || p.IsEmpty() {
+	// The active segment has no sidecar (its bytes still move), and a
+	// scan under the empty predicate decodes every record anyway.
+	if !info.Sealed || decode && p.IsEmpty() {
 		return e.fullScanSegment(r, p, res)
 	}
-
-	fp, err := r.Fingerprint()
+	sc, err := e.sidecarFor(r, &res.stats)
 	if err != nil {
 		res.err = err
 		return res
 	}
-	// Zone map first: a pruned segment never pays for decoding its
-	// (much larger) posting index.
-	z, x := e.cacheGet(info.ID, fp)
-	if z == nil {
-		var fresh bool
-		if z, fresh = e.loadZoneMap(info, fp); fresh {
-			e.cachePut(info.ID, fp, z, nil)
-		} else {
-			if e.opts.NoRebuild {
-				res.stats.Fallbacks++
-				return e.fullScanSegment(r, p, res)
-			}
-			if z, x, err = e.rebuild(r, info); err != nil {
-				// A segment swapped out mid-query (compaction won the
-				// race): the fd snapshot is still perfectly readable —
-				// scan it.
-				res.stats.Fallbacks++
-				return e.fullScanSegment(r, p, res)
-			}
-			res.stats.Rebuilt++
-			e.cachePut(info.ID, fp, z, x)
-		}
+	if sc == nil {
+		return e.fullScanSegment(r, p, res)
 	}
-
-	if !z.MayMatch(p) {
+	if sc.prunes(p) {
 		res.stats.Pruned++
 		return res
 	}
-	if x == nil {
-		var fresh bool
-		if x, fresh = e.loadIndex(info, fp); fresh {
-			e.cachePut(info.ID, fp, nil, x)
-		} else {
-			if e.opts.NoRebuild {
-				res.stats.Fallbacks++
-				return e.fullScanSegment(r, p, res)
-			}
-			if z, x, err = e.rebuild(r, info); err != nil {
-				res.stats.Fallbacks++
-				return e.fullScanSegment(r, p, res)
-			}
-			res.stats.Rebuilt++
-			e.cachePut(info.ID, fp, z, x)
+	rows := sc.match(p)
+	if decode {
+		matches, err := sc.read(r, rows, p)
+		if err != nil {
+			e.met.invalid.Inc()
+			res.stats.Fallbacks++
+			return e.fullScanSegment(r, p, res)
 		}
+		res.matches = matches
+		res.stats.RecordsRead += uint64(len(matches))
+	} else {
+		res.sc, res.rows = sc, rows
 	}
-	postings, ok := planPostings(x, p)
-	if !ok {
-		return e.fullScanSegment(r, p, res)
-	}
-	matches, read, err := seekPostings(r, postings, p)
-	if err != nil {
-		// Postings pointed somewhere frames aren't — the sidecar lied.
-		// Drop everything it produced and scan the segment for real.
-		e.met.invalid.Inc()
-		res.stats.Fallbacks++
-		return e.fullScanSegment(r, p, res)
-	}
-	res.matches = matches
-	res.stats.RecordsRead += read
-	res.stats.IndexSeeked++
+	res.stats.FromSidecar++
 	return res
 }
 
-// loadZoneMap reads and validates one zone map against the live segment
-// snapshot. Any problem — missing, unreadable, corrupt, stale — reports
-// fresh=false; corruption/staleness additionally bumps the invalid
-// metric (a missing file is normal for a young segment).
-func (e *Engine) loadZoneMap(info store.SegmentInfo, fp uint32) (*ZoneMap, bool) {
-	z, err := LoadZoneMap(ZonePath(e.st.Dir(), info.ID))
+// sidecarFor resolves the sidecar of one sealed segment snapshot: the
+// cached one if its fingerprint still matches, else the file if it
+// describes this snapshot, else a rebuild. nil means scan the segment in
+// full: the sidecar is missing, stale, foreign or corrupt and NoRebuild
+// is set, or the rebuild failed.
+func (e *Engine) sidecarFor(r *store.SegmentReader, st *Stats) (*sidecar, error) {
+	info := r.Info()
+	fp, err := r.Fingerprint()
 	if err != nil {
-		if !os.IsNotExist(err) {
-			e.met.invalid.Inc()
+		return nil, err
+	}
+	if sc := e.cacheGet(info.ID, fp); sc != nil {
+		return sc, nil
+	}
+	sc, ok := e.load(info, fp)
+	if !ok {
+		if e.opts.NoRebuild {
+			st.Fallbacks++
+			return nil, nil
 		}
-		return nil, false
+		if sc, err = e.build(r); err != nil {
+			st.Fallbacks++
+			return nil, nil
+		}
+		st.Rebuilt++
 	}
-	if !sidecarFresh(z.SegID, z.Fingerprint, z.Records, info, fp) {
-		e.met.invalid.Inc()
-		return nil, false
-	}
-	return z, true
+	e.cachePut(sc)
+	return sc, nil
 }
 
-// loadIndex is loadZoneMap for the posting index.
-func (e *Engine) loadIndex(info store.SegmentInfo, fp uint32) (*Index, bool) {
-	x, err := LoadIndex(IndexPath(e.st.Dir(), info.ID))
-	if err != nil {
-		if !os.IsNotExist(err) {
-			e.met.invalid.Inc()
-		}
-		return nil, false
+// load reads segment info.ID's sidecar file and checks that it describes
+// the live snapshot. A missing file is normal for a young segment; a
+// corrupt, stale or foreign one also bumps query.sidecar.invalid.
+func (e *Engine) load(info store.SegmentInfo, fp uint32) (*sidecar, bool) {
+	sc, err := loadSidecar(sidecarPath(e.st.Dir(), info.ID))
+	if err == nil && sc.describes(info, fp) {
+		return sc, true
 	}
-	if !sidecarFresh(x.SegID, x.Fingerprint, x.Records, info, fp) {
+	if !errors.Is(err, fs.ErrNotExist) {
 		e.met.invalid.Inc()
-		return nil, false
 	}
-	return x, true
+	return nil, false
 }
 
-// rebuild re-derives sidecars from the snapshot in hand and persists
-// them for future queries.
-func (e *Engine) rebuild(r *store.SegmentReader, info store.SegmentInfo) (*ZoneMap, *Index, error) {
-	e.buildMu.Lock()
-	defer e.buildMu.Unlock()
-	z, x, err := Build(r)
+// build derives the sidecar from the snapshot in hand and writes it,
+// durably and under a unique temp name, for later queries.
+func (e *Engine) build(r *store.SegmentReader) (*sidecar, error) {
+	sc, err := buildSidecar(r)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if err := WriteSidecars(e.st.Dir(), z, x); err != nil {
-		return nil, nil, err
+	if err := store.WriteFileSync(sidecarPath(e.st.Dir(), sc.segID), sc.encode()); err != nil {
+		return nil, fmt.Errorf("query: write sidecar: %w", err)
 	}
 	e.met.rebuilds.Inc()
-	return z, x, nil
+	return sc, nil
 }
 
 func (e *Engine) fullScanSegment(r *store.SegmentReader, p Pred, res segResult) segResult {
@@ -483,139 +460,6 @@ func (e *Engine) fullScanSegment(r *store.SegmentReader, p Pred, res segResult) 
 		res.matches = nil
 	}
 	return res
-}
-
-// planPostings intersects the posting lists of every predicate dimension
-// the index can serve. ok=false means no dimension is seekable (all
-// relevant sections overflowed) and the caller must scan. Dimensions the
-// index cannot serve are left to the final Match re-check.
-func planPostings(x *Index, p Pred) ([]Posting, bool) {
-	var lists [][]Posting
-	usable := false
-	if p.Registrar != "" && x.Registrar != nil {
-		lists = append(lists, x.Registrar[p.Registrar])
-		usable = true
-	}
-	if p.Country != "" && x.Country != nil {
-		lists = append(lists, x.Country[p.Country])
-		usable = true
-	}
-	if x.Year != nil {
-		switch {
-		case p.HasYear && p.YearTo > 0:
-			lists = append(lists, unionRange(x.Year, p.Year, p.YearTo))
-			usable = true
-		case p.HasYear:
-			lists = append(lists, x.Year[p.Year])
-			usable = true
-		case p.Since > 0:
-			lists = append(lists, unionSince(x.Year, p.Since))
-			usable = true
-		}
-	}
-	if !usable {
-		return nil, false
-	}
-	out := lists[0]
-	for _, l := range lists[1:] {
-		out = intersectPostings(out, l)
-	}
-	return out, true
-}
-
-// unionSince merges the postings of every year >= since back into
-// (Off, Idx) order. Lists for distinct years are disjoint, so a plain
-// merge-sort suffices.
-func unionSince(years map[int][]Posting, since int) []Posting {
-	var out []Posting
-	for y, ps := range years {
-		if y >= since {
-			out = append(out, ps...)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return postingLess(out[i], out[j]) })
-	return out
-}
-
-// unionRange merges the postings of every year in [lo, hi] back into
-// (Off, Idx) order — the year-range predicate's seek path.
-func unionRange(years map[int][]Posting, lo, hi int) []Posting {
-	var out []Posting
-	for y, ps := range years {
-		if y >= lo && y <= hi {
-			out = append(out, ps...)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return postingLess(out[i], out[j]) })
-	return out
-}
-
-func intersectPostings(a, b []Posting) []Posting {
-	var out []Posting
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			out = append(out, a[i])
-			i++
-			j++
-		case postingLess(a[i], b[j]):
-			i++
-		default:
-			j++
-		}
-	}
-	return out
-}
-
-// seekPostings reads exactly the frames the postings name, decoding only
-// the named records and re-checking each against p. Any inconsistency —
-// bad offset, bad frame, index out of range, undecodable record — aborts
-// with an error so the caller discards everything and full-scans; a
-// partial result must never leak out as a complete one.
-func seekPostings(r *store.SegmentReader, postings []Posting, p Pred) ([]*store.Record, uint64, error) {
-	var matches []*store.Record
-	var read uint64
-	for i := 0; i < len(postings); {
-		j := i
-		for j < len(postings) && postings[j].Off == postings[i].Off {
-			j++
-		}
-		payloads, err := r.FrameAt(postings[i].Off)
-		if err != nil {
-			return nil, read, err
-		}
-		for _, pt := range postings[i:j] {
-			if pt.Idx < 0 || pt.Idx >= len(payloads) {
-				return nil, read, fmt.Errorf("query: posting idx %d outside frame of %d records", pt.Idx, len(payloads))
-			}
-			rec, err := store.DecodeRecord(payloads[pt.Idx])
-			if err != nil {
-				return nil, read, err
-			}
-			read++
-			if p.Match(&rec.Facts) {
-				matches = append(matches, rec)
-			}
-		}
-		i = j
-	}
-	return matches, read, nil
-}
-
-// Survey runs the predicate and folds every match into a fresh
-// incremental survey — the whoissurvey -where and rdapd /admin/query
-// entry point.
-func (e *Engine) Survey(p Pred) (*survey.Survey, Stats, error) {
-	sv := &survey.Survey{}
-	stats, err := e.Scan(p, func(rec *store.Record) error {
-		sv.Add(rec.Facts)
-		return nil
-	})
-	if err != nil {
-		return nil, stats, err
-	}
-	return sv, stats, nil
 }
 
 // FullScan is the trivially-correct reference executor: iterate every

@@ -1,9 +1,13 @@
 package query
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -26,7 +30,7 @@ var (
 )
 
 // rareRegistrar appears in a handful of records only — the selective
-// predicate zone maps should prune almost every segment for.
+// predicate the sidecar dictionaries should prune almost every segment for.
 const rareRegistrar = "Sparse Registrations Pty"
 
 // genRecord derives a deterministic pseudo-random record from rng.
@@ -54,7 +58,8 @@ func genRecord(i int, rng *rand.Rand) *store.Record {
 
 // buildTestStore writes n pseudo-random records across many small
 // segments, salting in a few rareRegistrar rows, and optionally
-// compresses the sealed segments so postings exercise Idx > 0.
+// compresses the sealed segments so sidecar rows sit at index > 0 inside
+// their frames.
 func buildTestStore(tb testing.TB, dir string, n int, seed int64, compress bool) *store.Store {
 	return buildTestStoreSized(tb, dir, n, seed, compress, 4<<10)
 }
@@ -113,6 +118,8 @@ func renderSurvey(sv *survey.Survey) string {
 	b.WriteString(survey.RenderRows("Table 8", sv.Table8()))
 	b.WriteString(survey.RenderRows("Table 9", sv.Table9()))
 	b.WriteString(survey.RenderHistogram("Figure 4a", sv.Figure4a()))
+	b.WriteString(survey.RenderMixes("Figure 4b", sv.Figure4b(1995), survey.Figure4bLabels()))
+	b.WriteString(survey.RenderRegistrarMixes("Figure 5", sv.Figure5([]string{"eNom", "HiChina", "GMO", "Melbourne"})))
 	return b.String()
 }
 
@@ -148,14 +155,14 @@ func differentialPreds() []Pred {
 	}
 }
 
-// diffOne runs p through the planner and the brute-force reference and
+// diffOne runs p through Scan, Survey and the brute-force reference and
 // fails unless the matched record streams and the rendered surveys are
-// byte-identical.
-func diffOne(t *testing.T, e *Engine, p Pred) Stats {
+// byte-identical. It returns Scan's stats and Survey's.
+func diffOne(t *testing.T, e *Engine, p Pred) (scan, surv Stats) {
 	t.Helper()
 	var got, want []string
 	gotSv, wantSv := &survey.Survey{}, &survey.Survey{}
-	stats, err := e.Scan(p, func(rec *store.Record) error {
+	scan, err := e.Scan(p, func(rec *store.Record) error {
 		got = append(got, rec.Domain)
 		gotSv.Add(rec.Facts)
 		return nil
@@ -174,13 +181,24 @@ func diffOne(t *testing.T, e *Engine, p Pred) Stats {
 	if g, w := strings.Join(got, "\n"), strings.Join(want, "\n"); g != w {
 		t.Fatalf("Scan(%s) diverged from full scan:\n planner %d rows\n reference %d rows", p, len(got), len(want))
 	}
-	if renderSurvey(gotSv) != renderSurvey(wantSv) {
+	wantTables := renderSurvey(wantSv)
+	if renderSurvey(gotSv) != wantTables {
 		t.Fatalf("Scan(%s): surveys render differently", p)
 	}
-	if stats.Matched != uint64(len(got)) {
-		t.Fatalf("Scan(%s): stats.Matched = %d, emitted %d", p, stats.Matched, len(got))
+	if scan.Matched != uint64(len(got)) {
+		t.Fatalf("Scan(%s): stats.Matched = %d, emitted %d", p, scan.Matched, len(got))
 	}
-	return stats
+	sv, surv, err := e.Survey(p)
+	if err != nil {
+		t.Fatalf("Survey(%s): %v", p, err)
+	}
+	if tables := renderSurvey(sv); tables != wantTables {
+		t.Fatalf("Survey(%s) diverged from the full-scan fold:\n got\n%s\nwant\n%s", p, tables, wantTables)
+	}
+	if surv.Matched != uint64(len(want)) || uint64(sv.Len()) != surv.Matched {
+		t.Fatalf("Survey(%s): stats.Matched = %d, folded %d, want %d", p, surv.Matched, sv.Len(), len(want))
+	}
+	return scan, surv
 }
 
 // TestQueryDifferential is the CI gate: every supported predicate, over
@@ -202,13 +220,14 @@ func TestQueryDifferential(t *testing.T) {
 			if _, err := e.BuildAll(); err != nil {
 				t.Fatal(err)
 			}
-			seeked := 0
+			scanned, surveyed := 0, 0
 			for _, p := range differentialPreds() {
-				stats := diffOne(t, e, p)
-				seeked += stats.IndexSeeked
+				scan, surv := diffOne(t, e, p)
+				scanned += scan.FromSidecar
+				surveyed += surv.FromSidecar
 			}
-			if seeked == 0 {
-				t.Fatal("no predicate ever used the index — the differential exercised nothing")
+			if scanned == 0 || surveyed == 0 {
+				t.Fatalf("sidecars answered %d scans and %d surveys — the differential exercised nothing", scanned, surveyed)
 			}
 		})
 	}
@@ -220,44 +239,35 @@ var corruptions = []struct {
 	name  string
 	wreck func(t *testing.T, dir string, id uint64)
 }{
-	{"flipped-idx", func(t *testing.T, dir string, id uint64) {
-		flipByte(t, IndexPath(dir, id), -20)
+	{"flipped-header", func(t *testing.T, dir string, id uint64) {
+		flipByte(t, sidecarPath(dir, id), 7) // inside the fingerprint
 	}},
-	{"flipped-zm", func(t *testing.T, dir string, id uint64) {
-		flipByte(t, ZonePath(dir, id), 7)
+	{"flipped-body", func(t *testing.T, dir string, id uint64) {
+		flipByte(t, sidecarPath(dir, id), -20)
 	}},
-	{"truncated-idx", func(t *testing.T, dir string, id uint64) {
-		data, err := os.ReadFile(IndexPath(dir, id))
+	{"truncated", func(t *testing.T, dir string, id uint64) {
+		data, err := os.ReadFile(sidecarPath(dir, id))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(IndexPath(dir, id), data[:len(data)/2], 0o644); err != nil {
+		if err := os.WriteFile(sidecarPath(dir, id), data[:len(data)/2], 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}},
 	{"missing", func(t *testing.T, dir string, id uint64) {
-		if err := os.Remove(ZonePath(dir, id)); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Remove(IndexPath(dir, id)); err != nil {
+		if err := os.Remove(sidecarPath(dir, id)); err != nil {
 			t.Fatal(err)
 		}
 	}},
 	{"stale-foreign", func(t *testing.T, dir string, id uint64) {
 		// A sidecar copied from a different segment: valid envelope,
 		// wrong identity.
-		other := id + 1
-		for _, cp := range [][2]string{
-			{ZonePath(dir, other), ZonePath(dir, id)},
-			{IndexPath(dir, other), IndexPath(dir, id)},
-		} {
-			data, err := os.ReadFile(cp[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(cp[1], data, 0o644); err != nil {
-				t.Fatal(err)
-			}
+		data, err := os.ReadFile(sidecarPath(dir, id+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(sidecarPath(dir, id), data, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}},
 }
@@ -298,11 +308,12 @@ func TestQueryDifferentialCorruptSidecars(t *testing.T) {
 			}
 			c.wreck(t, st.Dir(), infos[0].ID)
 
+			wrecked, _ := os.ReadFile(sidecarPath(st.Dir(), infos[0].ID))
 			fallbacks := 0
 			for _, p := range differentialPreds() {
-				stats := diffOne(t, e, p)
-				fallbacks += stats.Fallbacks
-				if stats.Rebuilt != 0 {
+				scan, surv := diffOne(t, e, p)
+				fallbacks += scan.Fallbacks + surv.Fallbacks
+				if scan.Rebuilt != 0 || surv.Rebuilt != 0 {
 					t.Fatalf("NoRebuild engine rebuilt sidecars on %s", p)
 				}
 			}
@@ -310,10 +321,13 @@ func TestQueryDifferentialCorruptSidecars(t *testing.T) {
 				t.Fatal("no fallback recorded — the corruption was never hit")
 			}
 			// NoRebuild must not have healed the wreckage behind our back.
+			after, err := os.ReadFile(sidecarPath(st.Dir(), infos[0].ID))
 			if c.name == "missing" {
-				if _, err := os.Stat(ZonePath(st.Dir(), infos[0].ID)); !os.IsNotExist(err) {
+				if !os.IsNotExist(err) {
 					t.Fatal("NoRebuild engine recreated a sidecar")
 				}
+			} else if !bytes.Equal(after, wrecked) {
+				t.Fatal("NoRebuild engine rewrote the wrecked sidecar")
 			}
 		})
 	}
@@ -329,41 +343,41 @@ func TestQueryRebuildsStaleSidecars(t *testing.T) {
 		t.Fatal(err)
 	}
 	infos := st.SegmentInfos()
-	flipByte(t, IndexPath(st.Dir(), infos[0].ID), -15)
+	flipByte(t, sidecarPath(st.Dir(), infos[0].ID), -15)
 
 	p := Pred{Registrar: "eNom"}
-	stats := diffOne(t, e, p)
+	stats, _ := diffOne(t, e, p)
 	if stats.Rebuilt == 0 {
 		t.Fatalf("expected an in-line rebuild, stats: %s", stats)
 	}
-	if _, err := LoadIndex(IndexPath(st.Dir(), infos[0].ID)); err != nil {
+	if _, err := loadSidecar(sidecarPath(st.Dir(), infos[0].ID)); err != nil {
 		t.Fatalf("sidecar not healed: %v", err)
 	}
 	// Second query runs entirely off the healed sidecars.
-	stats = diffOne(t, e, p)
-	if stats.Rebuilt != 0 || stats.Fallbacks != 0 {
-		t.Fatalf("second query still degraded: %s", stats)
+	scan, surv := diffOne(t, e, p)
+	if scan.Rebuilt != 0 || scan.Fallbacks != 0 || surv.Rebuilt != 0 || surv.Fallbacks != 0 {
+		t.Fatalf("second query still degraded: %s / %s", scan, surv)
 	}
 }
 
-// TestZoneMapPruning: a predicate matching one segment's worth of rows
+// TestSidecarPruning: a predicate matching one segment's worth of rows
 // must skip (not scan) the segments that cannot hold it.
-func TestZoneMapPruning(t *testing.T) {
+func TestSidecarPruning(t *testing.T) {
 	st := buildTestStore(t, t.TempDir(), 900, 2, false)
 	defer st.Close()
 	e := New(st, Options{Metrics: obs.NewRegistry()})
 	if _, err := e.BuildAll(); err != nil {
 		t.Fatal(err)
 	}
-	stats := diffOne(t, e, Pred{Registrar: rareRegistrar})
-	if stats.Pruned == 0 {
-		t.Fatalf("selective predicate pruned nothing: %s", stats)
+	stats, surv := diffOne(t, e, Pred{Registrar: rareRegistrar})
+	if stats.Pruned == 0 || surv.Pruned != stats.Pruned {
+		t.Fatalf("selective predicate pruned nothing, or Scan and Survey prune differently: %s / %s", stats, surv)
 	}
 	if stats.RecordsRead >= 900/2 {
 		t.Fatalf("selective predicate read %d records", stats.RecordsRead)
 	}
 	// An impossible year prunes every sealed segment.
-	stats = diffOne(t, e, Pred{Year: 1890, HasYear: true})
+	stats, _ = diffOne(t, e, Pred{Year: 1890, HasYear: true})
 	if stats.Pruned < stats.Segments-2 {
 		t.Fatalf("year=1890 should prune nearly all segments: %s", stats)
 	}
@@ -390,20 +404,20 @@ func TestAutoBuild(t *testing.T) {
 	if len(infos) < 2 {
 		t.Fatal("no rotation happened")
 	}
-	// The hook runs in background goroutines; poll briefly.
-	firstZM := ZonePath(dir, infos[0].ID)
+	// The hook runs on the store's seal worker; poll briefly.
+	first := sidecarPath(dir, infos[0].ID)
 	deadline := 200
 	for ; deadline > 0; deadline-- {
-		if _, err := os.Stat(firstZM); err == nil {
+		if _, err := os.Stat(first); err == nil {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 	if deadline == 0 {
-		t.Fatalf("sidecar %s never appeared", firstZM)
+		t.Fatalf("sidecar %s never appeared", first)
 	}
-	if _, err := LoadZoneMap(firstZM); err != nil {
-		t.Fatalf("auto-built zone map invalid: %v", err)
+	if _, err := loadSidecar(first); err != nil {
+		t.Fatalf("auto-built sidecar invalid: %v", err)
 	}
 }
 
@@ -455,17 +469,18 @@ func TestAutoBuildJoinsGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	joined()
-	z, err := LoadZoneMap(ZonePath(dir, merged.ID))
+	sc, err := loadSidecar(sidecarPath(dir, merged.ID))
 	if err != nil {
-		t.Fatalf("compacted segment's zone map: %v", err)
+		t.Fatalf("compacted segment's sidecar: %v", err)
 	}
-	if z.Records != n {
-		t.Fatalf("zone map covers %d records, want the %d of the compacted segment", z.Records, n)
+	if len(sc.rows) != n {
+		t.Fatalf("sidecar covers %d records, want the %d of the compacted segment", len(sc.rows), n)
 	}
 }
 
 // TestBuildAllRemovesOrphans: sidecars for segments compaction dropped
-// are cleaned up.
+// are cleaned up, and so are the zone maps and posting indexes older
+// builds left.
 func TestBuildAllRemovesOrphans(t *testing.T) {
 	st := buildTestStore(t, t.TempDir(), 400, 5, false)
 	defer st.Close()
@@ -473,9 +488,15 @@ func TestBuildAllRemovesOrphans(t *testing.T) {
 	if _, err := e.BuildAll(); err != nil {
 		t.Fatal(err)
 	}
-	before, _ := filepath.Glob(filepath.Join(st.Dir(), "*.zm"))
+	glob := "*" + sidecarSuffix
+	before, _ := filepath.Glob(filepath.Join(st.Dir(), glob))
 	if len(before) < 2 {
-		t.Fatalf("expected several zone maps, got %d", len(before))
+		t.Fatalf("expected several sidecars, got %d", len(before))
+	}
+	for _, old := range []string{"00000001.zm", "00000001.idx", "00000002.idx"} {
+		if err := os.WriteFile(filepath.Join(st.Dir(), old), []byte("old"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := st.Compact(); err != nil {
 		t.Fatal(err)
@@ -483,21 +504,28 @@ func TestBuildAllRemovesOrphans(t *testing.T) {
 	if _, err := e.BuildAll(); err != nil {
 		t.Fatal(err)
 	}
-	after, _ := filepath.Glob(filepath.Join(st.Dir(), "*.zm"))
+	after, _ := filepath.Glob(filepath.Join(st.Dir(), glob))
 	// Compaction merged everything into segment 1; only its sidecar (and
 	// no orphan) should remain.
 	if len(after) != 1 {
-		t.Fatalf("after compaction: %d zone maps remain (%v)", len(after), after)
+		t.Fatalf("after compaction: %d sidecars remain (%v)", len(after), after)
+	}
+	for _, old := range []string{"*.zm", "*.idx"} {
+		if left, _ := filepath.Glob(filepath.Join(st.Dir(), old)); len(left) != 0 {
+			t.Fatalf("older builds' sidecars remain: %v", left)
+		}
 	}
 	// And the surviving sidecar answers queries.
-	stats := diffOne(t, New(st, Options{NoRebuild: true, Metrics: obs.NewRegistry()}), Pred{Registrar: rareRegistrar})
+	stats, _ := diffOne(t, New(st, Options{NoRebuild: true, Metrics: obs.NewRegistry()}), Pred{Registrar: rareRegistrar})
 	if stats.Fallbacks != 0 {
 		t.Fatalf("post-compaction sidecars not fresh: %s", stats)
 	}
 }
 
 // TestEngineSurvey: the survey built from a predicate equals the survey
-// of the brute-force matches.
+// of the brute-force matches, and sealed segments with fresh sidecars
+// are folded from the sidecars alone: only the active segment's records
+// are decoded.
 func TestEngineSurvey(t *testing.T) {
 	st := buildTestStore(t, t.TempDir(), 600, 7, true)
 	defer st.Close()
@@ -505,75 +533,94 @@ func TestEngineSurvey(t *testing.T) {
 	if _, err := e.BuildAll(); err != nil {
 		t.Fatal(err)
 	}
-	p := Pred{Since: 2005}
-	sv, stats, err := e.Survey(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := &survey.Survey{}
-	if err := e.FullScan(p, func(rec *store.Record) error {
-		want.Add(rec.Facts)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sv.Len() != want.Len() || renderSurvey(sv) != renderSurvey(want) {
-		t.Fatalf("Survey diverged: %d vs %d rows (stats %s)", sv.Len(), want.Len(), stats)
+	infos := st.SegmentInfos()
+	active := infos[len(infos)-1]
+	_, surv := diffOne(t, e, Pred{Since: 2005})
+	if surv.FromSidecar+surv.Pruned != len(infos)-1 || surv.RecordsRead != active.Records {
+		t.Fatalf("survey decoded %d records (active segment holds %d): %s", surv.RecordsRead, active.Records, surv)
 	}
 }
 
-// TestSidecarRoundTrip: the codecs are exact mirrors.
+// TestSidecarRoundTrip: a built sidecar survives encode and decode
+// exactly, and answers each row as the record's own facts.
 func TestSidecarRoundTrip(t *testing.T) {
-	z := &ZoneMap{
-		SegID: 7, Fingerprint: 0xdeadbeef, Records: 123,
-		MinYear: 1998, MaxYear: 2015, YearZero: true,
-		Registrars: []string{"", "a", "b"}, Countries: []string{"China", "United States"},
-		CountryOverflow: true,
-	}
-	z2, err := decodeZoneMap(encodeZoneMap(z))
+	st := buildTestStore(t, t.TempDir(), 300, 6, true)
+	defer st.Close()
+	r, err := st.OpenSegment(st.SegmentInfos()[0].ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if z2.SegID != z.SegID || z2.Fingerprint != z.Fingerprint || z2.Records != z.Records ||
-		z2.MinYear != z.MinYear || z2.MaxYear != z.MaxYear || z2.YearZero != z.YearZero ||
-		!z2.CountryOverflow || z2.RegOverflow ||
-		strings.Join(z2.Registrars, "|") != "|a|b" || strings.Join(z2.Countries, "|") != "China|United States" {
-		t.Fatalf("zone map round trip: %+v", z2)
-	}
-
-	x := &Index{
-		SegID: 7, Fingerprint: 0xdeadbeef, Records: 123,
-		Registrar: map[string][]Posting{
-			"":     {{Off: 5, Idx: 0}},
-			"eNom": {{Off: 5, Idx: 1}, {Off: 900, Idx: 0}},
-		},
-		Country: map[string][]Posting{"China": {{Off: 5, Idx: 0}, {Off: 5, Idx: 1}, {Off: 900, Idx: 0}}},
-		Year:    nil, // overflowed section survives as nil
-	}
-	x2, err := decodeIndex(encodeIndex(x))
+	defer r.Close()
+	sc, err := buildSidecar(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if x2.Year != nil {
-		t.Fatal("overflowed year section decoded non-nil")
+	got, err := decodeSidecar(sc.encode())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(x2.Registrar) != 2 || len(x2.Registrar["eNom"]) != 2 || x2.Registrar["eNom"][1] != (Posting{Off: 900, Idx: 0}) {
-		t.Fatalf("index round trip: %+v", x2.Registrar)
+	if !reflect.DeepEqual(got, sc) {
+		t.Fatalf("round trip diverged:\n got %+v\nwant %+v", got, sc)
 	}
-	if len(x2.Country["China"]) != 3 || x2.Country["China"][1] != (Posting{Off: 5, Idx: 1}) {
-		t.Fatalf("index round trip: %+v", x2.Country)
+	i := 0
+	err = r.Frames(func(_ int64, payloads [][]byte) error {
+		for _, payload := range payloads {
+			rec, err := store.DecodeRecord(payload)
+			if err != nil {
+				return err
+			}
+			want := rec.Facts
+			want.Domain, want.ModelVersion = "", ""
+			if f := got.facts(i); f != want {
+				t.Fatalf("row %d = %+v, want %+v", i, f, want)
+			}
+			i++
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i != len(got.rows) || len(got.frames) < 2 || got.frames[0].n < 2 {
+		t.Fatalf("%d rows for %d records in %d frames; want compressed blocks", len(got.rows), i, len(got.frames))
 	}
 }
 
-func TestIntersectPostings(t *testing.T) {
-	a := []Posting{{5, 0}, {5, 1}, {90, 0}, {200, 3}}
-	b := []Posting{{5, 1}, {90, 0}, {90, 1}, {201, 0}}
-	got := intersectPostings(a, b)
-	want := []Posting{{5, 1}, {90, 0}}
-	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("intersect = %v, want %v", got, want)
+// TestSidecarBytesV1Fixture pins the sidecar format: over the store's
+// checked-in v1 fixture, compressed in blocks of five, the segment and
+// the sidecar BuildAll writes for it hash to fixed values.
+func TestSidecarBytesV1Fixture(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"00000001.seg", "00000002.seg"} {
+		b, err := os.ReadFile(filepath.Join("..", "store", "testdata", "v1", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if out := intersectPostings(a, nil); len(out) != 0 {
-		t.Fatalf("intersect with empty = %v", out)
+	st, err := store.Open(dir, store.Options{BlockRecords: 5, Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, err := st.CompressSealed(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(st, Options{Metrics: obs.NewRegistry()}).BuildAll(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ name, sha string }{
+		{"00000001.seg", "68a1b1e3ceb1b6ef65a6515e08fd3703d836d1bbee515c9a3b896aa285e2e4e9"},
+		{"00000001" + sidecarSuffix, "426c7668223f1615d7b18a2f45407f922b1fb285c7971bf3323fb09a390048cc"},
+	} {
+		b, err := os.ReadFile(filepath.Join(dir, c.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != c.sha {
+			t.Errorf("%s: sha256 %s, want %s", c.name, got, c.sha)
+		}
 	}
 }

@@ -7,49 +7,36 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"repro/internal/store"
+	"repro/internal/survey"
 )
 
-// Sidecar formats. Both files share the envelope
+// The facts sidecar. Each sealed segment %08d.seg gets one %08d.facts
+// beside it, in the envelope
 //
-//	magic[4] version[1] <body> crc32c[4]
+//	magic "WFC1", version[1], <body>, crc32c[4]
 //
-// where the trailing CRC32C covers everything before it. Bodies are
-// uvarint/length-prefixed, bounds-checked on decode: a sidecar is
-// untrusted input (it can be stale, truncated, or hand-edited), and the
-// worst a bad one may cause is a fall back to a full scan.
+// where the trailing CRC32C covers everything before it. The body is
 //
-// Zone map (.zm) body:
+//	segID uvarint, fingerprint LE32, records uvarint,
+//	dictionary: count uvarint, then len-prefixed strings, strictly ascending,
+//	frames: count uvarint, then per frame uvarint(off - prevOff) and
+//	        uvarint(records in the frame),
+//	rows: per record, in segment order, the dictionary codes (uvarint) of
+//	      its registrar, country, org and privacy service, then
+//	      uvarint(creation year) and a flags byte (privacy, blacklisted).
 //
-//	segID uvarint, fingerprint LE32, records uvarint, flags byte,
-//	minYear uvarint, maxYear uvarint,
-//	registrars: count uvarint then len-prefixed strings (sorted),
-//	countries:  count uvarint then len-prefixed strings (sorted)
-//
-// Index (.idx) body:
-//
-//	segID uvarint, fingerprint LE32, records uvarint, flags byte,
-//	registrar section, country section (sorted string keys),
-//	year section (ascending uvarint keys);
-//	each key carries a posting list: count uvarint, then per posting
-//	uvarint(Off - prevOff) and uvarint(Idx), sorted by (Off, Idx)
-var (
-	zoneMagic  = [4]byte{'W', 'Z', 'M', '1'}
-	indexMagic = [4]byte{'W', 'I', 'X', '1'}
-)
+// Rows follow segment order, so the frame table gives every row its frame
+// offset and its index inside that frame. The body is bounds-checked on
+// decode: a sidecar is untrusted input (it can be stale, truncated, or
+// hand-edited), and the worst a bad one may cause is a full scan.
+var sidecarMagic = [4]byte{'W', 'F', 'C', '1'}
 
 const (
 	sidecarVersion = 1
-
-	// maxZoneKeys caps the distinct registrar/country sets a zone map
-	// tracks; past it the dimension is marked overflowed and cannot
-	// prune (correct, just less effective).
-	maxZoneKeys = 256
-	// maxIndexKeys caps the keys per index section; past it the section
-	// is dropped and queries on that dimension scan the segment.
-	maxIndexKeys = 4096
+	sidecarSuffix  = ".facts"
 	// maxSidecarBytes rejects absurd sidecar files before reading them
 	// into memory.
 	maxSidecarBytes = 64 << 20
@@ -60,137 +47,271 @@ const (
 // exactly like a missing sidecar.
 var ErrBadSidecar = errors.New("query: malformed sidecar")
 
-// Zone-map flag bits.
+// The dictionary-coded columns of a row, in wire order.
 const (
-	zfRegOverflow     = 1 << 0
-	zfCountryOverflow = 1 << 1
-	zfYearZero        = 1 << 2 // some record has no parseable creation year
+	colRegistrar = iota
+	colCountry
+	colOrg
+	colPrivacySvc
+	numCols
 )
 
-// Index flag bits.
+// Row flag bits.
 const (
-	xfRegOverflow     = 1 << 0
-	xfCountryOverflow = 1 << 1
-	xfYearOverflow    = 1 << 2
+	rowPrivacy = 1 << iota
+	rowBlacklisted
 )
 
-// ZoneMap summarizes one sealed segment for pruning: the distinct
-// registrar and country sets (capped; overflow disables that dimension)
-// and the creation-year range. A query whose predicate cannot match the
-// summary skips the segment without touching it.
-type ZoneMap struct {
-	SegID       uint64
-	Fingerprint uint32
-	Records     uint64
+// sidecar is one sealed segment's facts column: every survey.Facts field
+// that Pred.Match or survey.Add reads, for every record, with the string
+// fields coded against one per-segment dictionary, and the frame table
+// that locates each record in the segment.
+type sidecar struct {
+	segID       uint64
+	fingerprint uint32
+	dict        []string // strictly ascending
+	frames      []frameSpan
+	rows        []factsRow
 
-	MinYear, MaxYear int  // over records with a parsed year; 0,0 = none
-	YearZero         bool // at least one record has CreatedYear == 0
-
-	Registrars      []string // sorted; complete unless RegOverflow
-	Countries       []string // sorted; complete unless CountryOverflow
-	RegOverflow     bool
-	CountryOverflow bool
+	// Derived from rows on build and decode, for pruning.
+	minYear, maxYear int  // over rows with a year; 0, 0 = none
+	yearZero         bool // some row has no creation year
 }
 
-// MayMatch reports whether any record of the summarized segment could
-// satisfy p. False positives cost a scan; false negatives would lose
-// rows, so every rule here must be conservative.
-func (z *ZoneMap) MayMatch(p Pred) bool {
-	if z.Records == 0 {
-		return false
+// frameSpan is one frame of the segment: its byte offset and the number
+// of records (rows) it holds.
+type frameSpan struct {
+	off int64
+	n   int
+}
+
+type factsRow struct {
+	codes [numCols]uint32 // indexes into dict
+	year  uint16
+	flags uint8
+}
+
+// sidecarPath names the facts sidecar of segment id inside the store
+// directory, mirroring the %08d.seg naming of the segments.
+func sidecarPath(dir string, id uint64) string {
+	return filepath.Join(dir, fmt.Sprintf("%08d%s", id, sidecarSuffix))
+}
+
+// describes reports whether the sidecar was built from this very
+// snapshot: same segment, same content fingerprint, same record count.
+func (sc *sidecar) describes(info store.SegmentInfo, fp uint32) bool {
+	return sc.segID == info.ID && sc.fingerprint == fp && uint64(len(sc.rows)) == info.Records
+}
+
+// facts returns row i as the facts survey.Add folds. Domain and
+// ModelVersion stay empty: no predicate or table reads them.
+func (sc *sidecar) facts(i int) survey.Facts {
+	r := &sc.rows[i]
+	return survey.Facts{
+		Registrar:   sc.dict[r.codes[colRegistrar]],
+		Country:     sc.dict[r.codes[colCountry]],
+		Org:         sc.dict[r.codes[colOrg]],
+		PrivacySvc:  sc.dict[r.codes[colPrivacySvc]],
+		CreatedYear: int(r.year),
+		Privacy:     r.flags&rowPrivacy != 0,
+		Blacklisted: r.flags&rowBlacklisted != 0,
 	}
-	if p.Registrar != "" && !z.RegOverflow && !containsSorted(z.Registrars, p.Registrar) {
-		return false
-	}
-	if p.Country != "" && !z.CountryOverflow && !containsSorted(z.Countries, p.Country) {
-		return false
-	}
-	if p.HasYear {
-		switch {
-		case p.YearTo > 0:
-			// Range [Year, YearTo]: prune only when it cannot overlap the
-			// segment's [MinYear, MaxYear] (ranges never match year-0
-			// records, so YearZero does not keep the segment alive).
-			if z.MaxYear == 0 || p.YearTo < z.MinYear || p.Year > z.MaxYear {
-				return false
-			}
-		case p.Year == 0:
-			if !z.YearZero {
-				return false
-			}
-		default:
-			if z.MaxYear == 0 || p.Year < z.MinYear || p.Year > z.MaxYear {
-				return false
-			}
+}
+
+// match returns the rows whose facts satisfy p, in segment order.
+func (sc *sidecar) match(p Pred) []int {
+	var rows []int
+	for i := range sc.rows {
+		if f := sc.facts(i); p.Match(&f) {
+			rows = append(rows, i)
 		}
 	}
-	if p.Since > 0 && z.MaxYear < p.Since {
-		return false
+	return rows
+}
+
+// prunes reports that no record of the segment can satisfy p, without
+// looking at a row: the dictionary lacks the wanted registrar or country,
+// or the wanted years fall outside the segment's. Every rule must be
+// conservative; a false "prunes" would lose rows.
+func (sc *sidecar) prunes(p Pred) bool {
+	if p.Registrar != "" && !sc.inDict(p.Registrar) || p.Country != "" && !sc.inDict(p.Country) {
+		return true
 	}
-	return true
+	// The years Match admits, as a window [lo, hi]; lo == 0 admits the
+	// records without a year.
+	lo, hi := p.Since, 9999
+	if p.HasYear {
+		lo, hi = max(lo, p.Year), p.Year
+		if p.YearTo > 0 {
+			hi = p.YearTo
+		}
+	}
+	switch {
+	case lo > hi:
+		return true
+	case lo == 0:
+		return !sc.yearZero && (sc.maxYear == 0 || hi < sc.minYear)
+	default:
+		return sc.maxYear == 0 || hi < sc.minYear || lo > sc.maxYear
+	}
 }
 
-func containsSorted(ss []string, s string) bool {
-	i := sort.SearchStrings(ss, s)
-	return i < len(ss) && ss[i] == s
+func (sc *sidecar) inDict(s string) bool {
+	_, ok := slices.BinarySearch(sc.dict, s)
+	return ok
 }
 
-// Posting locates one record: the byte offset of its frame within the
-// segment and its index among the frame's records (always 0 for a plain
-// frame, 0..n-1 inside a compressed block).
-type Posting struct {
-	Off int64
-	Idx int
+// deriveYears fills the year summary prunes reads.
+func (sc *sidecar) deriveYears() {
+	for i := range sc.rows {
+		y := int(sc.rows[i].year)
+		switch {
+		case y == 0:
+			sc.yearZero = true
+		case sc.maxYear == 0:
+			sc.minYear, sc.maxYear = y, y
+		default:
+			sc.minYear, sc.maxYear = min(sc.minYear, y), max(sc.maxYear, y)
+		}
+	}
 }
 
-func postingLess(a, b Posting) bool {
-	return a.Off < b.Off || (a.Off == b.Off && a.Idx < b.Idx)
+// read decodes the given rows (ascending) from the frames that hold them,
+// one FrameAt per such frame, and re-checks each record against p. A
+// frame that is not where the sidecar says, holds a different number of
+// records, or carries a record p rejects means the sidecar lied: read
+// errors, and the caller discards everything and scans the segment, so
+// a partial result never leaks out as a complete one.
+func (sc *sidecar) read(r *store.SegmentReader, rows []int, p Pred) ([]*store.Record, error) {
+	var out []*store.Record
+	fi, first, loaded := 0, 0, -1 // frame holding the row, its first row, the frame in payloads
+	var payloads [][]byte
+	for _, row := range rows {
+		for row >= first+sc.frames[fi].n {
+			first += sc.frames[fi].n
+			fi++
+		}
+		if loaded != fi {
+			var err error
+			if payloads, err = r.FrameAt(sc.frames[fi].off); err != nil {
+				return nil, err
+			}
+			if len(payloads) != sc.frames[fi].n {
+				return nil, fmt.Errorf("query: frame at %d holds %d records, sidecar says %d", sc.frames[fi].off, len(payloads), sc.frames[fi].n)
+			}
+			loaded = fi
+		}
+		rec, err := store.DecodeRecord(payloads[row-first])
+		if err != nil {
+			return nil, err
+		}
+		if !p.Match(&rec.Facts) {
+			return nil, fmt.Errorf("query: record %d of segment %d disagrees with its sidecar row", row, sc.segID)
+		}
+		out = append(out, rec)
+	}
+	return out, nil
 }
 
-// Index maps registrar, country, and creation-year values to the
-// postings of the records carrying them. A nil section means that
-// dimension overflowed maxIndexKeys at build time and cannot seek.
-type Index struct {
-	SegID       uint64
-	Fingerprint uint32
-	Records     uint64
-
-	Registrar map[string][]Posting
-	Country   map[string][]Posting
-	Year      map[int][]Posting
+// buildSidecar derives the facts sidecar of one segment snapshot in a
+// single pass over its frames. It inherits the snapshot's fingerprint,
+// so it self-invalidates when the segment is later compacted, compressed
+// or otherwise rewritten.
+func buildSidecar(r *store.SegmentReader) (*sidecar, error) {
+	info := r.Info()
+	fp, err := r.Fingerprint()
+	if err != nil {
+		return nil, err
+	}
+	sc := &sidecar{segID: info.ID, fingerprint: fp}
+	codes := make(map[string]uint32) // provisional codes, in first-seen order
+	code := func(s string) uint32 {
+		c, ok := codes[s]
+		if !ok {
+			c = uint32(len(sc.dict))
+			codes[s] = c
+			sc.dict = append(sc.dict, s)
+		}
+		return c
+	}
+	err = r.Frames(func(off int64, payloads [][]byte) error {
+		sc.frames = append(sc.frames, frameSpan{off: off, n: len(payloads)})
+		for _, payload := range payloads {
+			rec, err := store.DecodeRecord(payload)
+			if err != nil {
+				return err
+			}
+			f := &rec.Facts
+			row := factsRow{year: uint16(f.CreatedYear)}
+			row.codes = [numCols]uint32{code(f.Registrar), code(f.Country), code(f.Org), code(f.PrivacySvc)}
+			if f.Privacy {
+				row.flags |= rowPrivacy
+			}
+			if f.Blacklisted {
+				row.flags |= rowBlacklisted
+			}
+			sc.rows = append(sc.rows, row)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if uint64(len(sc.rows)) != info.Records {
+		return nil, fmt.Errorf("query: build %s: saw %d of %d records", info.Path, len(sc.rows), info.Records)
+	}
+	// Sort the dictionary, so lookups binary-search it and the bytes of
+	// a segment's sidecar do not depend on map order, and recode rows.
+	slices.Sort(sc.dict)
+	final := make([]uint32, len(sc.dict))
+	for i, s := range sc.dict {
+		final[codes[s]] = uint32(i)
+	}
+	for i := range sc.rows {
+		for c, v := range sc.rows[i].codes {
+			sc.rows[i].codes[c] = final[v]
+		}
+	}
+	sc.deriveYears()
+	return sc, nil
 }
 
-// ZonePath and IndexPath name the sidecars for segment id inside the
-// store directory, mirroring the %08d.seg naming of the segments.
-func ZonePath(dir string, segID uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("%08d.zm", segID))
+// encode serializes the sidecar into its file bytes.
+func (sc *sidecar) encode() []byte {
+	b := append([]byte(nil), sidecarMagic[:]...)
+	b = append(b, sidecarVersion)
+	b = binary.AppendUvarint(b, sc.segID)
+	b = binary.LittleEndian.AppendUint32(b, sc.fingerprint)
+	b = binary.AppendUvarint(b, uint64(len(sc.rows)))
+	b = binary.AppendUvarint(b, uint64(len(sc.dict)))
+	for _, s := range sc.dict {
+		b = store.AppendString(b, s)
+	}
+	b = binary.AppendUvarint(b, uint64(len(sc.frames)))
+	var prev int64
+	for _, f := range sc.frames {
+		b = binary.AppendUvarint(b, uint64(f.off-prev))
+		b = binary.AppendUvarint(b, uint64(f.n))
+		prev = f.off
+	}
+	for _, r := range sc.rows {
+		for _, c := range r.codes {
+			b = binary.AppendUvarint(b, uint64(c))
+		}
+		b = binary.AppendUvarint(b, uint64(r.year))
+		b = append(b, r.flags)
+	}
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, store.Castagnoli))
 }
 
-// IndexPath returns the secondary-index sidecar path for segment id.
-func IndexPath(dir string, segID uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("%08d.idx", segID))
-}
-
-// sidecarWriter builds a sidecar body.
-type sidecarWriter struct{ b []byte }
-
-func (w *sidecarWriter) uvarint(v uint64) { w.b = binary.AppendUvarint(w.b, v) }
-func (w *sidecarWriter) u32(v uint32)     { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
-func (w *sidecarWriter) byte(v byte)      { w.b = append(w.b, v) }
-func (w *sidecarWriter) str(s string)     { w.b = store.AppendString(w.b, s) }
-
-// finish appends the trailing CRC and returns the complete file bytes.
-func (w *sidecarWriter) finish() []byte {
-	return binary.LittleEndian.AppendUint32(w.b, crc32.Checksum(w.b, store.Castagnoli))
-}
-
-// checkEnvelope validates magic, version, and trailing CRC, returning
-// the body bytes.
-func checkEnvelope(data []byte, magic [4]byte) ([]byte, error) {
-	if len(data) < len(magic)+1+4 {
+// decodeSidecar validates and decodes sidecar file bytes. Every count is
+// checked against the bytes left before anything is allocated for it: a
+// dictionary string costs at least one byte, a frame two and a row six.
+func decodeSidecar(data []byte) (*sidecar, error) {
+	if len(data) < len(sidecarMagic)+1+4 {
 		return nil, fmt.Errorf("%w: short file", ErrBadSidecar)
 	}
-	if [4]byte(data[:4]) != magic {
+	if [4]byte(data[:4]) != sidecarMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadSidecar)
 	}
 	if data[4] != sidecarVersion {
@@ -200,239 +321,70 @@ func checkEnvelope(data []byte, magic [4]byte) ([]byte, error) {
 	if crc32.Checksum(body, store.Castagnoli) != sum {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadSidecar)
 	}
-	return body[5:], nil
-}
+	r := store.NewCursor(body[5:])
+	sc := &sidecar{segID: r.Uvarint(), fingerprint: r.U32()}
+	records := r.Uvarint()
 
-// encodeZoneMap serializes z (sets are sorted in place).
-func encodeZoneMap(z *ZoneMap) []byte {
-	w := &sidecarWriter{}
-	w.b = append(w.b, zoneMagic[:]...)
-	w.byte(sidecarVersion)
-	w.uvarint(z.SegID)
-	w.u32(z.Fingerprint)
-	w.uvarint(z.Records)
-	var flags byte
-	if z.RegOverflow {
-		flags |= zfRegOverflow
+	n := r.Uvarint()
+	if r.Bad() || n > uint64(r.Remaining()) {
+		return nil, fmt.Errorf("%w: dictionary size", ErrBadSidecar)
 	}
-	if z.CountryOverflow {
-		flags |= zfCountryOverflow
-	}
-	if z.YearZero {
-		flags |= zfYearZero
-	}
-	w.byte(flags)
-	w.uvarint(uint64(z.MinYear))
-	w.uvarint(uint64(z.MaxYear))
-	sort.Strings(z.Registrars)
-	sort.Strings(z.Countries)
-	for _, set := range [][]string{z.Registrars, z.Countries} {
-		w.uvarint(uint64(len(set)))
-		for _, s := range set {
-			w.str(s)
+	sc.dict = make([]string, n)
+	for i := range sc.dict {
+		sc.dict[i] = r.Str()
+		if r.Bad() || i > 0 && sc.dict[i] <= sc.dict[i-1] {
+			return nil, fmt.Errorf("%w: dictionary order", ErrBadSidecar)
 		}
 	}
-	return w.finish()
-}
 
-func decodeZoneMap(data []byte) (*ZoneMap, error) {
-	body, err := checkEnvelope(data, zoneMagic)
-	if err != nil {
-		return nil, err
+	n = r.Uvarint()
+	if r.Bad() || n > uint64(r.Remaining()/2) {
+		return nil, fmt.Errorf("%w: frame count", ErrBadSidecar)
 	}
-	r := store.NewCursor(body)
-	z := &ZoneMap{}
-	z.SegID = r.Uvarint()
-	z.Fingerprint = r.U32()
-	z.Records = r.Uvarint()
-	flags := r.Byte()
-	z.RegOverflow = flags&zfRegOverflow != 0
-	z.CountryOverflow = flags&zfCountryOverflow != 0
-	z.YearZero = flags&zfYearZero != 0
-	minY, maxY := r.Uvarint(), r.Uvarint()
-	if r.Bad() || minY > 9999 || maxY > 9999 || minY > maxY {
-		return nil, fmt.Errorf("%w: year range", ErrBadSidecar)
-	}
-	z.MinYear, z.MaxYear = int(minY), int(maxY)
-	for _, dst := range []*[]string{&z.Registrars, &z.Countries} {
-		n := r.Uvarint()
-		if r.Bad() || n > maxZoneKeys || n > uint64(r.Remaining()) {
-			return nil, fmt.Errorf("%w: key set", ErrBadSidecar)
+	sc.frames = make([]frameSpan, n)
+	var off, total uint64
+	for i := range sc.frames {
+		d, k := r.Uvarint(), r.Uvarint()
+		if r.Bad() || d == 0 || d > 1<<40 || k == 0 || k > records-total {
+			return nil, fmt.Errorf("%w: frame %d", ErrBadSidecar, i)
 		}
-		set := make([]string, 0, n)
-		prev := ""
-		for i := uint64(0); i < n; i++ {
-			s := r.Str()
-			if r.Bad() || (i > 0 && s <= prev) {
-				return nil, fmt.Errorf("%w: key set order", ErrBadSidecar)
+		off, total = off+d, total+k
+		sc.frames[i] = frameSpan{off: int64(off), n: int(k)}
+	}
+	if total != records {
+		return nil, fmt.Errorf("%w: frames hold %d of %d records", ErrBadSidecar, total, records)
+	}
+
+	if records > uint64(r.Remaining()/6) {
+		return nil, fmt.Errorf("%w: row count", ErrBadSidecar)
+	}
+	sc.rows = make([]factsRow, records)
+	for i := range sc.rows {
+		row := &sc.rows[i]
+		for c := range row.codes {
+			v := r.Uvarint()
+			if v >= uint64(len(sc.dict)) {
+				return nil, fmt.Errorf("%w: row %d code", ErrBadSidecar, i)
 			}
-			set = append(set, s)
-			prev = s
+			row.codes[c] = uint32(v)
 		}
-		*dst = set
+		year, flags := r.Uvarint(), r.Byte()
+		if r.Bad() || year > 9999 || flags&^(rowPrivacy|rowBlacklisted) != 0 {
+			return nil, fmt.Errorf("%w: row %d", ErrBadSidecar, i)
+		}
+		row.year, row.flags = uint16(year), flags
 	}
 	if !r.Done() {
 		return nil, fmt.Errorf("%w: trailing bytes", ErrBadSidecar)
 	}
-	return z, nil
+	sc.deriveYears()
+	return sc, nil
 }
 
-func writePostings(w *sidecarWriter, ps []Posting) {
-	w.uvarint(uint64(len(ps)))
-	var prev int64
-	for _, p := range ps {
-		w.uvarint(uint64(p.Off - prev))
-		w.uvarint(uint64(p.Idx))
-		prev = p.Off
-	}
-}
-
-func readPostings(r *store.Cursor) ([]Posting, error) {
-	n := r.Uvarint()
-	// Each posting costs at least two bytes on the wire.
-	if r.Bad() || n > uint64(r.Remaining()/2)+1 {
-		return nil, fmt.Errorf("%w: posting count", ErrBadSidecar)
-	}
-	ps := make([]Posting, 0, n)
-	var prev Posting
-	for i := uint64(0); i < n; i++ {
-		d, idx := r.Uvarint(), r.Uvarint()
-		if r.Bad() || d > 1<<40 || idx > 1<<24 {
-			return nil, fmt.Errorf("%w: posting", ErrBadSidecar)
-		}
-		p := Posting{Off: prev.Off + int64(d), Idx: int(idx)}
-		if i > 0 && !postingLess(prev, p) {
-			return nil, fmt.Errorf("%w: posting order", ErrBadSidecar)
-		}
-		ps = append(ps, p)
-		prev = p
-	}
-	return ps, nil
-}
-
-// encodeIndex serializes x with deterministic key order.
-func encodeIndex(x *Index) []byte {
-	w := &sidecarWriter{}
-	w.b = append(w.b, indexMagic[:]...)
-	w.byte(sidecarVersion)
-	w.uvarint(x.SegID)
-	w.u32(x.Fingerprint)
-	w.uvarint(x.Records)
-	var flags byte
-	if x.Registrar == nil {
-		flags |= xfRegOverflow
-	}
-	if x.Country == nil {
-		flags |= xfCountryOverflow
-	}
-	if x.Year == nil {
-		flags |= xfYearOverflow
-	}
-	w.byte(flags)
-	for _, m := range []map[string][]Posting{x.Registrar, x.Country} {
-		keys := make([]string, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		w.uvarint(uint64(len(keys)))
-		for _, k := range keys {
-			w.str(k)
-			writePostings(w, m[k])
-		}
-	}
-	years := make([]int, 0, len(x.Year))
-	for y := range x.Year {
-		years = append(years, y)
-	}
-	sort.Ints(years)
-	w.uvarint(uint64(len(years)))
-	for _, y := range years {
-		w.uvarint(uint64(y))
-		writePostings(w, x.Year[y])
-	}
-	return w.finish()
-}
-
-func decodeIndex(data []byte) (*Index, error) {
-	body, err := checkEnvelope(data, indexMagic)
-	if err != nil {
-		return nil, err
-	}
-	r := store.NewCursor(body)
-	x := &Index{}
-	x.SegID = r.Uvarint()
-	x.Fingerprint = r.U32()
-	x.Records = r.Uvarint()
-	flags := r.Byte()
-	if r.Bad() {
-		return nil, fmt.Errorf("%w: header", ErrBadSidecar)
-	}
-	for i, overflowed := range []bool{flags&xfRegOverflow != 0, flags&xfCountryOverflow != 0} {
-		n := r.Uvarint()
-		if r.Bad() || n > maxIndexKeys || n > uint64(r.Remaining()) {
-			return nil, fmt.Errorf("%w: section size", ErrBadSidecar)
-		}
-		if overflowed && n != 0 {
-			return nil, fmt.Errorf("%w: overflowed section with keys", ErrBadSidecar)
-		}
-		var m map[string][]Posting
-		if !overflowed {
-			m = make(map[string][]Posting, n)
-		}
-		prev := ""
-		for j := uint64(0); j < n; j++ {
-			k := r.Str()
-			if r.Bad() || (j > 0 && k <= prev) {
-				return nil, fmt.Errorf("%w: key order", ErrBadSidecar)
-			}
-			ps, err := readPostings(r)
-			if err != nil {
-				return nil, err
-			}
-			m[k] = ps
-			prev = k
-		}
-		if i == 0 {
-			x.Registrar = m
-		} else {
-			x.Country = m
-		}
-	}
-	n := r.Uvarint()
-	if r.Bad() || n > maxIndexKeys || n > uint64(r.Remaining()) {
-		return nil, fmt.Errorf("%w: year section size", ErrBadSidecar)
-	}
-	if flags&xfYearOverflow != 0 {
-		if n != 0 {
-			return nil, fmt.Errorf("%w: overflowed section with keys", ErrBadSidecar)
-		}
-	} else {
-		x.Year = make(map[int][]Posting, n)
-	}
-	prevYear := int64(-1)
-	for j := uint64(0); j < n; j++ {
-		y := r.Uvarint()
-		if r.Bad() || y > 9999 || int64(y) <= prevYear {
-			return nil, fmt.Errorf("%w: year key", ErrBadSidecar)
-		}
-		ps, err := readPostings(r)
-		if err != nil {
-			return nil, err
-		}
-		x.Year[int(y)] = ps
-		prevYear = int64(y)
-	}
-	if !r.Done() {
-		return nil, fmt.Errorf("%w: trailing bytes", ErrBadSidecar)
-	}
-	return x, nil
-}
-
-// loadSidecar reads and size-caps one sidecar file. A missing file is
-// reported as os.ErrNotExist (callers distinguish "never built" from
-// "built but bad").
-func loadSidecar(path string) ([]byte, error) {
+// loadSidecar reads, size-caps and decodes one sidecar file. A missing
+// file reports an error matching fs.ErrNotExist: callers tell "never
+// built" from "built but bad".
+func loadSidecar(path string) (*sidecar, error) {
 	fi, err := os.Stat(path)
 	if err != nil {
 		return nil, err
@@ -440,37 +392,9 @@ func loadSidecar(path string) ([]byte, error) {
 	if fi.Size() > maxSidecarBytes {
 		return nil, fmt.Errorf("%w: %d bytes", ErrBadSidecar, fi.Size())
 	}
-	return os.ReadFile(path)
-}
-
-// LoadZoneMap reads and validates the zone map at path.
-func LoadZoneMap(path string) (*ZoneMap, error) {
-	data, err := loadSidecar(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return decodeZoneMap(data)
-}
-
-// LoadIndex reads and validates the index at path.
-func LoadIndex(path string) (*Index, error) {
-	data, err := loadSidecar(path)
-	if err != nil {
-		return nil, err
-	}
-	return decodeIndex(data)
-}
-
-// writeFileAtomic writes data via temp file + rename so a crash never
-// leaves a torn sidecar where a good (or no) one stood.
-func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("query: write sidecar: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("query: write sidecar: %w", err)
-	}
-	return nil
+	return decodeSidecar(data)
 }

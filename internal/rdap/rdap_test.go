@@ -2,8 +2,11 @@ package rdap
 
 import (
 	"encoding/json"
+	"net"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/synth"
 )
@@ -154,4 +157,59 @@ func TestStructuredVsStatistical(t *testing.T) {
 	if exact != len(domains) {
 		t.Errorf("structured extraction exact for %d/%d records; must be all", exact, len(domains))
 	}
+}
+
+// goroutinesJoined notes the goroutine count; the returned check polls
+// briefly until the count is back at that baseline, so a goroutine the
+// code under test started and did not join fails the test.
+func goroutinesJoined(t *testing.T) func() {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	return func() {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<16)
+				t.Fatalf("%d goroutines after Close, %d before Listen:\n%s",
+					runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+}
+
+// TestServerCloseJoinsGoroutines: after lookups over kept-alive
+// connections and with one idle connection open, Close leaves no
+// goroutine behind: the Serve goroutine is joined and every connection
+// is closed.
+func TestServerCloseJoinsGoroutines(t *testing.T) {
+	joined := goroutinesJoined(t)
+	domains := synth.Generate(synth.Config{N: 10, Seed: 803})
+	srv := NewServer(domains)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := &Client{BaseURL: "http://" + addr}
+	for _, d := range domains[:3] {
+		if _, err := client.Lookup(d.Reg.Domain); err != nil {
+			t.Fatal(err)
+		}
+	}
+	idle, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The Serve goroutine is gone the moment Close returns; connection
+	// goroutines may take a moment to see their closed sockets.
+	buf := make([]byte, 1<<20)
+	if st := string(buf[:runtime.Stack(buf, true)]); strings.Contains(st, "rdap.(*Server).Listen") {
+		t.Fatalf("Close returned before the Serve goroutine did:\n%s", st)
+	}
+	idle.Close()
+	joined()
 }

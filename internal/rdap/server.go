@@ -28,6 +28,7 @@ type Server struct {
 	records map[string]string // raw WHOIS text, for /parsed/
 	parse   ParseBackend
 	httpSrv *http.Server
+	served  chan struct{} // closed when the Serve goroutine returns
 	addr    string
 	met     *serverMetrics
 }
@@ -216,19 +217,26 @@ func (s *Server) Listen(addr string) (string, error) {
 		WriteTimeout:      30 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
-	go func() { _ = s.httpSrv.Serve(l) }()
+	s.served = make(chan struct{})
+	go func() {
+		defer close(s.served)
+		_ = s.httpSrv.Serve(l)
+	}()
 	return s.addr, nil
 }
 
 // Addr returns the bound address ("" before Listen).
 func (s *Server) Addr() string { return s.addr }
 
-// Close shuts the HTTP server down.
+// Close shuts the HTTP server down: it closes the listener and every
+// open connection, and returns once the Serve goroutine has.
 func (s *Server) Close() error {
 	if s.httpSrv == nil {
 		return nil
 	}
-	return s.httpSrv.Close()
+	err := s.httpSrv.Close()
+	<-s.served
+	return err
 }
 
 // Client fetches RDAP domain objects.

@@ -136,8 +136,8 @@ const fingerprintSample = 4096
 
 // Fingerprint is a cheap content identity for the snapshot: CRC32C over
 // the first and last fingerprintSample bytes plus the committed size.
-// Derived artifacts (zone maps, secondary indexes) record it so a stale
-// or foreign sidecar is detected — and regenerated — rather than
+// Derived artifacts (the query engine's facts sidecars) record it so a
+// stale or foreign sidecar is detected — and regenerated — rather than
 // trusted, without re-reading the whole segment on every query.
 func (r *SegmentReader) Fingerprint() (uint32, error) {
 	h := crc32.New(Castagnoli)
@@ -200,7 +200,8 @@ func (r *SegmentReader) Frames(fn func(off int64, payloads [][]byte) error) erro
 }
 
 // FrameAt reads the single frame starting at off and returns its record
-// payloads — the posting-seek primitive under index-pruned scans. The
+// payloads — how a query reads only the frames its sidecar says hold a
+// match. The
 // offset must land exactly on a frame boundary inside the snapshot;
 // anything else fails the frame CRC (or bounds check) and errors.
 func (r *SegmentReader) FrameAt(off int64) ([][]byte, error) {

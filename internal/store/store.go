@@ -454,8 +454,8 @@ func (s *Store) rotateLocked() error {
 // SetOnSeal registers fn to be called with a segment id whenever that
 // segment becomes sealed — by rotation — or a sealed segment's bytes are
 // rewritten in place by Compact or CompressSealed. Derived artifacts
-// keyed to a segment's content (the query engine's zone maps and
-// secondary indexes) hang off this hook to stay fresh without polling.
+// keyed to a segment's content (the query engine's facts sidecars) hang
+// off this hook to stay fresh without polling.
 // Calls run one at a time, in seal order, on a single worker goroutine
 // the store owns; Close waits for every queued call.
 func (s *Store) SetOnSeal(fn func(id uint64)) {
@@ -497,8 +497,8 @@ func (s *Store) runSealHooks() {
 	s.sealBusy = false
 }
 
-// Dir reports the store's directory — sidecar artifacts (zone maps,
-// secondary indexes) live alongside the segments they describe.
+// Dir reports the store's directory — sidecar artifacts (the query
+// engine's facts sidecars) live alongside the segments they describe.
 func (s *Store) Dir() string { return s.dir }
 
 // syncLocked fsyncs the active segment. Callers hold s.mu.
