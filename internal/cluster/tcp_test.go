@@ -6,13 +6,13 @@ import (
 	"context"
 	"errors"
 	"net"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/leakcheck"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -257,29 +257,10 @@ func TestTCPClientDialFailure(t *testing.T) {
 	}
 }
 
-// goroutinesJoined notes the goroutine count; the returned check polls
-// briefly until the count is back at that baseline, so a goroutine the
-// code under test started and did not join fails the test.
-func goroutinesJoined(t *testing.T) func() {
-	t.Helper()
-	base := runtime.NumGoroutine()
-	return func() {
-		t.Helper()
-		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; {
-			if time.Now().After(deadline) {
-				buf := make([]byte, 1<<16)
-				t.Fatalf("%d goroutines after Close, %d before start:\n%s",
-					runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-}
-
 // TestTCPCloseJoinsGoroutines: a server with live pooled client
 // connections leaves no goroutine behind once Close returns.
 func TestTCPCloseJoinsGoroutines(t *testing.T) {
-	joined := goroutinesJoined(t)
+	joined := leakcheck.Joined(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/eval"
 	"repro/internal/labels"
+	"repro/internal/leakcheck"
+	"repro/internal/optimize"
 	"repro/internal/synth"
 	"repro/internal/tokenize"
 )
@@ -368,6 +370,46 @@ func TestParseAllMatchesSequential(t *testing.T) {
 		}
 		if seq.Registrant != par.Registrant {
 			t.Fatalf("record %d: extracted contacts differ", i)
+		}
+	}
+}
+
+// TestParseAllJoinsGoroutines: ParseAll's worker pool has exited by the
+// time it returns.
+func TestParseAllJoinsGoroutines(t *testing.T) {
+	p := getParser(t)
+	domains := synth.Generate(synth.Config{N: 30, Seed: 213})
+	texts := make([]string, len(domains))
+	for i, d := range domains {
+		texts[i] = d.Render().Text
+	}
+	joined := leakcheck.Joined(t)
+	p.ParseAll(texts, 3)
+	joined()
+}
+
+// TestTrainIndependentOfWorkers: the gradient worker count sets speed
+// only, so Workers 1, 2 and 3 train byte-identical parsers.
+func TestTrainIndependentOfWorkers(t *testing.T) {
+	recs := synth.GenerateLabeled(synth.Config{N: 60, Seed: 212})
+	var first []byte
+	for workers := 1; workers <= 3; workers++ {
+		cfg := DefaultConfig()
+		cfg.Train.Workers = workers
+		cfg.Train.LBFGS = optimize.DefaultLBFGSConfig()
+		cfg.Train.LBFGS.MaxIterations = 15
+		p, _, err := Train(recs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := p.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if workers == 1 {
+			first = buf.Bytes()
+		} else if !bytes.Equal(buf.Bytes(), first) {
+			t.Fatalf("Workers %d wrote a different model than Workers 1", workers)
 		}
 	}
 }

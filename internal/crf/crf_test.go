@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/leakcheck"
 	"repro/internal/mathx"
 	"repro/internal/tokenize"
 )
@@ -59,6 +60,21 @@ func randomModel(rng *rand.Rand, dict *tokenize.Dictionary, nStates int) *Model 
 	return m
 }
 
+// seqScore is the unnormalized log score Σ_t,k θ_k f_k of a label
+// sequence, read off the lattice the way instanceNLL scores its gold path.
+func seqScore(m *Model, inst Instance, y []int) float64 {
+	var s scratch
+	m.fillLattice(&s, m.theta, inst, nil)
+	return latticeSeqScore(&s.lat, y)
+}
+
+// logProb is log Pr(y|x) (eq. 2), the negated training NLL of inst
+// labeled y.
+func logProb(m *Model, inst Instance, y []int) float64 {
+	var s scratch
+	return -m.instanceNLL(&s, m.theta, Instance{Obs: inst.Obs, Labels: y}, nil)
+}
+
 // enumerate all label sequences of length T over n states.
 func enumerate(T, n int) [][]int {
 	if T == 0 {
@@ -84,7 +100,7 @@ func TestLogZMatchesBruteForce(t *testing.T) {
 		inst := randomInstance(rng, dict, T, n, false)
 		var brute float64 = mathx.NegInf
 		for _, y := range enumerate(T, n) {
-			brute = mathx.LogSumExp(brute, m.SequenceScore(inst, y))
+			brute = mathx.LogSumExp(brute, seqScore(m, inst, y))
 		}
 		if got := m.LogZ(inst); math.Abs(got-brute) > 1e-8 {
 			t.Fatalf("trial %d: LogZ=%v brute=%v (n=%d T=%d)", trial, got, brute, n, T)
@@ -102,7 +118,7 @@ func TestViterbiMatchesBruteForce(t *testing.T) {
 		inst := randomInstance(rng, dict, T, n, false)
 		bestScore := mathx.NegInf
 		for _, y := range enumerate(T, n) {
-			if s := m.SequenceScore(inst, y); s > bestScore {
+			if s := seqScore(m, inst, y); s > bestScore {
 				bestScore = s
 			}
 		}
@@ -113,7 +129,7 @@ func TestViterbiMatchesBruteForce(t *testing.T) {
 		if math.Abs(score-bestScore) > 1e-8 {
 			t.Fatalf("trial %d: viterbi score %v, brute force max %v", trial, score, bestScore)
 		}
-		if s := m.SequenceScore(inst, path); math.Abs(s-score) > 1e-8 {
+		if s := seqScore(m, inst, path); math.Abs(s-score) > 1e-8 {
 			t.Fatalf("trial %d: path rescored to %v, viterbi said %v", trial, s, score)
 		}
 	}
@@ -176,7 +192,7 @@ func TestLogProbNormalized(t *testing.T) {
 	inst := randomInstance(rng, dict, T, n, false)
 	var total float64
 	for _, y := range enumerate(T, n) {
-		total += math.Exp(m.LogProb(inst, y))
+		total += math.Exp(logProb(m, inst, y))
 	}
 	if math.Abs(total-1) > 1e-8 {
 		t.Fatalf("posterior sums to %v over all sequences", total)
@@ -243,33 +259,52 @@ func TestGradientWithL2MatchesFiniteDifferences(t *testing.T) {
 	}
 }
 
+// TestParallelGradientMatchesSerial: the batch objective's value and
+// gradient are the same bits for every worker count, over an instance
+// count that is not a multiple of gradChunks.
 func TestParallelGradientMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	dict := makeDict(t, 10)
 	n := 4
 	m := New(dict, Config{NumStates: n, TransMinCount: 1, L2: 0.5})
 	var insts []Instance
-	for i := 0; i < 13; i++ {
+	for i := 0; i < 2*gradChunks+5; i++ {
 		insts = append(insts, randomInstance(rng, dict, 1+rng.Intn(6), n, true))
 	}
 	theta := make([]float64, m.NumFeatures())
 	for i := range theta {
 		theta[i] = rng.NormFloat64() * 0.2
 	}
-	serial := m.newBatchObjective(insts, 1)
-	parallel := m.newBatchObjective(insts, 4)
 	g1 := make([]float64, len(theta))
-	g2 := make([]float64, len(theta))
-	v1 := serial.Eval(theta, g1)
-	v2 := parallel.Eval(theta, g2)
-	if math.Abs(v1-v2) > 1e-9*(1+math.Abs(v1)) {
-		t.Fatalf("values differ: serial %v, parallel %v", v1, v2)
-	}
-	for i := range g1 {
-		if math.Abs(g1[i]-g2[i]) > 1e-9 {
-			t.Fatalf("grad[%d] differs: serial %v, parallel %v", i, g1[i], g2[i])
+	v1 := m.newBatchObjective(insts, 1).Eval(theta, g1)
+	for workers := 2; workers <= 4; workers++ {
+		g := make([]float64, len(theta))
+		if v := m.newBatchObjective(insts, workers).Eval(theta, g); v != v1 {
+			t.Fatalf("workers %d: value %v, serial %v", workers, v, v1)
+		}
+		for i := range g1 {
+			if g[i] != g1[i] {
+				t.Fatalf("workers %d: grad[%d] %v, serial %v", workers, i, g[i], g1[i])
+			}
 		}
 	}
+}
+
+// TestTrainJoinsGoroutines: the batch gradient's fan-out has exited by
+// the time Train returns.
+func TestTrainJoinsGoroutines(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	dict := makeDict(t, 8)
+	m := New(dict, Config{NumStates: 3, TransMinCount: 1, L2: 0.1})
+	var insts []Instance
+	for i := 0; i < 20; i++ {
+		insts = append(insts, randomInstance(rng, dict, 2+rng.Intn(5), 3, true))
+	}
+	joined := leakcheck.Joined(t)
+	if _, err := m.Train(insts, TrainConfig{Workers: 3}); err != nil {
+		t.Fatal(err)
+	}
+	joined()
 }
 
 // trainToy builds a tiny separable sequence-labeling task: observation oK
@@ -443,14 +478,14 @@ func TestViterbiPathIsModePropertyBased(t *testing.T) {
 		m := randomModel(srng, dict, n)
 		inst := randomInstance(srng, dict, T, n, false)
 		path, _ := m.Decode(inst)
-		pathLP := m.LogProb(inst, path)
+		pathLP := logProb(m, inst, path)
 		// No random sequence may beat the Viterbi path.
 		for k := 0; k < 10; k++ {
 			y := make([]int, T)
 			for i := range y {
 				y[i] = rng.Intn(n)
 			}
-			if m.LogProb(inst, y) > pathLP+1e-9 {
+			if logProb(m, inst, y) > pathLP+1e-9 {
 				return false
 			}
 		}
@@ -475,8 +510,8 @@ func TestLogProbConsistentWithScoreAndZ(t *testing.T) {
 	m := randomModel(rng, dict, 3)
 	inst := randomInstance(rng, dict, 4, 3, false)
 	y := []int{0, 1, 2, 1}
-	lp := m.LogProb(inst, y)
-	want := m.SequenceScore(inst, y) - m.LogZ(inst)
+	lp := logProb(m, inst, y)
+	want := seqScore(m, inst, y) - m.LogZ(inst)
 	if math.Abs(lp-want) > 1e-9 {
 		t.Fatalf("LogProb %v, score-logZ %v", lp, want)
 	}

@@ -1,6 +1,7 @@
 package crf
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -9,11 +10,12 @@ import (
 
 // This file implements the reusable inference engine: a pooled scratch
 // type holding flat backing arrays for the lattice and every dynamic-
-// programming table, plus memoization of per-position score rows keyed by
-// the observation-id signature of the line. WHOIS records are template-
-// generated (§2.3), so a survey-scale workload sees a tiny set of distinct
-// line shapes; caching the score rows turns the dominant
-// O(T·|obs|·n²) lattice build into O(distinct·|obs|·n²) plus copies.
+// programming table, memoization of per-position score rows keyed by the
+// observation-id signature of the line, Viterbi, and the one forward–
+// backward kernel. WHOIS records are template-generated (§2.3), so a
+// survey-scale workload sees a tiny set of distinct line shapes; caching
+// the score rows turns the dominant O(T·|obs|·n²) lattice build into
+// O(distinct·|obs|·n²) plus copies.
 //
 // Memoization invariants:
 //   - A cached row is the byte-for-byte output of the direct computation
@@ -25,9 +27,13 @@ import (
 //   - With an explicit theta (the training loop), only the per-instance
 //     memo inside the scratch is used, which cannot outlive the lattice
 //     it was built for.
+//
+// Viterbi runs max-sum over the log-domain lattice. The forward–backward
+// kernel runs in probability space on potentials it exponentiates into
+// the per-call scratch only; the model-level cache keeps log scores.
 
-// lattice holds the per-position score tables for one instance as flat
-// backing arrays. All scores are in the log domain.
+// lattice holds the per-position log-domain score tables for one
+// instance as flat backing arrays.
 type lattice struct {
 	n     int
 	T     int
@@ -57,12 +63,14 @@ type memoEntry struct {
 // or hold one per worker goroutine.
 type scratch struct {
 	lat   lattice
-	alpha []float64 // [t*n + j] forward scores
-	beta  []float64 // [t*n + j] backward scores
+	psi   []float64 // [t*n*n + i*n + j] row-shifted exponentiated potentials, t >= 1
+	w     []float64 // [t*n + i] forward row weights, t >= 1
+	alpha []float64 // [t*n + j] scaled forward α̂
+	beta  []float64 // [t*n + j] scaled backward β̂
+	scale []float64 // [t] forward normalizer c_t
 	back  []int32   // [t*n + j] Viterbi backpointers
 	v     []float64 // n
 	vNext []float64 // n
-	buf   []float64 // n log-sum-exp scratch
 	prob  []float64 // n gradient node buffer
 	edge  []float64 // n*n gradient edge buffer
 	memo  []memoEntry
@@ -74,12 +82,14 @@ func (s *scratch) ensure(T, n int) {
 	s.lat.n, s.lat.T = n, T
 	s.lat.state = growF64(s.lat.state, T*n)
 	s.lat.trans = growF64(s.lat.trans, T*n*n)
+	s.psi = growF64(s.psi, T*n*n)
+	s.w = growF64(s.w, T*n)
 	s.alpha = growF64(s.alpha, T*n)
 	s.beta = growF64(s.beta, T*n)
+	s.scale = growF64(s.scale, T)
 	s.back = growI32(s.back, T*n)
 	s.v = growF64(s.v, n)
 	s.vNext = growF64(s.vNext, n)
-	s.buf = growF64(s.buf, n)
 	s.prob = growF64(s.prob, n)
 	s.edge = growF64(s.edge, n*n)
 	s.memo = s.memo[:0]
@@ -253,40 +263,116 @@ func (s *scratch) findMemo(sig uint64) *memoEntry {
 	return nil
 }
 
-// forwardInto computes alpha[t*n+j] = log Σ over paths ending in state j
-// at t, into the scratch-provided flat array.
-func forwardInto(lat *lattice, alpha, buf []float64) {
-	n, T := lat.n, lat.T
-	copy(alpha[:n], lat.state[:n])
+// forward is the first half of the forward–backward kernel, the scaled
+// recursion of Rabiner's HMM tutorial (as in CRFsuite), and returns logZ.
+// It exponentiates each position's potentials once, shifting every row by
+// its largest score r_{t,i} so no exp overflows:
+// ψ_t[i,j] = exp(trans_t[i,j] + state_t[j] − r_{t,i}). The shifts come
+// back as row weights w_t[i] = α̂_{t−1}[i]·exp(r_{t,i} − R_t), with R_t
+// making the largest weight 1, so the row holding the forward mass never
+// underflows. Then α̂_t = w_t·ψ_t / c_t, with c_t normalizing α̂_t to sum 1
+// (α̂_0 is exp(state_0 − R_0) normalized), and logZ = Σ_t (log c_t + R_t).
+func (s *scratch) forward() float64 {
+	lat := &s.lat
+	n, T, nn := lat.n, lat.T, lat.n*lat.n
+	shift := mathx.NegInf
+	for _, x := range lat.state[:n] {
+		shift = max(shift, x)
+	}
+	for j, x := range lat.state[:n] {
+		s.alpha[j] = math.Exp(x - shift)
+	}
+	s.scale[0] = normalize(s.alpha[:n])
+	logZ := math.Log(s.scale[0]) + shift
 	for t := 1; t < T; t++ {
-		tr := lat.transRow(t)
-		prev := alpha[(t-1)*n : t*n]
-		cur := alpha[t*n : (t+1)*n]
-		st := lat.stateRow(t)
-		for j := 0; j < n; j++ {
-			for i := 0; i < n; i++ {
-				buf[i] = prev[i] + tr[i*n+j]
+		tr, st := lat.transRow(t), lat.stateRow(t)
+		psi, w := s.psi[t*nn:(t+1)*nn], s.w[t*n:(t+1)*n]
+		prev, cur := s.alpha[(t-1)*n:t*n], s.alpha[t*n:(t+1)*n]
+		shift = mathx.NegInf
+		for i := range w {
+			row := psi[i*n : (i+1)*n]
+			r := mathx.NegInf
+			for j, x := range st {
+				x += tr[i*n+j]
+				row[j] = x
+				r = max(r, x)
 			}
-			cur[j] = mathx.LogSumExpSlice(buf[:n]) + st[j]
+			for j, x := range row {
+				row[j] = math.Exp(x - r)
+			}
+			w[i] = math.Log(prev[i]) + r
+			shift = max(shift, w[i])
+		}
+		mathx.Fill(cur, 0)
+		for i, x := range w {
+			w[i] = math.Exp(x - shift)
+			for j, p := range psi[i*n : (i+1)*n] {
+				cur[j] += w[i] * p
+			}
+		}
+		s.scale[t] = normalize(cur)
+		logZ += math.Log(s.scale[t]) + shift
+	}
+	return logZ
+}
+
+// normalize divides x by its sum and returns the sum.
+func normalize(x []float64) float64 {
+	var sum float64
+	for _, v := range x {
+		sum += v
+	}
+	for i := range x {
+		x[i] /= sum
+	}
+	return sum
+}
+
+// backward is the kernel's second half, over what forward left in s,
+// scaled so that α̂_t·β̂_t is the node marginal. A state forward cannot
+// reach (α̂ = 0) gets β̂ = 0: every term using it is 0.
+func (s *scratch) backward() {
+	n, T, nn := s.lat.n, s.lat.T, s.lat.n*s.lat.n
+	mathx.Fill(s.beta[(T-1)*n:T*n], 1)
+	for t := T - 1; t >= 1; t-- {
+		psi, w := s.psi[t*nn:(t+1)*nn], s.w[t*n:(t+1)*n]
+		next, cur := s.beta[t*n:(t+1)*n], s.beta[(t-1)*n:t*n]
+		prev := s.alpha[(t-1)*n : t*n]
+		for i := range cur {
+			if prev[i] == 0 {
+				cur[i] = 0
+				continue
+			}
+			var sum float64
+			for j, p := range psi[i*n : (i+1)*n] {
+				sum += p * next[j]
+			}
+			cur[i] = w[i] / prev[i] * sum / s.scale[t]
 		}
 	}
 }
 
-// backwardInto computes beta[t*n+i] = log Σ over path continuations from
-// state i at position t, into the scratch-provided flat array.
-func backwardInto(lat *lattice, beta, buf []float64) {
-	n, T := lat.n, lat.T
-	mathx.Fill(beta[(T-1)*n:T*n], 0) // zeros == log 1
-	for t := T - 2; t >= 0; t-- {
-		tr := lat.transRow(t + 1)
-		next := beta[(t+1)*n : (t+2)*n]
-		cur := beta[t*n : (t+1)*n]
-		st := lat.stateRow(t + 1)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				buf[j] = tr[i*n+j] + st[j] + next[j]
-			}
-			cur[i] = mathx.LogSumExpSlice(buf[:n])
+// nodeMarginals writes Pr(y_t = j | x) = α̂_t[j]·β̂_t[j] into dst
+// (length n). Both forward and backward must have run.
+func (s *scratch) nodeMarginals(t int, dst []float64) {
+	n := s.lat.n
+	a, b := s.alpha[t*n:(t+1)*n], s.beta[t*n:(t+1)*n]
+	for j := range dst {
+		dst[j] = a[j] * b[j]
+	}
+}
+
+// edgeMarginals writes Pr(y_{t−1} = i, y_t = j | x) =
+// w_t[i]·ψ_t[i,j]·β̂_t[j] / c_t into dst (length n*n, row = previous
+// label), for t ≥ 1. Both forward and backward must have run.
+func (s *scratch) edgeMarginals(t int, dst []float64) {
+	n, nn := s.lat.n, s.lat.n*s.lat.n
+	psi, w := s.psi[t*nn:(t+1)*nn], s.w[t*n:(t+1)*n]
+	b := s.beta[t*n : (t+1)*n]
+	for i, wi := range w {
+		wi /= s.scale[t]
+		for j, p := range psi[i*n : (i+1)*n] {
+			dst[i*n+j] = wi * p * b[j]
 		}
 	}
 }

@@ -1,19 +1,38 @@
 package crf
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/mathx"
+	"repro/internal/tokenize"
 )
 
 // Differential tests for the pooled/memoized inference engine: the naive
 // implementations below are the pre-engine code (fresh [][]float64 tables,
-// no memoization, no pooling) kept verbatim as the reference. Every fast
-// path must reproduce them bit-identically — cached score rows are copies
-// of the direct computation, and the recursions perform the same floating-
-// point operations in the same order.
+// no memoization, no pooling, log-space forward–backward) kept as the
+// reference. Viterbi must reproduce it bit-identically: cached score rows
+// are copies of the direct computation, and the max-sum recursion performs
+// the same floating-point operations in the same order. The probability-
+// space kernel must agree with the log-space recursion within near's
+// bound, and its cache-hit and direct passes must agree bit-identically.
+
+// near reports |a−b| ≤ 1e-9·max(1,|b|), the bound the scaled kernel keeps
+// against the log-space reference.
+func near(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(1, math.Abs(b)) }
+
+func expSafe(x float64) float64 {
+	if x > 0 {
+		x = 0 // marginal log-probabilities are <= 0 up to rounding
+	}
+	if x < -745 {
+		return 0
+	}
+	return math.Exp(x)
+}
 
 type naiveLattice struct {
 	n     int
@@ -307,40 +326,65 @@ func TestEngineMatchesNaiveDecode(t *testing.T) {
 	}
 }
 
+// kernelTrial draws a model and a repeating instance: the engine tests'
+// original sizes for the first 40 trials, then up to 12 states and 60
+// positions.
+func kernelTrial(rng *rand.Rand, dict *tokenize.Dictionary, trial int, labeled bool) (*Model, Instance) {
+	n, T := 2+rng.Intn(4), 2+rng.Intn(30)
+	if trial >= 40 {
+		n, T = 6+rng.Intn(7), 30+rng.Intn(31)
+	}
+	m := randomModel(rng, dict, n)
+	return m, repeatingInstance(rng, dict.Len(), T, 1+rng.Intn(5), labeled, n)
+}
+
 func TestEngineMatchesNaiveMarginalsAndLogZ(t *testing.T) {
 	rng := rand.New(rand.NewSource(102))
 	dict := makeDict(t, 14)
-	for trial := 0; trial < 40; trial++ {
-		n := 2 + rng.Intn(4)
-		m := randomModel(rng, dict, n)
-		inst := repeatingInstance(rng, dict.Len(), 2+rng.Intn(30), 1+rng.Intn(5), false, n)
-		wantZ := m.naiveLogZ(inst)
-		wantM := m.naiveMarginals(inst)
-		wantE := m.naiveEdgeMarginals(inst)
-		for pass := 0; pass < 2; pass++ {
-			if gotZ := m.LogZ(inst); gotZ != wantZ {
-				t.Fatalf("trial %d pass %d: LogZ %v != naive %v", trial, pass, gotZ, wantZ)
+	for trial := 0; trial < 60; trial++ {
+		m, inst := kernelTrial(rng, dict, trial, false)
+		checkAgainstNaive(t, m, inst, fmt.Sprintf("trial %d", trial))
+	}
+}
+
+// checkAgainstNaive runs LogZ, Marginals and EdgeMarginals twice (the
+// first pass fills the model cache, the second only hits it): the passes
+// must agree exactly, and both must be finite and near the log-space
+// reference.
+func checkAgainstNaive(t *testing.T, m *Model, inst Instance, label string) {
+	t.Helper()
+	wantZ := m.naiveLogZ(inst)
+	wantM := m.naiveMarginals(inst)
+	wantE := m.naiveEdgeMarginals(inst)
+	check := func(what string, got, want float64) {
+		t.Helper()
+		if math.IsNaN(got) || math.IsInf(got, 0) || !near(got, want) {
+			t.Fatalf("%s: %s %v, naive %v", label, what, got, want)
+		}
+	}
+	var firstZ float64
+	var firstM, firstE [][]float64
+	for pass := 0; pass < 2; pass++ {
+		gotZ := m.LogZ(inst)
+		gotM := m.Marginals(inst)
+		gotE := m.EdgeMarginals(inst)
+		if pass == 0 {
+			firstZ, firstM, firstE = gotZ, gotM, gotE
+		} else if gotZ != firstZ || !reflect.DeepEqual(gotM, firstM) || !reflect.DeepEqual(gotE, firstE) {
+			t.Fatalf("%s: cache-hit pass differs from the direct pass", label)
+		}
+		check("LogZ", gotZ, wantZ)
+		for tt := range wantM {
+			for j := range wantM[tt] {
+				check(fmt.Sprintf("marginal [%d][%d]", tt, j), gotM[tt][j], wantM[tt][j])
 			}
-			gotM := m.Marginals(inst)
-			for tt := range wantM {
-				for j := range wantM[tt] {
-					if gotM[tt][j] != wantM[tt][j] {
-						t.Fatalf("trial %d pass %d: marginal [%d][%d] %v != naive %v",
-							trial, pass, tt, j, gotM[tt][j], wantM[tt][j])
-					}
-				}
-			}
-			gotE := m.EdgeMarginals(inst)
-			if (gotE[0] == nil) != (wantE[0] == nil) {
-				t.Fatalf("trial %d: edge marginal t=0 shape differs", trial)
-			}
-			for tt := 1; tt < len(wantE); tt++ {
-				for k := range wantE[tt] {
-					if gotE[tt][k] != wantE[tt][k] {
-						t.Fatalf("trial %d pass %d: edge marginal [%d][%d] %v != naive %v",
-							trial, pass, tt, k, gotE[tt][k], wantE[tt][k])
-					}
-				}
+		}
+		if gotE[0] != nil {
+			t.Fatalf("%s: edge marginal at t=0 is not nil", label)
+		}
+		for tt := 1; tt < len(wantE); tt++ {
+			for k := range wantE[tt] {
+				check(fmt.Sprintf("edge marginal [%d][%d]", tt, k), gotE[tt][k], wantE[tt][k])
 			}
 		}
 	}
@@ -349,36 +393,67 @@ func TestEngineMatchesNaiveMarginalsAndLogZ(t *testing.T) {
 func TestEngineMatchesNaiveGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	dict := makeDict(t, 12)
-	for trial := 0; trial < 25; trial++ {
-		n := 2 + rng.Intn(4)
-		m := randomModel(rng, dict, n)
-		inst := repeatingInstance(rng, dict.Len(), 2+rng.Intn(20), 1+rng.Intn(4), true, n)
-		theta := m.Theta()
-		wantGrad := make([]float64, m.NumFeatures())
-		wantNLL := m.naiveInstanceNLL(theta, inst, wantGrad)
-		gotGrad := make([]float64, m.NumFeatures())
-		var s scratch
-		gotNLL := m.instanceNLL(&s, theta, inst, gotGrad)
-		if gotNLL != wantNLL {
-			t.Fatalf("trial %d: nll %v != naive %v", trial, gotNLL, wantNLL)
-		}
-		for k := range wantGrad {
-			if gotGrad[k] != wantGrad[k] {
-				t.Fatalf("trial %d: grad[%d] %v != naive %v", trial, k, gotGrad[k], wantGrad[k])
-			}
-		}
+	var s scratch
+	for trial := 0; trial < 45; trial++ {
+		m, inst := kernelTrial(rng, dict, 15+trial, true)
+		checkGradient(t, m, &s, inst, fmt.Sprintf("trial %d", trial))
 		// Scratch reuse across instances must not leak state.
-		inst2 := randomInstance(rng, dict, 1+rng.Intn(8), n, true)
-		want2 := make([]float64, m.NumFeatures())
-		got2 := make([]float64, m.NumFeatures())
-		if a, b := m.naiveInstanceNLL(theta, inst2, want2), m.instanceNLL(&s, theta, inst2, got2); a != b {
-			t.Fatalf("trial %d: reused-scratch nll %v != naive %v", trial, b, a)
+		inst2 := randomInstance(rng, dict, 1+rng.Intn(8), m.NumStates(), true)
+		checkGradient(t, m, &s, inst2, fmt.Sprintf("trial %d, reused scratch", trial))
+	}
+}
+
+// checkGradient asserts instanceNLL's value and every gradient component
+// are finite and near the log-space reference.
+func checkGradient(t *testing.T, m *Model, s *scratch, inst Instance, label string) {
+	t.Helper()
+	theta := m.Theta()
+	wantGrad := make([]float64, m.NumFeatures())
+	wantNLL := m.naiveInstanceNLL(theta, inst, wantGrad)
+	gotGrad := make([]float64, m.NumFeatures())
+	gotNLL := m.instanceNLL(s, theta, inst, gotGrad)
+	if math.IsNaN(gotNLL) || math.IsInf(gotNLL, 0) || !near(gotNLL, wantNLL) {
+		t.Fatalf("%s: nll %v, naive %v", label, gotNLL, wantNLL)
+	}
+	for k := range wantGrad {
+		if math.IsNaN(gotGrad[k]) || !near(gotGrad[k], wantGrad[k]) {
+			t.Fatalf("%s: grad[%d] %v, naive %v", label, k, gotGrad[k], wantGrad[k])
 		}
-		for k := range want2 {
-			if got2[k] != want2[k] {
-				t.Fatalf("trial %d: reused-scratch grad[%d] differs", trial, k)
+	}
+}
+
+// TestKernelSurvivesOverflow scales unit-normal weights by 100 (the
+// σ = 0.5 weights of randomModel by 200) so single-position scores pass
+// 709, where exp overflows: the kernel's NLL, gradient, Posterior.LogZ and
+// marginals must stay finite and near the log-space reference.
+func TestKernelSurvivesOverflow(t *testing.T) {
+	rng := rand.New(rand.NewSource(108))
+	dict := makeDict(t, 12)
+	var s scratch
+	var maxScore float64
+	for trial := 0; trial < 20; trial++ {
+		m, inst := kernelTrial(rng, dict, 40+trial, true)
+		theta := mathx.Clone(m.Theta())
+		mathx.Scale(200, theta)
+		if err := m.SetTheta(theta); err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("trial %d", trial)
+		checkGradient(t, m, &s, inst, label)
+		checkAgainstNaive(t, m, inst, label)
+		post, want := m.Posterior(inst), m.naiveLogZ(inst)
+		if math.IsInf(post.LogZ, 0) || !near(post.LogZ, want) {
+			t.Fatalf("%s: Posterior.LogZ %v, naive %v", label, post.LogZ, want)
+		}
+		lat := &s.lat
+		for tt := 1; tt < lat.T; tt++ {
+			for k, x := range lat.transRow(tt) {
+				maxScore = math.Max(maxScore, math.Abs(x+lat.stateRow(tt)[k%lat.n]))
 			}
 		}
+	}
+	if maxScore <= 709 {
+		t.Fatalf("largest position score %v never overflows exp", maxScore)
 	}
 }
 
@@ -489,6 +564,28 @@ func TestLogZSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Errorf("LogZ steady state: %.1f allocs/op, want <= 1", allocs)
+	}
+}
+
+// TestInstanceNLLSteadyStateAllocs: on a warmed scratch, the training
+// path's NLL and gradient allocate nothing.
+func TestInstanceNLLSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	rng := rand.New(rand.NewSource(109))
+	dict := makeDict(t, 12)
+	n := 6
+	m := randomModel(rng, dict, n)
+	inst := repeatingInstance(rng, dict.Len(), 40, 6, true, n)
+	grad := make([]float64, m.NumFeatures())
+	var s scratch
+	m.instanceNLL(&s, m.Theta(), inst, grad)
+	allocs := testing.AllocsPerRun(200, func() {
+		m.instanceNLL(&s, m.Theta(), inst, grad)
+	})
+	if allocs != 0 {
+		t.Errorf("instanceNLL steady state: %.1f allocs/op, want 0", allocs)
 	}
 }
 

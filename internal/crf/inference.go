@@ -1,11 +1,5 @@
 package crf
 
-import (
-	"math"
-
-	"repro/internal/mathx"
-)
-
 // The public inference entry points below all run on pooled scratch
 // buffers (see engine.go) and consult the model-level score-row cache, so
 // in steady state they allocate only their escaping outputs.
@@ -28,27 +22,15 @@ func (m *Model) Decode(inst Instance) ([]int, float64) {
 }
 
 // LogZ returns the log of the normalization factor Z(x) (eq. 3/10),
-// computed by the forward recursion in the log domain.
+// computed by the kernel's forward recursion.
 func (m *Model) LogZ(inst Instance) float64 {
-	T := len(inst.Obs)
-	if T == 0 {
+	if len(inst.Obs) == 0 {
 		return 0
 	}
 	s := getScratch()
 	defer putScratch(s)
 	m.fillLattice(s, m.theta, inst, m.curCache())
-	forwardInto(&s.lat, s.alpha, s.buf)
-	n := s.lat.n
-	return mathx.LogSumExpSlice(s.alpha[(T-1)*n : T*n])
-}
-
-// SequenceScore returns the unnormalized log score Σ_t,k θ_k f_k of a
-// label sequence, and LogProb its normalized log posterior (eq. 2).
-func (m *Model) SequenceScore(inst Instance, y []int) float64 {
-	s := getScratch()
-	defer putScratch(s)
-	m.fillLattice(s, m.theta, inst, m.curCache())
-	return latticeSeqScore(&s.lat, y)
+	return s.forward()
 }
 
 func latticeSeqScore(lat *lattice, y []int) float64 {
@@ -62,49 +44,37 @@ func latticeSeqScore(lat *lattice, y []int) float64 {
 	return s
 }
 
-// LogProb returns log Pr(y|x) under the model.
-func (m *Model) LogProb(inst Instance, y []int) float64 {
-	T := len(inst.Obs)
-	if T == 0 {
-		return 0
-	}
+// forwardBackward fills a pooled scratch for inst at the model's own
+// weights and runs the whole kernel over it, returning the scratch (for
+// the caller to putScratch) and logZ.
+func (m *Model) forwardBackward(inst Instance) (*scratch, float64) {
 	s := getScratch()
-	defer putScratch(s)
 	m.fillLattice(s, m.theta, inst, m.curCache())
-	forwardInto(&s.lat, s.alpha, s.buf)
-	n := s.lat.n
-	logZ := mathx.LogSumExpSlice(s.alpha[(T-1)*n : T*n])
-	return latticeSeqScore(&s.lat, y) - logZ
+	logZ := s.forward()
+	s.backward()
+	return s, logZ
 }
 
 // Marginals returns the per-position posterior Pr(y_t = j | x) as a
 // T×n matrix (eq. 12 specializes to these node marginals).
 func (m *Model) Marginals(inst Instance) [][]float64 {
-	T := len(inst.Obs)
-	if T == 0 {
+	if len(inst.Obs) == 0 {
 		return nil
 	}
-	s := getScratch()
+	s, _ := m.forwardBackward(inst)
 	defer putScratch(s)
-	m.fillLattice(s, m.theta, inst, m.curCache())
-	forwardInto(&s.lat, s.alpha, s.buf)
-	backwardInto(&s.lat, s.beta, s.buf)
-	n := s.lat.n
-	logZ := mathx.LogSumExpSlice(s.alpha[(T-1)*n : T*n])
-	return nodeMarginals(s, T, n, logZ)
+	return s.nodeMarginalRows()
 }
 
-// nodeMarginals exponentiates alpha+beta-logZ into a freshly allocated
-// T×n matrix backed by one contiguous array.
-func nodeMarginals(s *scratch, T, n int, logZ float64) [][]float64 {
+// nodeMarginalRows copies every position's node marginals into a freshly
+// allocated T×n matrix backed by one contiguous array.
+func (s *scratch) nodeMarginalRows() [][]float64 {
+	T, n := s.lat.T, s.lat.n
 	out := make([][]float64, T)
 	backing := make([]float64, T*n)
-	for t := 0; t < T; t++ {
-		row := backing[t*n : (t+1)*n]
-		for j := 0; j < n; j++ {
-			row[j] = math.Exp(s.alpha[t*n+j] + s.beta[t*n+j] - logZ)
-		}
-		out[t] = row
+	for t := range out {
+		out[t] = backing[t*n : (t+1)*n]
+		s.nodeMarginals(t, out[t])
 	}
 	return out
 }
@@ -116,25 +86,14 @@ func (m *Model) EdgeMarginals(inst Instance) [][]float64 {
 	if T == 0 {
 		return nil
 	}
-	s := getScratch()
+	s, _ := m.forwardBackward(inst)
 	defer putScratch(s)
-	m.fillLattice(s, m.theta, inst, m.curCache())
-	forwardInto(&s.lat, s.alpha, s.buf)
-	backwardInto(&s.lat, s.beta, s.buf)
-	n := s.lat.n
-	logZ := mathx.LogSumExpSlice(s.alpha[(T-1)*n : T*n])
+	nn := s.lat.n * s.lat.n
 	out := make([][]float64, T)
-	backing := make([]float64, (T-1)*n*n)
+	backing := make([]float64, (T-1)*nn)
 	for t := 1; t < T; t++ {
-		row := backing[(t-1)*n*n : t*n*n]
-		tr := s.lat.transRow(t)
-		st := s.lat.stateRow(t)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				row[i*n+j] = math.Exp(s.alpha[(t-1)*n+i] + tr[i*n+j] + st[j] + s.beta[t*n+j] - logZ)
-			}
-		}
-		out[t] = row
+		out[t] = backing[(t-1)*nn : t*nn]
+		s.edgeMarginals(t, out[t])
 	}
 	return out
 }
@@ -161,19 +120,14 @@ func (m *Model) Posterior(inst Instance) Posterior {
 		return Posterior{}
 	}
 	defer m.observeDecode(m.decodeStart(), T)
-	s := getScratch()
+	s, logZ := m.forwardBackward(inst)
 	defer putScratch(s)
-	m.fillLattice(s, m.theta, inst, m.curCache())
-	n := s.lat.n
-	forwardInto(&s.lat, s.alpha, s.buf)
-	backwardInto(&s.lat, s.beta, s.buf)
-	logZ := mathx.LogSumExpSlice(s.alpha[(T-1)*n : T*n])
 	path := make([]int, T)
 	score := viterbiInto(&s.lat, s, path)
 	return Posterior{
 		Path:      path,
 		Score:     score,
-		Marginals: nodeMarginals(s, T, n, logZ),
+		Marginals: s.nodeMarginalRows(),
 		LogZ:      logZ,
 	}
 }

@@ -2,9 +2,9 @@ package crf
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/mathx"
 	"repro/internal/optimize"
@@ -18,8 +18,10 @@ type TrainConfig struct {
 	LBFGS optimize.LBFGSConfig
 	// SGD settings; zero value means optimize.DefaultSGDConfig.
 	SGD optimize.SGDConfig
-	// Workers bounds the goroutines used for batch gradient evaluation.
-	// Zero means GOMAXPROCS.
+	// Workers bounds the goroutines used for batch gradient evaluation
+	// (at most the fixed chunk count, gradChunks). Zero means GOMAXPROCS.
+	// It sets speed only: the gradient, and so the trained model, is the
+	// same for every worker count.
 	Workers int
 }
 
@@ -87,33 +89,16 @@ func (m *Model) instanceNLL(s *scratch, theta []float64, inst Instance, grad []f
 		return 0
 	}
 	m.fillLattice(s, theta, inst, nil)
-	lat := &s.lat
-	forwardInto(lat, s.alpha, s.buf)
-	backwardInto(lat, s.beta, s.buf)
-	alpha, beta := s.alpha, s.beta
-	logZ := mathx.LogSumExpSlice(alpha[(T-1)*n : T*n])
-	gold := latticeSeqScore(lat, inst.Labels)
-	nll := logZ - gold
-
+	nll := s.forward() - latticeSeqScore(&s.lat, inst.Labels)
 	if grad == nil {
 		return nll
 	}
+	s.backward()
 
 	// Node terms: expected - observed emission counts.
 	prob := s.prob[:n]
 	for t := 0; t < T; t++ {
-		var norm float64
-		for j := 0; j < n; j++ {
-			p := expSafe(alpha[t*n+j] + beta[t*n+j] - logZ)
-			prob[j] = p
-			norm += p
-		}
-		// Guard against drift: renormalize so gradients stay consistent.
-		if norm > 0 {
-			for j := 0; j < n; j++ {
-				prob[j] /= norm
-			}
-		}
+		s.nodeMarginals(t, prob)
 		prob[inst.Labels[t]] -= 1
 		for j := 0; j < n; j++ {
 			p := prob[j]
@@ -130,21 +115,7 @@ func (m *Model) instanceNLL(s *scratch, theta []float64, inst Instance, grad []f
 	// Edge terms: expected - observed transition counts.
 	edge := s.edge[:n*n]
 	for t := 1; t < T; t++ {
-		tr := lat.transRow(t)
-		st := lat.stateRow(t)
-		var norm float64
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				p := expSafe(alpha[(t-1)*n+i] + tr[i*n+j] + st[j] + beta[t*n+j] - logZ)
-				edge[i*n+j] = p
-				norm += p
-			}
-		}
-		if norm > 0 {
-			for k := range edge {
-				edge[k] /= norm
-			}
-		}
+		s.edgeMarginals(t, edge)
 		edge[inst.Labels[t-1]*n+inst.Labels[t]] -= 1
 		for k, p := range edge {
 			if p == 0 {
@@ -168,74 +139,62 @@ func (m *Model) instanceNLL(s *scratch, theta []float64, inst Instance, grad []f
 	return nll
 }
 
-func expSafe(x float64) float64 {
-	if x > 0 {
-		x = 0 // marginal log-probabilities are <= 0 up to rounding
-	}
-	if x < -745 {
-		return 0
-	}
-	return math.Exp(x)
-}
+// gradChunks is the fixed number of contiguous instance ranges the batch
+// gradient is split into. Each chunk sums its instances in order, and the
+// chunks are added in order, so the objective and its gradient are the
+// same bits for every worker count.
+const gradChunks = 8
 
 // batchObjective is the full-batch regularized NLL with parallel
-// per-instance evaluation, as the paper's parallel L-BFGS requires.
+// per-chunk evaluation, as the paper's parallel L-BFGS requires.
 type batchObjective struct {
 	m       *Model
 	insts   []Instance
 	workers int
 
-	mu        sync.Mutex
-	grads     [][]float64 // per-worker scratch gradients, reused across Evals
-	scratches []*scratch  // per-worker inference scratch, reused across Evals
+	values    [gradChunks]float64
+	grads     [gradChunks][]float64 // per-chunk gradients, reused across Evals
+	scratches []scratch             // per-worker inference scratch, reused across Evals
 }
 
 func (m *Model) newBatchObjective(insts []Instance, workers int) *batchObjective {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(insts) && len(insts) > 0 {
-		workers = len(insts)
+	workers = min(workers, gradChunks)
+	b := &batchObjective{m: m, insts: insts, workers: workers, scratches: make([]scratch, workers)}
+	for c := range b.grads {
+		b.grads[c] = make([]float64, len(m.theta))
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	return &batchObjective{m: m, insts: insts, workers: workers}
+	return b
 }
 
 func (b *batchObjective) Dim() int { return len(b.m.theta) }
 
 func (b *batchObjective) Eval(theta, grad []float64) float64 {
-	mathx.Fill(grad, 0)
-	if len(b.grads) != b.workers {
-		b.grads = make([][]float64, b.workers)
-		b.scratches = make([]*scratch, b.workers)
-		for w := range b.grads {
-			b.grads[w] = make([]float64, len(theta))
-			b.scratches[w] = new(scratch)
-		}
-	}
-	values := make([]float64, b.workers)
+	var next atomic.Int32
 	var wg sync.WaitGroup
 	for w := 0; w < b.workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func(s *scratch) {
 			defer wg.Done()
-			g := b.grads[w]
-			s := b.scratches[w]
-			mathx.Fill(g, 0)
-			var v float64
-			for i := w; i < len(b.insts); i += b.workers {
-				v += b.m.instanceNLL(s, theta, b.insts[i], g)
+			for c := int(next.Add(1)) - 1; c < gradChunks; c = int(next.Add(1)) - 1 {
+				g := b.grads[c]
+				mathx.Fill(g, 0)
+				var v float64
+				for _, inst := range b.insts[c*len(b.insts)/gradChunks : (c+1)*len(b.insts)/gradChunks] {
+					v += b.m.instanceNLL(s, theta, inst, g)
+				}
+				b.values[c] = v
 			}
-			values[w] = v
-		}(w)
+		}(&b.scratches[w])
 	}
 	wg.Wait()
+	mathx.Fill(grad, 0)
 	var total float64
-	for w := 0; w < b.workers; w++ {
-		total += values[w]
-		mathx.AXPY(1, b.grads[w], grad)
+	for c := range b.grads {
+		total += b.values[c]
+		mathx.AXPY(1, b.grads[c], grad)
 	}
 	// L2 regularizer.
 	l2 := b.m.cfg.L2

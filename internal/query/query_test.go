@@ -8,12 +8,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/leakcheck"
 	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/survey"
@@ -421,30 +421,11 @@ func TestAutoBuild(t *testing.T) {
 	}
 }
 
-// goroutinesJoined notes the goroutine count; the returned check polls
-// briefly until the count is back at that baseline, so a goroutine the
-// code under test started and did not join fails the test.
-func goroutinesJoined(t *testing.T) func() {
-	t.Helper()
-	base := runtime.NumGoroutine()
-	return func() {
-		t.Helper()
-		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; {
-			if time.Now().After(deadline) {
-				buf := make([]byte, 1<<16)
-				t.Fatalf("%d goroutines after Close, %d before Open:\n%s",
-					runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-}
-
 // TestAutoBuildJoinsGoroutines: a store that rotates, compresses and
 // compacts under AutoBuild has run every sidecar build, and left no
 // goroutine behind, once Close returns.
 func TestAutoBuildJoinsGoroutines(t *testing.T) {
-	joined := goroutinesJoined(t)
+	joined := leakcheck.Joined(t)
 	dir := t.TempDir()
 	st, err := store.Open(dir, store.Options{SegmentBytes: 4 << 10, BlockRecords: 5, Metrics: obs.NewRegistry()})
 	if err != nil {

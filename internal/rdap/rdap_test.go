@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/leakcheck"
 	"repro/internal/synth"
 )
 
@@ -159,31 +160,12 @@ func TestStructuredVsStatistical(t *testing.T) {
 	}
 }
 
-// goroutinesJoined notes the goroutine count; the returned check polls
-// briefly until the count is back at that baseline, so a goroutine the
-// code under test started and did not join fails the test.
-func goroutinesJoined(t *testing.T) func() {
-	t.Helper()
-	base := runtime.NumGoroutine()
-	return func() {
-		t.Helper()
-		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; {
-			if time.Now().After(deadline) {
-				buf := make([]byte, 1<<16)
-				t.Fatalf("%d goroutines after Close, %d before Listen:\n%s",
-					runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-}
-
 // TestServerCloseJoinsGoroutines: after lookups over kept-alive
 // connections and with one idle connection open, Close leaves no
 // goroutine behind: the Serve goroutine is joined and every connection
 // is closed.
 func TestServerCloseJoinsGoroutines(t *testing.T) {
-	joined := goroutinesJoined(t)
+	joined := leakcheck.Joined(t)
 	domains := synth.Generate(synth.Config{N: 10, Seed: 803})
 	srv := NewServer(domains)
 	addr, err := srv.Listen("127.0.0.1:0")

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/labels"
+	"repro/internal/leakcheck"
 	"repro/internal/obs"
 	"repro/internal/survey"
 	"repro/internal/tokenize"
@@ -509,29 +509,10 @@ func TestCloseStopsRewrite(t *testing.T) {
 	}
 }
 
-// goroutinesJoined notes the goroutine count; the returned check polls
-// briefly until the count is back at that baseline, so a goroutine the
-// code under test started and did not join fails the test.
-func goroutinesJoined(t *testing.T) func() {
-	t.Helper()
-	base := runtime.NumGoroutine()
-	return func() {
-		t.Helper()
-		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; {
-			if time.Now().After(deadline) {
-				buf := make([]byte, 1<<16)
-				t.Fatalf("%d goroutines after Close, %d before Open:\n%s",
-					runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-}
-
 // TestCloseJoinsGoroutines: rotation, compression and compaction with a
 // seal hook leave no goroutine behind once Close returns.
 func TestCloseJoinsGoroutines(t *testing.T) {
-	joined := goroutinesJoined(t)
+	joined := leakcheck.Joined(t)
 	st, err := Open(t.TempDir(), Options{SegmentBytes: 2 << 10})
 	if err != nil {
 		t.Fatal(err)

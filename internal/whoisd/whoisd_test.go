@@ -3,12 +3,12 @@ package whoisd
 import (
 	"context"
 	"net"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/leakcheck"
 	"repro/internal/registry"
 	"repro/internal/synth"
 	"repro/internal/whoisclient"
@@ -256,25 +256,6 @@ func TestServerReadTimeoutDropsSilentClients(t *testing.T) {
 	}
 }
 
-// goroutinesJoined notes the goroutine count; the returned check polls
-// briefly until the count is back at that baseline, so a goroutine the
-// code under test started and did not join fails the test.
-func goroutinesJoined(t *testing.T) func() {
-	t.Helper()
-	base := runtime.NumGoroutine()
-	return func() {
-		t.Helper()
-		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; {
-			if time.Now().After(deadline) {
-				buf := make([]byte, 1<<16)
-				t.Fatalf("%d goroutines after Close, %d before start:\n%s",
-					runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-}
-
 // openIdleConn dials s and waits until s is serving the connection, so
 // Close finds it mid-read.
 func openIdleConn(t *testing.T, s *Server, addr string) net.Conn {
@@ -299,7 +280,7 @@ func openIdleConn(t *testing.T, s *Server, addr string) net.Conn {
 // TestServerCloseJoinsGoroutines: a server with an idle open connection
 // leaves no goroutine behind once Close returns.
 func TestServerCloseJoinsGoroutines(t *testing.T) {
-	joined := goroutinesJoined(t)
+	joined := leakcheck.Joined(t)
 	s := NewServer("t", HandlerFunc(echoHandler))
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
@@ -316,7 +297,7 @@ func TestServerCloseJoinsGoroutines(t *testing.T) {
 // TestClusterCloseJoinsGoroutines: the same for a whole cluster, with an
 // idle connection open to its registry server.
 func TestClusterCloseJoinsGoroutines(t *testing.T) {
-	joined := goroutinesJoined(t)
+	joined := leakcheck.Joined(t)
 	eco := registry.BuildEcosystem(synth.Generate(synth.Config{N: 10, Seed: 62}), 0)
 	c, err := StartCluster(eco, ClusterConfig{RegistryLimit: 5, Window: time.Second, Penalty: time.Second})
 	if err != nil {
