@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/leakcheck"
 	"repro/internal/registry"
 	"repro/internal/synth"
 	"repro/internal/whoisd"
@@ -138,6 +139,33 @@ func TestCrawlContextCancellation(t *testing.T) {
 	if stats.ThickOK == int64(len(domains)) {
 		t.Error("cancelled crawl completed everything")
 	}
+}
+
+// TestCrawlJoinsGoroutines: Crawl must join its worker fan-out before
+// returning, both when every domain is fetched and when the context is
+// cancelled mid-crawl.
+func TestCrawlJoinsGoroutines(t *testing.T) {
+	cluster, domains := startEcosystem(t, 30, 0, 0)
+	joined := leakcheck.Joined(t)
+	c, err := New(Config{Resolver: cluster.Directory, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, stats := c.Crawl(context.Background(), names(domains)); stats.ThickOK != int64(len(domains)) {
+		t.Fatalf("thick %d/%d", stats.ThickOK, len(domains))
+	}
+	joined()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	c, err = New(Config{Resolver: cluster.Directory, Workers: 4, OnResult: func(Result) { cancel() }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, stats := c.Crawl(ctx, names(domains)); stats.ThickOK == int64(len(domains)) {
+		t.Error("cancelled crawl completed everything")
+	}
+	joined()
 }
 
 func TestCrawlEmptyList(t *testing.T) {

@@ -269,60 +269,15 @@ func Read(r io.Reader) (*Model, error) {
 	if err := gob.NewDecoder(r).Decode(&dto); err != nil {
 		return nil, fmt.Errorf("crf: decode model: %w", err)
 	}
-	dict, err := dictFromLists(dto.DictNames, dto.DictCount)
+	dict, err := tokenize.DictionaryFrom(dto.DictNames, dto.DictCount)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("crf: decode model: %w", err)
 	}
 	m := New(dict, dto.Cfg)
 	if err := m.SetTheta(dto.Theta); err != nil {
 		return nil, err
 	}
 	return m, nil
-}
-
-func dictFromLists(names []string, counts []int) (*tokenize.Dictionary, error) {
-	if len(names) != len(counts) {
-		return nil, fmt.Errorf("crf: dictionary names/counts length mismatch")
-	}
-	var sb sortBuilder
-	for i, name := range names {
-		sb.add(counts[i], name)
-	}
-	return sb.build()
-}
-
-// sortBuilder reconstructs a Dictionary via its text round-trip, which is
-// the only public constructor that preserves explicit ids.
-type sortBuilder struct {
-	lines []string
-}
-
-func (b *sortBuilder) add(count int, name string) {
-	b.lines = append(b.lines, fmt.Sprintf("%d\t%s", count, name))
-}
-
-func (b *sortBuilder) build() (*tokenize.Dictionary, error) {
-	return tokenize.ReadDictionary(newStringsReader(b.lines))
-}
-
-type stringsReader struct {
-	lines []string
-	cur   []byte
-}
-
-func newStringsReader(lines []string) *stringsReader { return &stringsReader{lines: lines} }
-
-func (r *stringsReader) Read(p []byte) (int, error) {
-	for len(r.cur) == 0 {
-		if len(r.lines) == 0 {
-			return 0, io.EOF
-		}
-		r.cur = append([]byte(r.lines[0]), '\n')
-		r.lines = r.lines[1:]
-	}
-	n := copy(p, r.cur)
-	r.cur = r.cur[n:]
-	return n, nil
 }
 
 type countWriter struct {

@@ -146,7 +146,8 @@ type Options struct {
 
 	// Queue, when non-nil, is the store that FlushQueue persists
 	// low-confidence records into for labeling, ranked most uncertain
-	// first (§5.3).
+	// first (§5.3). Without it no record is queued: nothing would ever
+	// drain the buffer.
 	Queue *store.Store
 	// QueueThreshold admits a record to the labeling queue when its
 	// minimum posterior confidence is below it; <= 0 means
@@ -448,7 +449,7 @@ func (m *Manager) observe(snap *Snapshot, rec *core.ParsedRecord, text string, c
 		}
 	}
 
-	if conf < m.opts.QueueThreshold {
+	if m.opts.Queue != nil && conf < m.opts.QueueThreshold {
 		domain := rec.DomainName
 		if !m.queue.add(domain, text, conf) {
 			m.met.queueDropped.Inc()

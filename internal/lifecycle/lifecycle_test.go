@@ -331,11 +331,17 @@ func TestHotSwapUnderLoad(t *testing.T) {
 // then clear the flag when confidence recovers.
 func TestManagerDriftLifecycle(t *testing.T) {
 	_, weak, _ := fixtures(t)
+	queue, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer queue.Close()
 	var drifted []string
 	m := New(weak, Options{
 		SampleEvery: 1, Window: 8, MinWindow: 4,
 		ConfidenceFloor: 0.5,
 		OnDrift:         func(r string) { drifted = append(drifted, r) },
+		Queue:           queue,
 	})
 	rec := &core.ParsedRecord{
 		Registrar: "Example Registrar",

@@ -1,9 +1,12 @@
 package lifecycle
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/labels"
 	"repro/internal/store"
 )
 
@@ -127,5 +130,23 @@ func TestFlushQueuePersistsMostUncertainFirst(t *testing.T) {
 	}
 	if got := m.Metrics().Counter("lifecycle.queue.persisted").Value(); got != 2 {
 		t.Fatalf("queue.persisted = %d, want 2", got)
+	}
+}
+
+// TestNoQueueStoreQueuesNothing: without Options.Queue nothing would
+// ever flush the labeling queue, so low-confidence parses must not
+// collect in it.
+func TestNoQueueStoreQueuesNothing(t *testing.T) {
+	_, weak, _ := fixtures(t)
+	m := New(weak, Options{SampleEvery: 1, ConfidenceFloor: 0.5})
+	rec := &core.ParsedRecord{Registrar: "Example Registrar", Blocks: []labels.Block{labels.Null}}
+	for i := 0; i < 20; i++ {
+		m.observe(m.Current(), rec, fmt.Sprintf("uncertain text %d", i), 0.1)
+	}
+	if got := m.Metrics().Snapshot()["lifecycle.queue.pending"]; got != 0.0 {
+		t.Fatalf("lifecycle.queue.pending = %v, want 0", got)
+	}
+	if n, err := m.FlushQueue(); n != 0 || err != nil {
+		t.Fatalf("FlushQueue = %d, %v; want 0, nil", n, err)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/leakcheck"
 	"repro/internal/obs"
 )
 
@@ -316,6 +317,47 @@ func TestDrainOnClose(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Errorf("second Close: %v", err)
 	}
+}
+
+// TestServeCloseJoinsWorkers: Close must not return while a worker is
+// still parsing, and must leave none of the pool New started behind.
+func TestServeCloseJoinsWorkers(t *testing.T) {
+	joined := leakcheck.Joined(t)
+	started := make(chan struct{}, 1)
+	release := make(chan struct{})
+	s := NewFunc(func(text string) *core.ParsedRecord {
+		select {
+		case started <- struct{}{}:
+		default:
+		}
+		<-release
+		return &core.ParsedRecord{DomainName: text}
+	}, Options{Workers: 4, QueueDepth: 8})
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, err := s.ParseWait(context.Background(), fmt.Sprintf("rec %d", i))
+			if err != nil && !errors.Is(err, ErrClosed) {
+				t.Error(err)
+			}
+		}(i)
+	}
+	<-started
+	closed := make(chan error)
+	go func() { closed <- s.Close() }()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a worker was still parsing")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	joined()
 }
 
 func TestParseBatchAlignmentAndDedup(t *testing.T) {

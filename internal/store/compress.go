@@ -90,21 +90,19 @@ const blockFlushBytes = 4 << 20
 
 // blockWriter batches record payloads into compressed block frames,
 // maintaining the destination segment's metadata (record count, size,
-// sparse index) as it goes.
+// block count) as it goes.
 type blockWriter struct {
 	f            *os.File
 	seg          *segment
 	blockRecords int
-	indexEvery   uint64
-	nextIndexAt  uint64
 
 	batch      [][]byte
 	batchBytes int
 	frame      []byte
 }
 
-func newBlockWriter(f *os.File, seg *segment, blockRecords, indexEvery int) *blockWriter {
-	return &blockWriter{f: f, seg: seg, blockRecords: blockRecords, indexEvery: uint64(indexEvery)}
+func newBlockWriter(f *os.File, seg *segment, blockRecords int) *blockWriter {
+	return &blockWriter{f: f, seg: seg, blockRecords: blockRecords}
 }
 
 // add queues one record payload (copied) and flushes a full block.
@@ -130,10 +128,6 @@ func (bw *blockWriter) flush() error {
 	bw.frame = AppendFrame(bw.frame[:0], payload)
 	if _, err := bw.f.Write(bw.frame); err != nil {
 		return fmt.Errorf("store: compress write: %w", err)
-	}
-	if bw.seg.records >= bw.nextIndexAt {
-		bw.seg.index = append(bw.seg.index, indexEntry{seq: bw.seg.records, off: bw.seg.size})
-		bw.nextIndexAt = bw.seg.records + bw.indexEvery
 	}
 	bw.seg.size += int64(len(bw.frame))
 	bw.seg.records += uint64(len(bw.batch))

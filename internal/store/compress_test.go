@@ -184,33 +184,6 @@ func TestV1SegmentFixture(t *testing.T) {
 	}
 }
 
-// TestIterFromAcrossBlocks: positional seeks must land on the right
-// record even when the sparse index points at a block frame and the
-// target sits mid-block.
-func TestIterFromAcrossBlocks(t *testing.T) {
-	dir := t.TempDir()
-	const n = 53
-	compressedFixture(t, dir, n, 5)
-	st, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	for seq := 0; seq < n; seq++ {
-		it := st.IterFrom(uint64(seq))
-		if !it.Next() {
-			t.Fatalf("IterFrom(%d): no record (err=%v)", seq, it.Err())
-		}
-		if want := fmt.Sprintf("example%04d.com", seq); it.Record().Domain != want {
-			t.Fatalf("IterFrom(%d): domain %q, want %q", seq, it.Record().Domain, want)
-		}
-		if it.Seq() != uint64(seq) {
-			t.Fatalf("IterFrom(%d): Seq = %d", seq, it.Seq())
-		}
-		it.Close()
-	}
-}
-
 // TestCompactOverCompressed: a compaction whose inputs are compressed
 // segments must still dedupe newest-wins, and its merged output is
 // block frames.
@@ -552,5 +525,79 @@ func TestSegmentReaderFrames(t *testing.T) {
 
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSnapshotShortAtFrameBoundary: a snapshot whose file is cut back at
+// a frame boundary still parses as whole frames, so only its committed
+// record count shows the loss. Iter and Frames share one walk, and both
+// must report ErrTornFrame rather than end early as if the records were
+// never there — for plain frames and for compressed blocks.
+func TestSnapshotShortAtFrameBoundary(t *testing.T) {
+	for _, blocks := range []bool{false, true} {
+		t.Run(fmt.Sprintf("blocks=%v", blocks), func(t *testing.T) {
+			dir := t.TempDir()
+			const n = 40
+			if blocks {
+				compressedFixture(t, dir, n, 4)
+			} else {
+				st, err := Open(dir, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < n; i++ {
+					if err := st.Append(testRecord(i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				sealActive(t, st)
+				if err := st.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			sealed := st.SegmentInfos()[0]
+			if sealed.Records != n {
+				t.Fatalf("sealed segment holds %d records, want %d", sealed.Records, n)
+			}
+
+			// Snapshot first, then learn the frame offsets and cut.
+			it := st.Iter()
+			defer it.Close()
+			r, err := st.OpenSegment(sealed.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			var offs []int64
+			if err := r.Frames(func(off int64, _ [][]byte) error {
+				offs = append(offs, off)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(sealed.Path, offs[len(offs)/2]); err != nil {
+				t.Fatal(err)
+			}
+
+			records := 0
+			for it.Next() {
+				records++
+			}
+			if !errors.Is(it.Err(), ErrTornFrame) {
+				t.Fatalf("Iter after %d records: err = %v, want ErrTornFrame", records, it.Err())
+			}
+			if records >= n {
+				t.Fatalf("Iter yielded %d records from a cut segment", records)
+			}
+			err = r.Frames(func(int64, [][]byte) error { return nil })
+			if !errors.Is(err, ErrTornFrame) {
+				t.Fatalf("Frames: err = %v, want ErrTornFrame", err)
+			}
+		})
 	}
 }

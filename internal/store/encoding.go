@@ -582,7 +582,7 @@ func ReadFrame(r *bufio.Reader, buf *[]byte, limit int) (payload []byte, n int, 
 
 // frameScanner streams a segment's frames with a single reusable
 // payload buffer, so iterating a multi-gigabyte segment holds one frame
-// in memory at a time. It tracks byte offsets for the sparse index and
+// in memory at a time. It tracks byte offsets for frame positions and
 // for recovery truncation.
 type frameScanner struct {
 	r   *bufio.Reader

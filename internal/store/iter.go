@@ -3,251 +3,93 @@ package store
 import (
 	"fmt"
 	"io"
-	"os"
-	"sort"
 )
 
-// iterSegment is an immutable snapshot of one segment taken at iterator
-// creation: readers never chase the append head, so a record appended
-// after Iter() is simply not part of the snapshot. The file handle is
-// opened under the store lock at snapshot time, which makes iteration
-// immune to a concurrent compaction renaming or unlinking segment files
-// — the fd keeps the bytes alive.
-type iterSegment struct {
-	f       *os.File
-	path    string
-	baseSeq uint64
-	records uint64
-	size    int64
-	index   []indexEntry
-}
-
-// Iterator streams records oldest-first with bounded memory: the
-// snapshot's file handles and one frame buffer, regardless of store
-// size. Not safe for concurrent use; create one per goroutine and Close
-// it when done.
+// Iterator streams records oldest-first over one snapshot of the store:
+// the SegmentReaders OpenSegments captured at one instant, so a record
+// appended after Iter() is not part of it, and the held file handles
+// keep a concurrent compaction's renames and unlinks from pulling bytes
+// away. Memory stays bounded — one frame (or block) at a time — and each
+// segment's handle is released once walked. Not safe for concurrent use;
+// create one per goroutine and Close it when done.
 type Iterator struct {
-	segs      []iterSegment
-	cur       int
-	seq       uint64 // store-wide seq of the next record to yield
-	skip      uint64 // frames to discard before yielding (seek remainder)
-	remaining uint64 // frames left to read in the current segment
-	started   bool   // current segment's scanner is positioned
-
-	sc         *frameScanner
-	pending    [][]byte // records of the current compressed block
-	pendingOff int64    // the block frame's offset, for error context
-	rec        *Record
-	err        error
-}
-
-// snapshotLocked copies segment metadata and opens one read handle per
-// segment. Callers hold s.mu.
-func (s *Store) snapshotLocked() ([]iterSegment, error) {
-	segs := make([]iterSegment, 0, len(s.segments))
-	for _, seg := range s.segments {
-		f, err := os.Open(seg.path)
-		if err != nil {
-			for i := range segs {
-				segs[i].f.Close()
-			}
-			if os.IsNotExist(err) {
-				// A compaction (or an operator) removed the file between
-				// the reader deciding to scan and the open — surface the
-				// typed condition, not a raw ENOENT.
-				return nil, fmt.Errorf("store: iterate %s: %w", seg.path, ErrSegmentCompacted)
-			}
-			return nil, fmt.Errorf("store: iterate: %w", err)
-		}
-		segs = append(segs, iterSegment{
-			f:       f,
-			path:    seg.path,
-			baseSeq: seg.baseSeq,
-			records: seg.records,
-			size:    seg.size,
-			index:   append([]indexEntry(nil), seg.index...),
-		})
-	}
-	return segs, nil
+	segs    []*SegmentReader // segments still to walk; segs[0] is current
+	walk    *frameWalk       // segs[0]'s walk, nil until started
+	off     int64            // offset of the frame pending came from
+	pending [][]byte         // payloads of that frame not yet decoded
+	rec     *Record
+	err     error
 }
 
 // Iter returns an iterator over every record committed before the call.
-func (s *Store) Iter() *Iterator { return s.IterFrom(0) }
-
-// IterFrom returns an iterator starting at store-wide record seq (0 is
-// the oldest). The sparse index narrows the scan to at most IndexEvery
-// frames of overshoot. Seqs are positional and renumber after
-// compaction.
-func (s *Store) IterFrom(seq uint64) *Iterator {
-	s.mu.Lock()
-	segs, err := s.snapshotLocked()
-	s.mu.Unlock()
-	if err != nil {
-		return &Iterator{err: err}
-	}
-	return newIterator(segs, seq)
+func (s *Store) Iter() *Iterator {
+	segs, err := s.OpenSegments()
+	return &Iterator{segs: segs, err: err}
 }
 
 // IterNewestSegment iterates only the newest non-empty segment — the
 // serve warm-start path, which wants the most recently written records
 // without walking the whole store.
 func (s *Store) IterNewestSegment() *Iterator {
-	s.mu.Lock()
-	segs, err := s.snapshotLocked()
-	s.mu.Unlock()
-	if err != nil {
-		return &Iterator{err: err}
+	it := s.Iter()
+	keep := len(it.segs) - 1
+	for keep > 0 && it.segs[keep].info.Records == 0 {
+		keep--
 	}
-	for i := len(segs) - 1; i >= 0; i-- {
-		if segs[i].records > 0 {
-			for j := 0; j < i; j++ {
-				segs[j].f.Close()
-			}
-			return newIterator(segs[i:i+1], segs[i].baseSeq)
+	for i, r := range it.segs {
+		if i != keep {
+			r.Close()
 		}
 	}
-	for i := range segs {
-		segs[i].f.Close()
-	}
-	return &Iterator{}
-}
-
-func newIterator(segs []iterSegment, seq uint64) *Iterator {
-	it := &Iterator{segs: segs, seq: seq}
-	// Locate the segment holding seq and the nearest indexed frame at or
-	// below it; the scan skips the remainder.
-	for it.cur < len(segs) && segs[it.cur].baseSeq+segs[it.cur].records <= seq {
-		it.cur++
-	}
-	if it.cur < len(segs) {
-		seg := &segs[it.cur]
-		rel := seq - seg.baseSeq
-		i := sort.Search(len(seg.index), func(i int) bool { return seg.index[i].seq > rel })
-		start := indexEntry{off: segHeaderLen}
-		if i > 0 {
-			start = seg.index[i-1]
-		}
-		it.skip = rel - start.seq
-		it.remaining = seg.records - start.seq
-		it.err = it.position(seg, start.off)
-		it.started = it.err == nil
+	if keep >= 0 {
+		it.segs = it.segs[keep : keep+1]
 	}
 	return it
-}
-
-// position seeks the current segment's handle to off and arms the
-// scanner, bounded to the snapshot's committed size so frames written
-// after the snapshot stay invisible.
-func (it *Iterator) position(seg *iterSegment, off int64) error {
-	if _, err := seg.f.Seek(off, 0); err != nil {
-		return fmt.Errorf("store: iterate seek: %w", err)
-	}
-	it.sc = newFrameScanner(io.LimitReader(seg.f, seg.size-off), off)
-	it.pending = nil
-	return nil
 }
 
 // Next advances to the next record, reporting false at the end of the
 // snapshot or on error (check Err).
 func (it *Iterator) Next() bool {
-	if it.err != nil {
-		return false
-	}
-	for {
-		// Drain the current compressed block before touching the scanner.
+	for it.err == nil {
 		if len(it.pending) > 0 {
-			payload := it.pending[0]
+			rec, err := decodeRecord(it.pending[0])
 			it.pending = it.pending[1:]
-			it.remaining--
-			if it.skip > 0 {
-				it.skip--
-				continue
-			}
-			rec, err := decodeRecord(payload)
 			if err != nil {
-				it.err = fmt.Errorf("store: %s at offset %d: %w", it.segs[it.cur].path, it.pendingOff, err)
+				it.err = fmt.Errorf("store: %s at offset %d: %w", it.segs[0].info.Path, it.off, err)
 				return false
 			}
 			it.rec = rec
-			it.seq++
 			return true
 		}
-		if it.cur >= len(it.segs) {
+		if len(it.segs) == 0 {
 			return false
 		}
-		seg := &it.segs[it.cur]
-		if !it.started {
-			if seg.records == 0 {
-				it.cur++
-				continue
-			}
-			it.skip = 0
-			it.remaining = seg.records
-			if it.err = it.position(seg, segHeaderLen); it.err != nil {
-				return false
-			}
-			it.started = true
+		if it.walk == nil {
+			it.walk = it.segs[0].walk()
 		}
-		if it.remaining == 0 {
-			it.cur++
-			it.started = false
-			continue
+		var err error
+		it.off, it.pending, err = it.walk.next()
+		if err == io.EOF {
+			it.segs[0].Close()
+			it.segs, it.walk = it.segs[1:], nil
+		} else if err != nil {
+			it.err = err
 		}
-		payload, off, err := it.sc.next()
-		if err != nil {
-			// The snapshot promised it.remaining more frames; EOF here
-			// means the file shrank underneath us — report it.
-			it.err = fmt.Errorf("store: %s at offset %d: %w", seg.path, off, err)
-			return false
-		}
-		if isBlockPayload(payload) {
-			// decodeBlock copies into a fresh buffer, so the pending
-			// queue survives the scanner reusing its frame buffer.
-			blockRecs, derr := decodeBlock(payload)
-			if derr != nil {
-				it.err = fmt.Errorf("store: %s at offset %d: %w", seg.path, off, derr)
-				return false
-			}
-			it.pending = blockRecs
-			it.pendingOff = off
-			continue
-		}
-		it.remaining--
-		if it.skip > 0 {
-			it.skip--
-			continue
-		}
-		rec, err := decodeRecord(payload)
-		if err != nil {
-			it.err = fmt.Errorf("store: %s at offset %d: %w", seg.path, off, err)
-			return false
-		}
-		it.rec = rec
-		it.seq++
-		return true
 	}
+	return false
 }
 
 // Record returns the record Next advanced to. Valid until the next call
 // to Next; the caller owns it (each record is freshly decoded).
 func (it *Iterator) Record() *Record { return it.rec }
 
-// Seq returns the store-wide sequence number of the record Next just
-// yielded.
-func (it *Iterator) Seq() uint64 { return it.seq - 1 }
-
 // Err reports the first error the iterator hit, if any.
 func (it *Iterator) Err() error { return it.err }
 
-// Close releases every file handle the snapshot holds. Safe to call
-// repeatedly.
+// Close releases every file handle the snapshot still holds. Safe to
+// call repeatedly.
 func (it *Iterator) Close() error {
-	for i := range it.segs {
-		if it.segs[i].f != nil {
-			it.segs[i].f.Close()
-			it.segs[i].f = nil
-		}
-	}
-	it.sc = nil
+	closeReaders(it.segs)
+	it.segs, it.walk, it.pending = nil, nil, nil
 	return nil
 }

@@ -37,7 +37,8 @@ func (s *Store) endRewrite() {
 // first — into one segment of block frames and swaps it into the store
 // in their place. With a nil keep every record is copied; otherwise
 // record i, counted across in, is copied when keep[i] is set. Frames are
-// walked without decoding records.
+// walked without decoding records; the walk fails an input that ends
+// short of its committed record count.
 //
 // Crash safety: the output is written to a temp file, fsynced, and
 // renamed over the first input before the other inputs are unlinked. A
@@ -60,10 +61,9 @@ func (s *Store) rewrite(in []*SegmentReader, keep []bool) (*segment, error) {
 		return nil, fmt.Errorf("store: rewrite header: %w", err)
 	}
 	out := &segment{path: first.Path, id: first.ID, size: segHeaderLen}
-	bw := newBlockWriter(f, out, s.opts.BlockRecords, s.opts.IndexEvery)
-	var want, read, kept uint64
+	bw := newBlockWriter(f, out, s.opts.BlockRecords)
+	var read, kept uint64
 	for _, r := range in {
-		want += r.info.Records
 		err := r.Frames(func(_ int64, payloads [][]byte) error {
 			for _, p := range payloads {
 				if keep == nil || keep[read] {
@@ -83,9 +83,8 @@ func (s *Store) rewrite(in []*SegmentReader, keep []bool) (*segment, error) {
 	if err := bw.flush(); err != nil {
 		return nil, err
 	}
-	if read != want || out.records != kept {
-		return nil, fmt.Errorf("store: rewrite %s: read %d of %d records, wrote %d of %d",
-			first.Path, read, want, out.records, kept)
+	if out.records != kept {
+		return nil, fmt.Errorf("store: rewrite %s: wrote %d of %d records", first.Path, out.records, kept)
 	}
 	if err := f.Sync(); err != nil {
 		return nil, fmt.Errorf("store: rewrite sync: %w", err)

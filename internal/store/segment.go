@@ -51,10 +51,11 @@ func (s *Store) SegmentInfos() []SegmentInfo {
 	return out
 }
 
-// SegmentReader is a point-in-time read handle on one segment: the file
-// descriptor and committed size are captured under the store lock, so —
-// exactly like Iterator snapshots — a concurrent rotation, compaction,
-// or compression rewrite cannot change what this reader sees.
+// SegmentReader is a point-in-time read handle on one segment — the
+// store's one read snapshot, which Iterator walks too: the file
+// descriptor, committed size and record count are captured under the
+// store lock, so a concurrent append, rotation, compaction, or
+// compression rewrite cannot change what this reader sees.
 type SegmentReader struct {
 	f    *os.File
 	info SegmentInfo
@@ -165,33 +166,65 @@ func (r *SegmentReader) Fingerprint() (uint32, error) {
 	return h.Sum32(), nil
 }
 
-// Frames walks every frame of the snapshot in order, handing fn the
-// frame's byte offset and the record payloads it carries (one for a
-// plain frame, many for a compressed block). Payloads are valid only
-// during the callback. Returning a non-nil error stops the walk.
-func (r *SegmentReader) Frames(fn func(off int64, payloads [][]byte) error) error {
-	if _, err := r.f.Seek(segHeaderLen, 0); err != nil {
-		return fmt.Errorf("store: segment seek: %w", err)
+// scanner reads frames from off up to the snapshot's committed size, so
+// frames appended after the snapshot stay invisible. It reads through
+// ReadAt, so no file position is shared between scans of one reader.
+func (r *SegmentReader) scanner(off int64) *frameScanner {
+	return newFrameScanner(io.NewSectionReader(r.f, off, r.info.Size-off), off)
+}
+
+// frameWalk is the store's one pull-style walk over a snapshot's frames:
+// each next yields a frame's byte offset and the record payloads it
+// carries (one for a plain frame, many for a compressed block), valid
+// until the following next. At the end of the snapshot next returns
+// io.EOF, or ErrTornFrame when the bytes held fewer records than the
+// snapshot committed — the file shrank underneath the reader.
+type frameWalk struct {
+	r      *SegmentReader
+	sc     *frameScanner
+	single [1][]byte
+	seen   uint64 // records yielded so far
+}
+
+func (r *SegmentReader) walk() *frameWalk {
+	return &frameWalk{r: r, sc: r.scanner(segHeaderLen)}
+}
+
+func (w *frameWalk) next() (int64, [][]byte, error) {
+	info := &w.r.info
+	payload, off, err := w.sc.next()
+	if err == io.EOF {
+		if w.seen == info.Records {
+			return off, nil, io.EOF
+		}
+		err = fmt.Errorf("%w: %d of %d records", ErrTornFrame, w.seen, info.Records)
 	}
-	sc := newFrameScanner(io.LimitReader(r.f, r.info.Size-segHeaderLen), segHeaderLen)
-	var single [1][]byte
+	w.single[0] = payload
+	payloads := w.single[:]
+	if err == nil && isBlockPayload(payload) {
+		payloads, err = decodeBlock(payload)
+	}
+	if err != nil {
+		return off, nil, fmt.Errorf("store: %s at offset %d: %w", info.Path, off, err)
+	}
+	w.seen += uint64(len(payloads))
+	return off, payloads, nil
+}
+
+// Frames walks every frame of the snapshot in order, handing fn the
+// frame's byte offset and the record payloads it carries. Payloads are
+// valid only during the callback. Returning a non-nil error stops the
+// walk; a snapshot that ends short of its committed records reports
+// ErrTornFrame.
+func (r *SegmentReader) Frames(fn func(off int64, payloads [][]byte) error) error {
+	w := r.walk()
 	for {
-		payload, off, err := sc.next()
+		off, payloads, err := w.next()
 		if err == io.EOF {
 			return nil
 		}
 		if err != nil {
-			return fmt.Errorf("store: %s at offset %d: %w", r.info.Path, off, err)
-		}
-		var payloads [][]byte
-		if isBlockPayload(payload) {
-			payloads, err = decodeBlock(payload)
-			if err != nil {
-				return fmt.Errorf("store: %s at offset %d: %w", r.info.Path, off, err)
-			}
-		} else {
-			single[0] = payload
-			payloads = single[:]
+			return err
 		}
 		if err := fn(off, payloads); err != nil {
 			return err
@@ -201,18 +234,14 @@ func (r *SegmentReader) Frames(fn func(off int64, payloads [][]byte) error) erro
 
 // FrameAt reads the single frame starting at off and returns its record
 // payloads — how a query reads only the frames its sidecar says hold a
-// match. The
-// offset must land exactly on a frame boundary inside the snapshot;
-// anything else fails the frame CRC (or bounds check) and errors.
+// match. The offset must land exactly on a frame boundary inside the
+// snapshot; anything else fails the frame CRC (or bounds check) and
+// errors.
 func (r *SegmentReader) FrameAt(off int64) ([][]byte, error) {
 	if off < segHeaderLen || off >= r.info.Size {
 		return nil, fmt.Errorf("store: frame offset %d outside segment [%d, %d)", off, segHeaderLen, r.info.Size)
 	}
-	if _, err := r.f.Seek(off, 0); err != nil {
-		return nil, fmt.Errorf("store: segment seek: %w", err)
-	}
-	sc := newFrameScanner(io.LimitReader(r.f, r.info.Size-off), off)
-	payload, _, err := sc.next()
+	payload, _, err := r.scanner(off).next()
 	if err != nil {
 		return nil, fmt.Errorf("store: %s at offset %d: %w", r.info.Path, off, err)
 	}

@@ -22,10 +22,6 @@ type Options struct {
 	// SegmentBytes is the rotation threshold for the active segment;
 	// <= 0 means 64 MiB.
 	SegmentBytes int64
-	// IndexEvery is the sparse-index stride: one in-memory offset entry
-	// per this many records; <= 0 means 1024. At the paper's 102M-record
-	// scale the default keeps the index near 100K entries per run.
-	IndexEvery int
 	// BlockRecords is the records-per-block target of the flate block
 	// frames Compact and CompressSealed write; <= 0 means 256.
 	BlockRecords int
@@ -38,9 +34,6 @@ func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 64 << 20
 	}
-	if o.IndexEvery <= 0 {
-		o.IndexEvery = 1024
-	}
 	if o.BlockRecords <= 0 {
 		o.BlockRecords = 256
 	}
@@ -50,21 +43,13 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// indexEntry is one sparse-index point: record seq -> byte offset within
-// its segment.
-type indexEntry struct {
-	seq uint64 // segment-relative record index
-	off int64
-}
-
 // segment is the in-memory state of one on-disk segment file.
 type segment struct {
 	path    string
 	id      uint64
 	baseSeq uint64 // store-wide seq of the segment's first record
 	records uint64
-	size    int64 // committed bytes (header + intact frames)
-	index   []indexEntry
+	size    int64  // committed bytes (header + intact frames)
 	plain   uint64 // plain record frames (compression candidates)
 	blocks  uint64 // compressed block frames
 }
@@ -128,7 +113,7 @@ func segPath(dir string, id uint64) string {
 }
 
 // Open opens (creating if needed) the store in dir, scanning every
-// segment to rebuild the sparse index and record counts. A torn tail on
+// segment to rebuild its record and frame counts. A torn tail on
 // the newest segment — the signature of a crash mid-append — is
 // truncated away; corruption anywhere else is an error.
 func Open(dir string, opts Options) (*Store, error) {
@@ -151,7 +136,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	var baseSeq uint64
 	for i, id := range ids {
-		seg, truncated, err := scanSegment(segPath(dir, id), id, o.IndexEvery, i == len(ids)-1)
+		seg, truncated, err := scanSegment(segPath(dir, id), id, i == len(ids)-1)
 		if err != nil {
 			return nil, err
 		}
@@ -228,10 +213,10 @@ func writeSegmentHeader(path string) error {
 }
 
 // scanSegment walks one segment file, validating every frame and
-// building the sparse index. When isLast (the append target), a torn
+// counting its records. When isLast (the append target), a torn
 // tail — including a half-written header on a freshly created file — is
 // truncated; on sealed segments any damage is fatal.
-func scanSegment(path string, id uint64, indexEvery int, isLast bool) (*segment, int64, error) {
+func scanSegment(path string, id uint64, isLast bool) (*segment, int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, 0, fmt.Errorf("store: open segment: %w", err)
@@ -260,7 +245,6 @@ func scanSegment(path string, id uint64, indexEvery int, isLast bool) (*segment,
 
 	seg := &segment{path: path, id: id, size: segHeaderLen}
 	sc := newFrameScanner(f, segHeaderLen)
-	var nextIndexAt uint64
 	for {
 		payload, start, err := sc.next()
 		if err == io.EOF {
@@ -315,10 +299,6 @@ func scanSegment(path string, id uint64, indexEvery int, isLast bool) (*segment,
 			}
 			count = 1
 			seg.plain++
-		}
-		if seg.records >= nextIndexAt {
-			seg.index = append(seg.index, indexEntry{seq: seg.records, off: start})
-			nextIndexAt = seg.records + uint64(indexEvery)
 		}
 		seg.records += count
 		seg.size = sc.off
@@ -400,9 +380,6 @@ func (s *Store) Append(rec *Record) error {
 	}
 	if _, err := s.active.Write(frame); err != nil {
 		return fmt.Errorf("store: append: %w", err)
-	}
-	if active.records%uint64(s.opts.IndexEvery) == 0 {
-		active.index = append(active.index, indexEntry{seq: active.records, off: active.size})
 	}
 	active.size += int64(len(frame))
 	active.records++

@@ -119,9 +119,6 @@ func TestAppendIterate(t *testing.T) {
 		if want := fmt.Sprintf("example%04d.com", count); rec.Domain != want {
 			t.Fatalf("record %d: domain %q, want %q", count, rec.Domain, want)
 		}
-		if it.Seq() != uint64(count) {
-			t.Fatalf("record %d: seq %d", count, it.Seq())
-		}
 		count++
 	}
 	if err := it.Err(); err != nil {
@@ -145,50 +142,6 @@ func TestAppendIterate(t *testing.T) {
 	}
 	if st2.RecoveredBytes() != 0 {
 		t.Fatalf("clean reopen recovered %d bytes", st2.RecoveredBytes())
-	}
-}
-
-func TestIterFromSeeksWithSparseIndex(t *testing.T) {
-	dir := t.TempDir()
-	// Small IndexEvery so seeks cross multiple index entries; small
-	// segments so seeks cross segment boundaries too.
-	st, err := Open(dir, Options{SegmentBytes: 4 << 10, IndexEvery: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	const n = 200
-	for i := 0; i < n; i++ {
-		if err := st.Append(testRecord(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st.Segments() < 3 {
-		t.Fatalf("want >= 3 segments, got %d", st.Segments())
-	}
-	for _, start := range []uint64{0, 1, 7, 8, 9, 63, 100, n - 1, n, n + 10} {
-		it := st.IterFrom(start)
-		var got []uint64
-		for it.Next() {
-			got = append(got, it.Seq())
-			if len(got) > n {
-				t.Fatal("runaway iterator")
-			}
-		}
-		if err := it.Err(); err != nil {
-			t.Fatalf("IterFrom(%d): %v", start, err)
-		}
-		it.Close()
-		wantLen := 0
-		if start < n {
-			wantLen = int(n - start)
-		}
-		if len(got) != wantLen {
-			t.Fatalf("IterFrom(%d): %d records, want %d", start, len(got), wantLen)
-		}
-		if wantLen > 0 && (got[0] != start || got[len(got)-1] != n-1) {
-			t.Fatalf("IterFrom(%d): seq range [%d, %d]", start, got[0], got[len(got)-1])
-		}
 	}
 }
 

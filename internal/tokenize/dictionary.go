@@ -1,11 +1,8 @@
 package tokenize
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -23,6 +20,24 @@ type Dictionary struct {
 // NewDictionary returns an empty dictionary.
 func NewDictionary() *Dictionary {
 	return &Dictionary{ids: make(map[string]int)}
+}
+
+// DictionaryFrom rebuilds a dictionary from its entries in id order —
+// what a serialized model stores. Model files are outside input, so a
+// names/counts length mismatch or a duplicate name is an error. The
+// dictionary keeps both slices; the caller must not modify them.
+func DictionaryFrom(names []string, counts []int) (*Dictionary, error) {
+	if len(names) != len(counts) {
+		return nil, fmt.Errorf("tokenize: dictionary has %d names but %d counts", len(names), len(counts))
+	}
+	d := &Dictionary{ids: make(map[string]int, len(names)), names: names, counts: counts}
+	for id, name := range names {
+		if _, dup := d.ids[name]; dup {
+			return nil, fmt.Errorf("tokenize: dictionary entry %d: duplicate name %q", id, name)
+		}
+		d.ids[name] = id
+	}
+	return d, nil
 }
 
 // BuildDictionary counts every observation in the given line sequences and
@@ -104,55 +119,4 @@ func (d *Dictionary) AppendIDs(dst []int, s *Scan, i int) []int {
 		}
 	}
 	return dst
-}
-
-// WriteTo serializes the dictionary as "count\tname" lines.
-func (d *Dictionary) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var n int64
-	for i, name := range d.names {
-		k, err := fmt.Fprintf(bw, "%d\t%s\n", d.counts[i], name)
-		n += int64(k)
-		if err != nil {
-			return n, fmt.Errorf("tokenize: write dictionary: %w", err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return n, fmt.Errorf("tokenize: flush dictionary: %w", err)
-	}
-	return n, nil
-}
-
-// ReadDictionary parses the format produced by WriteTo.
-func ReadDictionary(r io.Reader) (*Dictionary, error) {
-	d := NewDictionary()
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if line == "" {
-			continue
-		}
-		tab := strings.IndexByte(line, '\t')
-		if tab < 0 {
-			return nil, fmt.Errorf("tokenize: dictionary line %d: missing tab", lineNo)
-		}
-		c, err := strconv.Atoi(line[:tab])
-		if err != nil {
-			return nil, fmt.Errorf("tokenize: dictionary line %d: bad count: %w", lineNo, err)
-		}
-		name := line[tab+1:]
-		if _, dup := d.ids[name]; dup {
-			return nil, fmt.Errorf("tokenize: dictionary line %d: duplicate entry %q", lineNo, name)
-		}
-		d.ids[name] = len(d.names)
-		d.names = append(d.names, name)
-		d.counts = append(d.counts, c)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("tokenize: read dictionary: %w", err)
-	}
-	return d, nil
 }

@@ -1,8 +1,6 @@
 package tokenize
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -75,14 +73,21 @@ func TestMapLineDropsUnknown(t *testing.T) {
 	}
 }
 
-func TestDictionaryRoundTrip(t *testing.T) {
-	recs := linesFor("alpha", "beta", "beta", MarkNL, "gamma with spaces")
-	d := BuildDictionary(recs, 1)
-	var buf bytes.Buffer
-	if _, err := d.WriteTo(&buf); err != nil {
-		t.Fatal(err)
+// entries lists a dictionary's names and counts in id order, the form a
+// serialized model stores.
+func entries(d *Dictionary) ([]string, []int) {
+	names := make([]string, d.Len())
+	counts := make([]int, d.Len())
+	for i := range names {
+		names[i], counts[i] = d.Name(i), d.Count(i)
 	}
-	d2, err := ReadDictionary(&buf)
+	return names, counts
+}
+
+func TestDictionaryRoundTrip(t *testing.T) {
+	recs := linesFor("alpha", "beta", "beta", MarkNL, "gamma with spaces", "tab\tand\nnewline", "")
+	d := BuildDictionary(recs, 1)
+	d2, err := DictionaryFrom(entries(d))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,37 +99,21 @@ func TestDictionaryRoundTrip(t *testing.T) {
 			t.Fatalf("entry %d differs: (%q,%d) vs (%q,%d)",
 				i, d.Name(i), d.Count(i), d2.Name(i), d2.Count(i))
 		}
+		if id, ok := d2.ID(d.Name(i)); !ok || id != i {
+			t.Fatalf("ID(%q) = %d, %v; want %d", d.Name(i), id, ok, i)
+		}
 	}
 }
 
 func TestDictionaryRoundTripProperty(t *testing.T) {
 	f := func(words []string) bool {
-		var obs []string
-		for _, w := range words {
-			w = strings.Map(func(r rune) rune {
-				if r == '\n' || r == '\t' {
-					return '_'
-				}
-				return r
-			}, w)
-			if w != "" {
-				obs = append(obs, w)
-			}
-		}
-		if len(obs) == 0 {
-			return true
-		}
-		d := BuildDictionary(linesFor(obs...), 1)
-		var buf bytes.Buffer
-		if _, err := d.WriteTo(&buf); err != nil {
-			return false
-		}
-		d2, err := ReadDictionary(&buf)
+		d := BuildDictionary(linesFor(words...), 1)
+		d2, err := DictionaryFrom(entries(d))
 		if err != nil || d2.Len() != d.Len() {
 			return false
 		}
 		for i := 0; i < d.Len(); i++ {
-			if d.Name(i) != d2.Name(i) {
+			if id, ok := d2.ID(d.Name(i)); d.Name(i) != d2.Name(i) || !ok || id != i {
 				return false
 			}
 		}
@@ -135,18 +124,15 @@ func TestDictionaryRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestReadDictionaryRejectsMalformed(t *testing.T) {
-	cases := []string{
-		"notab",
-		"x\tname",
+func TestDictionaryFromRejectsMalformed(t *testing.T) {
+	if _, err := DictionaryFrom([]string{"a", "b"}, []int{1}); err == nil {
+		t.Error("names/counts length mismatch should be rejected")
 	}
-	for _, c := range cases {
-		if _, err := ReadDictionary(strings.NewReader(c)); err == nil {
-			t.Errorf("input %q: expected error", c)
-		}
-	}
-	if _, err := ReadDictionary(strings.NewReader("1\tdup\n2\tdup\n")); err == nil {
+	if _, err := DictionaryFrom([]string{"dup", "x", "dup"}, []int{1, 2, 3}); err == nil {
 		t.Error("duplicate entries should be rejected")
+	}
+	if d, err := DictionaryFrom(nil, nil); err != nil || d.Len() != 0 {
+		t.Errorf("empty dictionary: %v, len %d", err, d.Len())
 	}
 }
 
