@@ -89,20 +89,22 @@ benchcheck:
 	  | /tmp/benchcheck BENCH_serve.json BENCH_inference.json BENCH_store.json BENCH_lifecycle.json BENCH_tiered.json BENCH_cluster.json BENCH_query.json BENCH_consistency.json BENCH_modelreg.json
 
 # fuzz-smoke: replay the checked-in seed corpora and fuzz the record,
-# wire and sidecar decoders and the line scanner briefly. Not part of
-# verify; run before touching encoding.go, the cluster codec or
-# internal/tokenize.
+# wire and sidecar decoders, the line scanner and the /parsed/ body
+# appender briefly. Not part of verify; run before touching encoding.go,
+# the cluster codec, internal/tokenize or internal/rdap/parsed.go.
 fuzz-smoke:
 	$(GO) test -run TestFuzzSeeds ./internal/store/ ./internal/query/
 	$(GO) test -run FuzzWireDecode ./internal/cluster/
 	$(GO) test -run TestFuzzSeedsAsRegressions ./internal/norm/
 	$(GO) test -run FuzzScan ./internal/tokenize/
+	$(GO) test -run FuzzParsedBody ./internal/rdap/
 	$(GO) test -run '^$$' -fuzz FuzzRecordDecode -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzFrameScan -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime 10s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzFactsDecode -fuzztime 10s ./internal/query/
 	$(GO) test -run '^$$' -fuzz FuzzNorm -fuzztime 10s ./internal/norm/
 	$(GO) test -run '^$$' -fuzz FuzzScan -fuzztime 10s ./internal/tokenize/
+	$(GO) test -run '^$$' -fuzz FuzzParsedBody -fuzztime 10s ./internal/rdap/
 
 # query-diff: the differential gate for the query engine. A randomized
 # store (fresh seed daily in CI) is queried with every supported

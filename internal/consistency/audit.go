@@ -12,6 +12,7 @@ import (
 	"repro/internal/store"
 	"repro/internal/survey"
 	"repro/internal/synth"
+	"repro/internal/templates"
 )
 
 // RDAPSource resolves a domain name to its RDAP object during a batch
@@ -30,13 +31,24 @@ type RDAPSource func(domain string) (*rdap.Domain, bool)
 // different population — BrandFraction 0.02 is the convention shared by
 // rdapd and whoissurvey -synthetic.
 func SyntheticSource(n int, seed int64) RDAPSource {
-	byDomain := make(map[string]*rdap.Domain, n)
-	for _, d := range synth.Generate(synth.Config{N: n, Seed: seed, BrandFraction: 0.02}) {
-		byDomain[strings.ToLower(d.Reg.Domain)] = rdap.FromRegistration(&d.Reg)
+	return registrationSource(synth.Generate(synth.Config{N: n, Seed: seed, BrandFraction: 0.02}))
+}
+
+// registrationSource serves each domain's registration as RDAP, built
+// per lookup as rdap.Server builds /domain/ objects: names match
+// lower-cased, and a later domain with the same name replaces an
+// earlier one.
+func registrationSource(domains []*synth.Domain) RDAPSource {
+	byDomain := make(map[string]*templates.Registration, len(domains))
+	for _, d := range domains {
+		byDomain[strings.ToLower(d.Reg.Domain)] = &d.Reg
 	}
 	return func(domain string) (*rdap.Domain, bool) {
-		d, ok := byDomain[strings.ToLower(domain)]
-		return d, ok
+		reg, ok := byDomain[strings.ToLower(domain)]
+		if !ok {
+			return nil, false
+		}
+		return rdap.FromRegistration(reg), true
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -251,5 +252,40 @@ func TestAuditInjectedDivergence(t *testing.T) {
 	}
 	if out := s.FieldTable(); !strings.Contains(out, "expires") {
 		t.Errorf("field table misses expires:\n%s", out)
+	}
+}
+
+// TestSyntheticSourceBuildsPerLookup: for every domain of a seeded
+// corpus, looked up in mixed case, the source answers an object
+// deep-equal to rdap.FromRegistration of the last registration with
+// that name, also with a mixed-case duplicate appended to the corpus;
+// unknown names answer no object.
+func TestSyntheticSourceBuildsPerLookup(t *testing.T) {
+	const n, seed = 120, 7
+	domains := synth.Generate(synth.Config{N: n, Seed: seed, BrandFraction: 0.02})
+	dup := *domains[9]
+	dup.Reg.Domain = strings.ToUpper(domains[4].Reg.Domain)
+	withDup := append(domains[:n:n], &dup)
+	for _, tc := range []struct {
+		name   string
+		src    RDAPSource
+		corpus []*synth.Domain
+	}{
+		{"SyntheticSource", SyntheticSource(n, seed), domains},
+		{"duplicate", registrationSource(withDup), withDup},
+	} {
+		last := map[string]*templates.Registration{}
+		for _, d := range tc.corpus {
+			last[strings.ToLower(d.Reg.Domain)] = &d.Reg
+		}
+		for name, reg := range last {
+			got, ok := tc.src(strings.ToUpper(name[:1]) + name[1:])
+			if !ok || !reflect.DeepEqual(got, rdap.FromRegistration(reg)) {
+				t.Fatalf("%s: %s: got %+v (ok=%v), want FromRegistration of its last registration", tc.name, name, got, ok)
+			}
+		}
+		if d, ok := tc.src("not-in-the-corpus.example"); ok || d != nil {
+			t.Errorf("%s: unknown domain answered %+v", tc.name, d)
+		}
 	}
 }

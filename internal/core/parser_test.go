@@ -388,6 +388,22 @@ func TestParseAllJoinsGoroutines(t *testing.T) {
 	joined()
 }
 
+// TestRankByUncertaintyJoinsGoroutines: RankByUncertainty's scoring
+// workers have exited by the time it returns.
+func TestRankByUncertaintyJoinsGoroutines(t *testing.T) {
+	p := getParser(t)
+	domains := synth.Generate(synth.Config{N: 30, Seed: 214})
+	texts := make([]string, len(domains))
+	for i, d := range domains {
+		texts[i] = d.Render().Text
+	}
+	joined := leakcheck.Joined(t)
+	if got := p.RankByUncertainty(texts); len(got) != len(texts) {
+		t.Fatalf("ranked %d of %d texts", len(got), len(texts))
+	}
+	joined()
+}
+
 // TestTrainIndependentOfWorkers: the gradient worker count sets speed
 // only, so Workers 1, 2 and 3 train byte-identical parsers.
 func TestTrainIndependentOfWorkers(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -298,17 +299,25 @@ func (e *Engine) run(p Pred, decode bool) ([]segResult, Stats, error) {
 	}
 	e.cachePrune(live)
 
+	// Each worker claims the newest unanswered segment, so the active
+	// one, which has no sidecar and is read in full, starts first rather
+	// than last; results[i] keeps segment order whichever worker
+	// answers it.
 	results := make([]segResult, len(readers))
-	sem := make(chan struct{}, e.opts.Workers)
+	var claimed atomic.Int64
 	var wg sync.WaitGroup
-	for i, r := range readers {
+	for w := 0; w < min(e.opts.Workers, len(readers)); w++ {
 		wg.Add(1)
-		go func(i int, r *store.SegmentReader) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			results[i] = e.segment(r, p, decode)
-		}(i, r)
+			for {
+				i := len(readers) - int(claimed.Add(1))
+				if i < 0 {
+					return
+				}
+				results[i] = e.segment(readers[i], p, decode)
+			}
+		}()
 	}
 	wg.Wait()
 

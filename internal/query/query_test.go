@@ -3,6 +3,7 @@ package query
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -457,6 +458,39 @@ func TestAutoBuildJoinsGoroutines(t *testing.T) {
 	if len(sc.rows) != n {
 		t.Fatalf("sidecar covers %d records, want the %d of the compacted segment", len(sc.rows), n)
 	}
+}
+
+// TestScanJoinsGoroutines: Scan, Survey and a Scan whose callback fails
+// part-way each return only after every segment worker has exited.
+func TestScanJoinsGoroutines(t *testing.T) {
+	st := buildTestStore(t, t.TempDir(), 400, 12, true)
+	defer st.Close()
+	e := New(st, Options{Workers: 2, Metrics: obs.NewRegistry()})
+	if _, err := e.BuildAll(); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.SegmentInfos()) <= 2 {
+		t.Fatalf("want more segments than workers, got %d", len(st.SegmentInfos()))
+	}
+	joined := leakcheck.Joined(t)
+	if _, err := e.Scan(Pred{}, func(*store.Record) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := e.Survey(Pred{Since: 2005}); err != nil {
+		t.Fatal(err)
+	}
+	stop := errors.New("stop")
+	seen := 0
+	_, err := e.Scan(Pred{}, func(*store.Record) error {
+		if seen++; seen == 3 {
+			return stop
+		}
+		return nil
+	})
+	if !errors.Is(err, stop) || seen != 3 {
+		t.Fatalf("Scan with a failing callback: err %v after %d records, want stop after 3", err, seen)
+	}
+	joined()
 }
 
 // TestBuildAllRemovesOrphans: sidecars for segments compaction dropped

@@ -1,6 +1,7 @@
 package rdap
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -183,5 +184,82 @@ func TestParsedEndpointSheds503(t *testing.T) {
 	var e errorResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.ErrorCode != 503 {
 		t.Errorf("body: %s", rec.Body.String())
+	}
+}
+
+// FuzzParsedBody pins appendParsed to the reference it replaces: for a
+// record built from fuzzed strings, the appended body must equal the
+// encoding/json encoding of ParsedFromRecord byte for byte. fields is
+// split on '|' into the registrar, URL, whois server, the three dates,
+// the eleven registrant fields and up to three line titles and values,
+// in that order; the low two bits of shape give the line count and each
+// following byte a line's block (low nibble) and field (high nibble).
+func FuzzParsedBody(f *testing.F) {
+	f.Add("example.com", "Registrar|http://r.example|whois.r.example|2014-03-04||2024-03-04|Alice", uint32(1|0x03<<8))
+	f.Fuzz(func(t *testing.T, name, fields string, shape uint32) {
+		v := strings.Split(fields, "|")
+		get := func(i int) string {
+			if i < len(v) {
+				return v[i]
+			}
+			return ""
+		}
+		pr := &core.ParsedRecord{
+			Registrar: get(0), RegistrarURL: get(1), WhoisServer: get(2),
+			CreatedDate: get(3), UpdatedDate: get(4), ExpiresDate: get(5),
+			Registrant: core.Contact{
+				Name: get(6), ID: get(7), Org: get(8), Street: get(9), City: get(10), State: get(11),
+				Postcode: get(12), Country: get(13), Phone: get(14), Fax: get(15), Email: get(16),
+			},
+		}
+		for i := 0; i < int(shape&3); i++ {
+			labelsByte := shape >> (8 * (i + 1))
+			pr.Lines = append(pr.Lines, tokenize.Line{Title: get(17 + 2*i), Value: get(18 + 2*i)})
+			pr.Blocks = append(pr.Blocks, labels.Block(labelsByte&0xF))
+			pr.Fields = append(pr.Fields, labels.Field(labelsByte>>4&0xF))
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(ParsedFromRecord(name, pr)); err != nil {
+			t.Fatal(err)
+		}
+		if got := appendParsed(nil, name, pr); !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("appendParsed differs from encoding/json\n got %q\nwant %q", got, want.Bytes())
+		}
+	})
+}
+
+// TestParsedReplyAllocs pins the allocations of a /parsed/ reply served
+// from the parse cache, recorder included: the body is appended into a
+// pooled buffer, not built as a ParsedDomain and reflected over.
+func TestParsedReplyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	domains := synth.Generate(synth.Config{N: 4, Seed: 814})
+	srv := NewServer(domains)
+	ps := serve.NewFunc(func(text string) *core.ParsedRecord {
+		return &core.ParsedRecord{
+			Registrar:   "Example Registrar <R&D>",
+			CreatedDate: "2014-03-04",
+			Registrant:  core.Contact{Name: "Alice", Country: "US"},
+			Lines:       []tokenize.Line{{Title: "Registrar", Value: "Example"}, {Title: "Registrant Name", Value: "Alice"}},
+			Blocks:      []labels.Block{labels.Registrar, labels.Registrant},
+			Fields:      []labels.Field{labels.FieldOther, labels.FieldName},
+		}
+	}, serve.Options{Workers: 1})
+	defer ps.Close()
+	srv.EnableParsed(ps, domains)
+	req := httptest.NewRequest(http.MethodGet, "/parsed/"+strings.ToLower(domains[1].Reg.Domain), nil)
+	get := func() {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+		}
+	}
+	get() // parse once; every later request is a cache hit
+	const want = 9
+	if got := testing.AllocsPerRun(200, get); got > want {
+		t.Errorf("cache-hit /parsed/ reply allocates %.0f/op, want <= %d", got, want)
 	}
 }

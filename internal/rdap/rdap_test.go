@@ -3,6 +3,8 @@ package rdap
 import (
 	"encoding/json"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
@@ -194,4 +196,36 @@ func TestServerCloseJoinsGoroutines(t *testing.T) {
 	}
 	idle.Close()
 	joined()
+}
+
+// TestDomainGolden: every GET /domain/{name} body is the encoding/json
+// encoding of FromRegistration of the last registration with that
+// name, over a seeded corpus with a mixed-case duplicate appended (the
+// later entry replaces the earlier one, and names match lower-cased).
+func TestDomainGolden(t *testing.T) {
+	domains := synth.Generate(synth.Config{N: 60, Seed: 804, BrandFraction: 0.02})
+	dup := *domains[7]
+	dup.Reg.Domain = strings.ToUpper(domains[2].Reg.Domain[:1]) + domains[2].Reg.Domain[1:]
+	domains = append(domains, &dup)
+	last := map[string]*synth.Domain{}
+	for _, d := range domains {
+		last[strings.ToLower(d.Reg.Domain)] = d
+	}
+	if last[strings.ToLower(domains[2].Reg.Domain)] != &dup {
+		t.Fatal("the duplicate must be the last registration with its name")
+	}
+	srv := NewServer(domains)
+	for name, d := range last {
+		var want strings.Builder
+		if err := json.NewEncoder(&want).Encode(FromRegistration(&d.Reg)); err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range []string{name, strings.ToUpper(name)} {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/domain/"+path, nil))
+			if rec.Code != http.StatusOK || rec.Body.String() != want.String() {
+				t.Fatalf("GET /domain/%s: status %d\n got %s\nwant %s", path, rec.Code, rec.Body.String(), want.String())
+			}
+		}
+	}
 }

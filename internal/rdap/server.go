@@ -15,6 +15,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/synth"
+	"repro/internal/templates"
 )
 
 // Server is an HTTP RDAP endpoint serving /domain/{name} lookups over a
@@ -24,8 +25,8 @@ import (
 // WHOIS text, through the shared serving layer in internal/serve.
 type Server struct {
 	mu      sync.RWMutex
-	domains map[string]*Domain
-	records map[string]string // raw WHOIS text, for /parsed/
+	regs    map[string]*templates.Registration // for /domain/, built per request
+	records map[string]string                  // raw WHOIS text, for /parsed/
 	parse   ParseBackend
 	httpSrv *http.Server
 	served  chan struct{} // closed when the Serve goroutine returns
@@ -70,11 +71,15 @@ func (s *Server) Instrument(reg *obs.Registry) {
 	}
 }
 
-// NewServer indexes the given corpus.
+// NewServer indexes the given corpus by lower-cased domain name; a
+// later domain with the same name replaces an earlier one. The server
+// keeps pointers to the domains' registrations, not copies, and builds
+// each /domain/ object from them per request, so the caller must not
+// modify them while the server is in use.
 func NewServer(domains []*synth.Domain) *Server {
-	s := &Server{domains: make(map[string]*Domain, len(domains))}
+	s := &Server{regs: make(map[string]*templates.Registration, len(domains))}
 	for _, d := range domains {
-		s.domains[strings.ToLower(d.Reg.Domain)] = FromRegistration(&d.Reg)
+		s.regs[strings.ToLower(d.Reg.Domain)] = &d.Reg
 	}
 	return s
 }
@@ -142,7 +147,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) serveDomain(w http.ResponseWriter, name string) {
 	s.mu.RLock()
-	d, ok := s.domains[name]
+	reg, ok := s.regs[name]
 	met := s.met
 	s.mu.RUnlock()
 	if !ok {
@@ -153,7 +158,7 @@ func (s *Server) serveDomain(w http.ResponseWriter, name string) {
 			Description: []string{name + " is not registered here"}})
 		return
 	}
-	writeJSON(w, http.StatusOK, d)
+	writeJSON(w, http.StatusOK, FromRegistration(reg))
 }
 
 func (s *Server) serveParsed(w http.ResponseWriter, r *http.Request, name string) {
@@ -191,8 +196,23 @@ func (s *Server) serveParsed(w http.ResponseWriter, r *http.Request, name string
 			Title: "parse failed", Description: []string{err.Error()}})
 		return
 	}
-	writeJSON(w, http.StatusOK, ParsedFromRecord(name, pr))
+	buf := bodyPool.Get().(*[]byte)
+	*buf = appendParsed((*buf)[:0], name, pr)
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(*buf)
+	// A rare huge record would otherwise pin its buffer in the pool.
+	if cap(*buf) <= maxPooledBody {
+		bodyPool.Put(buf)
+	}
 }
+
+// bodyPool recycles /parsed/ reply buffers, so a reply served from the
+// parse cache encodes without allocating.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledBody caps the buffers bodyPool keeps; typical replies are a
+// few KiB.
+const maxPooledBody = 64 << 10
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.WriteHeader(code)

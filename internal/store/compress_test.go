@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -599,5 +600,82 @@ func TestSnapshotShortAtFrameBoundary(t *testing.T) {
 				t.Fatalf("Frames: err = %v, want ErrTornFrame", err)
 			}
 		})
+	}
+}
+
+// TestFrameAtPlainFrame: FrameAt of a small plain frame returns the
+// bytes Frames saw and allocates well under the 64 KiB a buffered
+// frame scanner would; a bad offset, a flipped byte and a truncated
+// file keep their errors.
+func TestFrameAtPlainFrame(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for i := 0; i < 3; i++ {
+		if err := st.Append(testRecord(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sealActive(t, st)
+	info := st.SegmentInfos()[0]
+	r, err := st.OpenSegment(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var offs []int64
+	var want [][]byte
+	if err := r.Frames(func(off int64, payloads [][]byte) error {
+		offs = append(offs, off)
+		want = append(want, append([]byte(nil), payloads[0]...))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i, off := range offs {
+		got, err := r.FrameAt(off)
+		if err != nil || len(got) != 1 || !bytes.Equal(got[0], want[i]) {
+			t.Fatalf("FrameAt(%d) = %d payloads, %v; want frame %d's payload", off, len(got), err, i)
+		}
+	}
+
+	if !raceEnabled {
+		const calls = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			if _, err := r.FrameAt(offs[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= 8<<10 {
+			t.Errorf("FrameAt of a %d-byte frame allocates %d B/op, want < 8 KiB", len(want[1]), per)
+		}
+	}
+
+	if _, err := r.FrameAt(info.Size); err == nil {
+		t.Error("FrameAt past the snapshot succeeded")
+	}
+	f, err := os.OpenFile(info.Path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	last := want[1][len(want[1])-1] // the byte before the frame's CRC
+	if _, err := f.WriteAt([]byte{last ^ 0xff}, offs[2]-5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.FrameAt(offs[1]); !errors.Is(err, ErrBadChecksum) {
+		t.Errorf("FrameAt of a flipped frame: %v, want ErrBadChecksum", err)
+	}
+	if err := f.Truncate(offs[2] + 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.FrameAt(offs[2]); !errors.Is(err, ErrTornFrame) {
+		t.Errorf("FrameAt of a truncated frame: %v, want ErrTornFrame", err)
 	}
 }

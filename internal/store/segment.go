@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -166,13 +167,6 @@ func (r *SegmentReader) Fingerprint() (uint32, error) {
 	return h.Sum32(), nil
 }
 
-// scanner reads frames from off up to the snapshot's committed size, so
-// frames appended after the snapshot stay invisible. It reads through
-// ReadAt, so no file position is shared between scans of one reader.
-func (r *SegmentReader) scanner(off int64) *frameScanner {
-	return newFrameScanner(io.NewSectionReader(r.f, off, r.info.Size-off), off)
-}
-
 // frameWalk is the store's one pull-style walk over a snapshot's frames:
 // each next yields a frame's byte offset and the record payloads it
 // carries (one for a plain frame, many for a compressed block), valid
@@ -186,8 +180,12 @@ type frameWalk struct {
 	seen   uint64 // records yielded so far
 }
 
+// walk reads up to the snapshot's committed size, so frames appended
+// after the snapshot stay invisible. It reads through ReadAt, so no file
+// position is shared between walks of one reader.
 func (r *SegmentReader) walk() *frameWalk {
-	return &frameWalk{r: r, sc: r.scanner(segHeaderLen)}
+	sr := io.NewSectionReader(r.f, segHeaderLen, r.info.Size-segHeaderLen)
+	return &frameWalk{r: r, sc: newFrameScanner(sr, segHeaderLen)}
 }
 
 func (w *frameWalk) next() (int64, [][]byte, error) {
@@ -241,14 +239,16 @@ func (r *SegmentReader) FrameAt(off int64) ([][]byte, error) {
 	if off < segHeaderLen || off >= r.info.Size {
 		return nil, fmt.Errorf("store: frame offset %d outside segment [%d, %d)", off, segHeaderLen, r.info.Size)
 	}
-	payload, _, err := r.scanner(off).next()
+	// The smallest bufio.Reader holds the length varint; ReadFrame reads
+	// the rest of the frame through ReadAt into a buffer sized to it,
+	// which the returned payload owns.
+	var buf []byte
+	payload, _, err := ReadFrame(bufio.NewReaderSize(io.NewSectionReader(r.f, off, r.info.Size-off), 16), &buf, maxFramePayload)
 	if err != nil {
 		return nil, fmt.Errorf("store: %s at offset %d: %w", r.info.Path, off, err)
 	}
 	if isBlockPayload(payload) {
 		return decodeBlock(payload)
 	}
-	// Copy: the scanner buffer dies with this call frame's scanner, but
-	// hand the caller stable bytes anyway for symmetry with blocks.
-	return [][]byte{append([]byte(nil), payload...)}, nil
+	return [][]byte{payload}, nil
 }
