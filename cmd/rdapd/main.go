@@ -48,6 +48,7 @@ import (
 	"repro/internal/query"
 	"repro/internal/rdap"
 	"repro/internal/store"
+	"repro/internal/survey"
 	"repro/internal/synth"
 	"repro/internal/tiered"
 )
@@ -408,7 +409,8 @@ func adminTiered(router *tiered.Router) http.HandlerFunc {
 // reply carries the match count, the top registrars/countries and the
 // per-year histogram of the matching rows, and the planner's execution
 // stats (how many segments were pruned, answered from their sidecars,
-// scanned in full, rebuilt).
+// scanned in full, rebuilt). The counts are folded from the facts
+// sidecars, so a match costs no record decode.
 func adminQuery(e *query.Engine) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
@@ -429,15 +431,14 @@ func adminQuery(e *query.Engine) http.HandlerFunc {
 		registrars := make(map[string]int)
 		countries := make(map[string]int)
 		years := make(map[int]int)
-		stats, err := e.Scan(p, func(rec *store.Record) error {
-			if rec.Facts.Registrar != "" {
-				registrars[rec.Facts.Registrar]++
+		stats, err := e.Fold(p, func(f survey.Facts) {
+			if f.Registrar != "" {
+				registrars[f.Registrar]++
 			}
-			if rec.Facts.Country != "" {
-				countries[rec.Facts.Country]++
+			if f.Country != "" {
+				countries[f.Country]++
 			}
-			years[rec.Facts.CreatedYear]++
-			return nil
+			years[f.CreatedYear]++
 		})
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)

@@ -2,14 +2,21 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/consistency"
 	"repro/internal/core"
+	"repro/internal/obs"
+	"repro/internal/query"
+	"repro/internal/store"
+	"repro/internal/survey"
 	"repro/internal/synth"
 	"repro/internal/templates"
 )
@@ -149,6 +156,102 @@ func TestAdminConsistencyMethodsAndLimits(t *testing.T) {
 		h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, target, nil))
 		if rr.Code != http.StatusBadRequest {
 			t.Errorf("GET %s = %d, want 400", target, rr.Code)
+		}
+	}
+}
+
+// TestAdminQueryMatchesFullScan drives /admin/query over a store with
+// compressed sealed segments and a non-empty active one: for every
+// predicate the reply's counts equal a FullScan fold's, and every
+// segment is pruned or answered from its sidecar.
+func TestAdminQueryMatchesFullScan(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{SegmentBytes: 4 << 10, BlockRecords: 5, Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	registrars := []string{"eNom", "GoDaddy.com, LLC", "Tucows Domains Inc.", ""}
+	countries := []string{"United States", "China", "Germany", ""}
+	add := func(from, to int) {
+		for i := from; i < to; i++ {
+			f := survey.Facts{
+				Domain:      fmt.Sprintf("host%d.example", i),
+				Registrar:   registrars[i%len(registrars)],
+				Country:     countries[i/3%len(countries)],
+				CreatedYear: 1998 + i%17,
+			}
+			if err := st.Append(&store.Record{Domain: f.Domain, Facts: f}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	add(0, 300)
+	if _, err := st.CompressSealed(); err != nil {
+		t.Fatal(err)
+	}
+	add(300, 320)
+	if infos := st.SegmentInfos(); len(infos) < 3 || infos[len(infos)-1].Records == 0 {
+		t.Fatalf("want sealed segments and a non-empty active one: %+v", infos)
+	}
+	e := query.New(st, query.Options{Metrics: obs.NewRegistry()})
+	if _, err := e.BuildAll(); err != nil {
+		t.Fatal(err)
+	}
+	h := adminQuery(e)
+
+	type reply struct {
+		Matched       uint64      `json:"matched"`
+		Stats         query.Stats `json:"stats"`
+		TopRegistrars []keyCount  `json:"top_registrars"`
+		TopCountries  []keyCount  `json:"top_countries"`
+		Years         []yearCount `json:"years"`
+	}
+	for i, c := range []struct{ target, where string }{
+		{"/admin/query", ""},
+		{"/admin/query?registrar=eNom", "registrar=eNom"},
+		{"/admin/query?country=China&since=2005", "country=China,since=2005"},
+		{"/admin/query?where=" + url.QueryEscape("registrar=GoDaddy.com, LLC,year=2000..2010"), "registrar=GoDaddy.com, LLC,year=2000..2010"},
+		{"/admin/query?registrar=No%20Such%20Registrar", "registrar=No Such Registrar"},
+	} {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, c.target, nil))
+		if rr.Code != http.StatusOK {
+			t.Fatalf("GET %s = %d: %s", c.target, rr.Code, rr.Body.String())
+		}
+		var got reply
+		if err := json.Unmarshal(rr.Body.Bytes(), &got); err != nil {
+			t.Fatalf("GET %s: %v\n%s", c.target, err, rr.Body.String())
+		}
+
+		p, err := query.ParsePred(c.where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want reply
+		regs, ctys, years := map[string]int{}, map[string]int{}, map[int]int{}
+		err = e.FullScan(p, func(rec *store.Record) error {
+			want.Matched++
+			if rec.Facts.Registrar != "" {
+				regs[rec.Facts.Registrar]++
+			}
+			if rec.Facts.Country != "" {
+				ctys[rec.Facts.Country]++
+			}
+			years[rec.Facts.CreatedYear]++
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Stats = got.Stats
+		want.TopRegistrars, want.TopCountries, want.Years = topCounts(regs, 10), topCounts(ctys, 10), yearCounts(years)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("GET %s:\n got %+v\nwant %+v", c.target, got, want)
+		}
+		// Only the first query decodes records: the active segment's, to
+		// build its sidecar.
+		if s := got.Stats; s.Pruned+s.FromSidecar != s.Segments || s.FullScanned != 0 || i > 0 && s.RecordsRead != 0 {
+			t.Errorf("GET %s: segments not all answered from sidecars: %s", c.target, s)
 		}
 	}
 }

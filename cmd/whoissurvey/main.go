@@ -11,9 +11,10 @@
 //
 // A -store survey accepts -where to restrict it to a predicate
 // (registrar=X, country=Y, year=N, since=N, comma-conjoined). Predicated
-// surveys run through internal/query: each sealed segment's facts
-// sidecar answers the predicate and feeds the tables without a record
-// being decoded, and segments whose sidecar rules the predicate out are
+// surveys run through internal/query: each segment's facts sidecar
+// answers the predicate and feeds the tables without a record being
+// decoded (the active segment's is built in memory, by decoding its
+// records once), and segments whose sidecar rules the predicate out are
 // skipped — with byte-identical tables to the full scan (the
 // query-differential CI gate holds it to that).
 //
@@ -290,8 +291,9 @@ func runConsistency(w io.Writer, dir, where string, src consistency.RDAPSource, 
 }
 
 // surveyWhere surveys the subset of a store matching a predicate through
-// the query engine: sealed segments are folded from their facts
-// sidecars, and missing or stale sidecars are rebuilt in-line (first
+// the query engine: segments are folded from their facts sidecars, the
+// active one's built in memory, and missing or stale sidecar files are
+// rebuilt in-line (first
 // predicated survey over a fresh store pays the build; later ones ride
 // it).
 func surveyWhere(dir, where string, reg *obs.Registry) error {

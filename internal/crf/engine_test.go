@@ -73,7 +73,7 @@ func naiveForward(lat *naiveLattice) [][]float64 {
 			for i := 0; i < n; i++ {
 				buf[i] = alpha[t-1][i] + tr[i*n+j]
 			}
-			alpha[t][j] = mathx.LogSumExpSlice(buf) + lat.state[t][j]
+			alpha[t][j] = logSumExpSlice(buf) + lat.state[t][j]
 		}
 	}
 	return alpha
@@ -93,7 +93,7 @@ func naiveBackward(lat *naiveLattice) [][]float64 {
 			for j := 0; j < n; j++ {
 				buf[j] = tr[i*n+j] + lat.state[t+1][j] + beta[t+1][j]
 			}
-			beta[t][i] = mathx.LogSumExpSlice(buf)
+			beta[t][i] = logSumExpSlice(buf)
 		}
 	}
 	return beta
@@ -151,7 +151,7 @@ func (m *Model) naiveLogZ(inst Instance) float64 {
 	if lat.T == 0 {
 		return 0
 	}
-	return mathx.LogSumExpSlice(naiveForward(lat)[lat.T-1])
+	return logSumExpSlice(naiveForward(lat)[lat.T-1])
 }
 
 func (m *Model) naiveMarginals(inst Instance) [][]float64 {
@@ -161,7 +161,7 @@ func (m *Model) naiveMarginals(inst Instance) [][]float64 {
 	}
 	alpha := naiveForward(lat)
 	beta := naiveBackward(lat)
-	logZ := mathx.LogSumExpSlice(alpha[lat.T-1])
+	logZ := logSumExpSlice(alpha[lat.T-1])
 	out := make([][]float64, lat.T)
 	for t := 0; t < lat.T; t++ {
 		out[t] = make([]float64, lat.n)
@@ -179,7 +179,7 @@ func (m *Model) naiveEdgeMarginals(inst Instance) [][]float64 {
 	}
 	alpha := naiveForward(lat)
 	beta := naiveBackward(lat)
-	logZ := mathx.LogSumExpSlice(alpha[lat.T-1])
+	logZ := logSumExpSlice(alpha[lat.T-1])
 	n := lat.n
 	out := make([][]float64, lat.T)
 	for t := 1; t < lat.T; t++ {
@@ -203,7 +203,7 @@ func (m *Model) naiveInstanceNLL(theta []float64, inst Instance, grad []float64)
 	lat := m.naiveBuildLattice(theta, inst)
 	alpha := naiveForward(lat)
 	beta := naiveBackward(lat)
-	logZ := mathx.LogSumExpSlice(alpha[T-1])
+	logZ := logSumExpSlice(alpha[T-1])
 	gold := naiveSeqScore(lat, inst.Labels)
 	nll := logZ - gold
 	if grad == nil {

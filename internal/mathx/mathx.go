@@ -1,52 +1,16 @@
 // Package mathx provides small numerically careful helpers used by the CRF
-// training and inference code: log-sum-exp reductions, dot products, and
-// vector arithmetic on dense float64 slices.
+// training and inference code: dot products, arg-max, and vector
+// arithmetic on dense float64 slices.
 //
-// All functions treat math.Inf(-1) as "log of zero" and preserve it through
-// reductions, which lets callers encode impossible transitions directly in
-// log-space score tables.
+// NegInf is the log-domain zero: ArgMax returns it for an empty slice,
+// and callers encode impossible transitions with it in log-space score
+// tables.
 package mathx
 
 import "math"
 
 // NegInf is the log-domain representation of probability zero.
 var NegInf = math.Inf(-1)
-
-// LogSumExp returns log(exp(a) + exp(b)) computed without overflow.
-func LogSumExp(a, b float64) float64 {
-	if a == NegInf {
-		return b
-	}
-	if b == NegInf {
-		return a
-	}
-	if a < b {
-		a, b = b, a
-	}
-	return a + math.Log1p(math.Exp(b-a))
-}
-
-// LogSumExpSlice returns log(sum_i exp(xs[i])). It returns NegInf for an
-// empty slice, matching the convention that an empty sum has probability 0.
-func LogSumExpSlice(xs []float64) float64 {
-	if len(xs) == 0 {
-		return NegInf
-	}
-	max := xs[0]
-	for _, x := range xs[1:] {
-		if x > max {
-			max = x
-		}
-	}
-	if max == NegInf {
-		return NegInf
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += math.Exp(x - max)
-	}
-	return max + math.Log(sum)
-}
 
 // Dot returns the inner product of a and b. The slices must have equal
 // length; Dot panics otherwise, because a length mismatch is always a

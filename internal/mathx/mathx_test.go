@@ -2,99 +2,8 @@ package mathx
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
-
-func almostEqual(a, b, tol float64) bool {
-	if math.IsInf(a, -1) && math.IsInf(b, -1) {
-		return true
-	}
-	return math.Abs(a-b) <= tol*(1+math.Abs(a)+math.Abs(b))
-}
-
-func TestLogSumExpBasic(t *testing.T) {
-	cases := []struct {
-		a, b, want float64
-	}{
-		{0, 0, math.Log(2)},
-		{1, 1, 1 + math.Log(2)},
-		{0, NegInf, 0},
-		{NegInf, 0, 0},
-		{NegInf, NegInf, NegInf},
-		{1000, 1000, 1000 + math.Log(2)}, // no overflow
-		{-1000, -1000, -1000 + math.Log(2)},
-	}
-	for _, c := range cases {
-		if got := LogSumExp(c.a, c.b); !almostEqual(got, c.want, 1e-12) {
-			t.Errorf("LogSumExp(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestLogSumExpCommutative(t *testing.T) {
-	f := func(a, b float64) bool {
-		a = math.Mod(a, 700)
-		b = math.Mod(b, 700)
-		return almostEqual(LogSumExp(a, b), LogSumExp(b, a), 1e-12)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestLogSumExpMonotone(t *testing.T) {
-	// log(e^a + e^b) >= max(a, b), with equality only when the other
-	// operand is -inf.
-	f := func(a, b float64) bool {
-		a = math.Mod(a, 700)
-		b = math.Mod(b, 700)
-		return LogSumExp(a, b) >= math.Max(a, b)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestLogSumExpSliceMatchesPairwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(8)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = rng.NormFloat64() * 50
-		}
-		want := NegInf
-		for _, x := range xs {
-			want = LogSumExp(want, x)
-		}
-		if got := LogSumExpSlice(xs); !almostEqual(got, want, 1e-10) {
-			t.Fatalf("trial %d: LogSumExpSlice=%v pairwise=%v xs=%v", trial, got, want, xs)
-		}
-	}
-}
-
-func TestLogSumExpSliceEmpty(t *testing.T) {
-	if got := LogSumExpSlice(nil); !math.IsInf(got, -1) {
-		t.Errorf("empty slice: got %v, want -Inf", got)
-	}
-}
-
-func TestLogSumExpSliceAllNegInf(t *testing.T) {
-	xs := []float64{NegInf, NegInf, NegInf}
-	if got := LogSumExpSlice(xs); !math.IsInf(got, -1) {
-		t.Errorf("all -inf: got %v, want -Inf", got)
-	}
-}
-
-func TestLogSumExpSliceExactSmall(t *testing.T) {
-	xs := []float64{math.Log(1), math.Log(2), math.Log(3)}
-	want := math.Log(6)
-	if got := LogSumExpSlice(xs); !almostEqual(got, want, 1e-12) {
-		t.Errorf("got %v, want %v", got, want)
-	}
-}
 
 func TestDot(t *testing.T) {
 	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
@@ -168,25 +77,6 @@ func TestArgMax(t *testing.T) {
 	i, v = ArgMax(nil)
 	if i != -1 || !math.IsInf(v, -1) {
 		t.Errorf("ArgMax(nil) = (%d, %v)", i, v)
-	}
-}
-
-func TestLogSumExpSliceAgainstDirect(t *testing.T) {
-	// For small magnitudes, compare with the naive computation.
-	f := func(raw []float64) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		xs := make([]float64, len(raw))
-		var direct float64
-		for i, r := range raw {
-			xs[i] = math.Mod(r, 10)
-			direct += math.Exp(xs[i])
-		}
-		return almostEqual(LogSumExpSlice(xs), math.Log(direct), 1e-9)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -258,7 +258,7 @@ func TestParsedReplyAllocs(t *testing.T) {
 		}
 	}
 	get() // parse once; every later request is a cache hit
-	const want = 9
+	const want = 8
 	if got := testing.AllocsPerRun(200, get); got > want {
 		t.Errorf("cache-hit /parsed/ reply allocates %.0f/op, want <= %d", got, want)
 	}

@@ -112,10 +112,15 @@ func (s *Server) EnableParsedBackend(pb ParseBackend, domains []*synth.Domain) {
 	}
 }
 
+// rdapContentType is every reply's Content-Type value, shared so that
+// setting it allocates nothing. Header.Set would allocate a fresh slice
+// per request; nothing appends to or edits the shared one in place.
+var rdapContentType = []string{"application/rdap+json"}
+
 // ServeHTTP implements http.Handler for /domain/{name} and
 // /parsed/{name}.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/rdap+json")
+	w.Header()["Content-Type"] = rdapContentType
 	// RDAP is a read-only protocol here: anything but GET/HEAD is a
 	// method error, not a failed lookup.
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
