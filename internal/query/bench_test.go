@@ -82,7 +82,7 @@ func BenchmarkSidecarBuild(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := buildSidecar(r); err != nil {
+		if _, err := buildSidecar(r, nil); err != nil {
 			b.Fatal(err)
 		}
 		r.Close()

@@ -1,12 +1,14 @@
 // Package query is the survey-scale query engine over the record store.
-// Each sealed segment gets one facts sidecar, a file next to it holding
-// every record's survey facts (dictionary-coded) and frame location.
-// Survey folds the matching rows straight from the sidecars, decoding no
-// record; Scan tests the predicate on the sidecar and reads only the
-// frames holding a match. A segment whose dictionary lacks the wanted
+// Each segment gets one facts sidecar holding every record's survey
+// facts (dictionary-coded) and frame location: a file next to a sealed
+// segment, and an in-memory one, rebuilt after appends, for the active
+// segment. Survey folds the matching rows straight from the sidecars,
+// decoding no record; Scan tests the predicate on the sidecar and reads
+// only the frames holding a match, or keeps the matches of the pass that
+// builds the sidecar. A segment whose dictionary lacks the wanted
 // registrar or country, or whose years miss the wanted ones, is pruned
-// outright; the active segment, and any segment without a usable
-// sidecar, is scanned in full, across bounded parallel workers.
+// outright; any segment without a usable sidecar is scanned in full,
+// across bounded parallel workers.
 //
 // Sidecars are derived, disposable artifacts: each one records the id and
 // content fingerprint of the segment it was built from, so a stale,
