@@ -61,18 +61,16 @@ func randomModel(rng *rand.Rand, dict *tokenize.Dictionary, nStates int) *Model 
 }
 
 // seqScore is the unnormalized log score Σ_t,k θ_k f_k of a label
-// sequence, read off the lattice the way instanceNLL scores its gold path.
+// sequence, computed the way instanceNLL scores its gold path.
 func seqScore(m *Model, inst Instance, y []int) float64 {
-	var s scratch
-	m.fillLattice(&s, m.theta, inst, nil)
-	return latticeSeqScore(&s.lat, y)
+	return m.labelScore(m.theta, inst.Obs, y)
 }
 
 // logProb is log Pr(y|x) (eq. 2), the negated training NLL of inst
 // labeled y.
 func logProb(m *Model, inst Instance, y []int) float64 {
 	var s scratch
-	return -m.instanceNLL(&s, m.theta, Instance{Obs: inst.Obs, Labels: y}, nil)
+	return -m.instanceNLL(&s, nil, m.theta, Instance{Obs: inst.Obs, Labels: y}, nil)
 }
 
 // enumerate all label sequences of length T over n states.

@@ -2,6 +2,7 @@ package crf
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -12,25 +13,31 @@ import (
 // type holding flat backing arrays for the lattice and every dynamic-
 // programming table, memoization of per-position score rows keyed by the
 // observation-id signature of the line, Viterbi, and the one forward–
-// backward kernel. WHOIS records are template-generated (§2.3), so a
-// survey-scale workload sees a tiny set of distinct line shapes; caching
-// the score rows turns the dominant O(T·|obs|·n²) lattice build into
-// O(distinct·|obs|·n²) plus copies.
+// backward kernel. WHOIS records are template-generated (§2.3), so both a
+// survey-scale workload and a training batch see a small set of distinct
+// line shapes; caching the score rows turns the dominant O(T·|obs|·n²)
+// lattice build into O(distinct·|obs|·n²) plus copies.
 //
 // Memoization invariants:
 //   - A cached row is the byte-for-byte output of the direct computation
-//     (same accumulation order), so cached and uncached inference agree
-//     bit-identically. The differential tests in engine_test.go assert it.
-//   - The model-level cache is only consulted for inference at the model's
-//     own weights and is dropped whenever θ changes (SetTheta, Train,
-//     WarmStartFrom). It is never valid across theta updates.
-//   - With an explicit theta (the training loop), only the per-instance
-//     memo inside the scratch is used, which cannot outlive the lattice
-//     it was built for.
+//     (same accumulation order), so cached and uncached inference and
+//     training agree bit-identically. The differential tests in
+//     engine_test.go assert it.
+//   - Inference (Decode, LogZ, the marginals, Posterior) uses one cache
+//     per model, scoreCache, holding log score rows at the model's own
+//     weights. It is dropped whenever θ changes (SetTheta, Train,
+//     WarmStartFrom), so it is never valid across theta updates.
+//   - Training uses one shapeTable per gradient worker, holding the score
+//     rows and also the forward kernel's ψ block and row maxima, at one
+//     explicit θ. The batch objective resets each worker's table at the
+//     start of every Eval, and the SGD objective before every example,
+//     so a table never outlives the θ it was filled at. It is bounded by
+//     maxTableShapes; past the bound rows are computed directly.
 //
 // Viterbi runs max-sum over the log-domain lattice. The forward–backward
 // kernel runs in probability space on potentials it exponentiates into
-// the per-call scratch only; the model-level cache keeps log scores.
+// the per-call scratch or the training table only; the model-level cache
+// keeps log scores.
 
 // lattice holds the per-position log-domain score tables for one
 // instance as flat backing arrays.
@@ -48,15 +55,6 @@ func (l *lattice) transRow(t int) []float64 {
 	return l.trans[t*nn : (t+1)*nn]
 }
 
-// memoEntry records where within the current instance a given observation
-// signature was first scored. tTrans is -1 until a transition row has been
-// computed for the signature (position 0 has no transition row).
-type memoEntry struct {
-	hash   uint64
-	tState int32
-	tTrans int32
-}
-
 // scratch bundles every buffer inference and training need, so that
 // steady-state Decode/Marginals/Posterior/instanceNLL run without heap
 // allocations. Obtain one with getScratch and return it with putScratch,
@@ -64,6 +62,7 @@ type memoEntry struct {
 type scratch struct {
 	lat   lattice
 	psi   []float64 // [t*n*n + i*n + j] row-shifted exponentiated potentials, t >= 1
+	rmax  []float64 // [t*n + i] the shift of ψ_t's row i, t >= 1
 	w     []float64 // [t*n + i] forward row weights, t >= 1
 	alpha []float64 // [t*n + j] scaled forward α̂
 	beta  []float64 // [t*n + j] scaled backward β̂
@@ -73,16 +72,16 @@ type scratch struct {
 	vNext []float64 // n
 	prob  []float64 // n gradient node buffer
 	edge  []float64 // n*n gradient edge buffer
-	memo  []memoEntry
 }
 
 // ensure sizes every buffer for a T×n problem, reusing backing arrays
-// whenever they are already large enough, and resets the per-instance memo.
+// whenever they are already large enough.
 func (s *scratch) ensure(T, n int) {
 	s.lat.n, s.lat.T = n, T
 	s.lat.state = growF64(s.lat.state, T*n)
 	s.lat.trans = growF64(s.lat.trans, T*n*n)
 	s.psi = growF64(s.psi, T*n*n)
+	s.rmax = growF64(s.rmax, T*n)
 	s.w = growF64(s.w, T*n)
 	s.alpha = growF64(s.alpha, T*n)
 	s.beta = growF64(s.beta, T*n)
@@ -92,7 +91,6 @@ func (s *scratch) ensure(T, n int) {
 	s.vNext = growF64(s.vNext, n)
 	s.prob = growF64(s.prob, n)
 	s.edge = growF64(s.edge, n*n)
-	s.memo = s.memo[:0]
 }
 
 func growF64(b []float64, n int) []float64 {
@@ -198,78 +196,179 @@ func (m *Model) curCache() *scoreCache { return m.scores.Load() }
 // it (see the memoization invariants above).
 func (m *Model) invalidateScores() { m.scores.Store(new(scoreCache)) }
 
-// fillLattice populates s.lat for inst at theta. With a non-nil cache
-// (inference at the model's own weights) score rows are shared across
-// records; otherwise repeated observation signatures within the instance
-// are detected and their rows copied. Both paths reproduce the direct
-// computation bit-for-bit, because every cached row is the direct
-// computation's output copied verbatim.
-func (m *Model) fillLattice(s *scratch, theta []float64, inst Instance, cache *scoreCache) {
+// fillLattice populates s.lat for inst at the model's own weights, sharing
+// score rows across records through the model-level cache. It reproduces
+// the direct computation bit-for-bit, because every cached row is the
+// direct computation's output copied verbatim.
+func (m *Model) fillLattice(s *scratch, inst Instance) {
 	n := m.cfg.NumStates
 	T := len(inst.Obs)
 	s.ensure(T, n)
 	lat := &s.lat
+	cache := m.curCache()
 	for t := 0; t < T; t++ {
 		obs := inst.Obs[t]
 		sig := obsSignature(obs)
 		st := lat.stateRow(t)
-		if cache != nil {
-			if e, ok := cache.lookup(sig, obs); ok {
-				copy(st, e.state)
-				if t >= 1 {
-					copy(lat.transRow(t), e.trans)
-				}
-				continue
+		if e, ok := cache.lookup(sig, obs); ok {
+			copy(st, e.state)
+			if t >= 1 {
+				copy(lat.transRow(t), e.trans)
 			}
+			continue
+		}
+		m.stateScores(m.theta, obs, st)
+		if t >= 1 {
+			tr := lat.transRow(t)
+			m.transScores(m.theta, obs, tr)
+			cache.insert(sig, obs, st, tr)
+		}
+	}
+}
+
+// maxTableShapes bounds a training table. One shape holds n²+2n floats,
+// 1.3 KiB at the paper's 12 field labels, so a full table stays under
+// 6 MiB per gradient worker; past the bound, a new shape's rows are
+// computed directly at every position.
+const maxTableShapes = 1 << 12
+
+// shapeTable is one training worker's memo for a single θ. For each line
+// shape it keeps, in one block of its arena, the state row and the
+// forward kernel's row-shifted ψ block with its row maxima, so a repeated
+// shape costs copies instead of transScores and n² exps. (Training reads
+// no transition score but the gold path's, which labelScore computes on
+// its own.) A signature held by another shape, a hash collision, is
+// treated as a miss. Call reset before using the table at a new θ.
+type shapeTable struct {
+	index  map[uint64]int32 // signature -> shape
+	shapes []tableShape
+	rows   []float64 // shape i's block at [i*stride, (i+1)*stride)
+}
+
+// tableShape is one line shape's entry. hasPsi reports whether its block
+// holds ψ and the row maxima besides the state row: they are filled the
+// first time the shape appears past position 0.
+type tableShape struct {
+	obs    []int
+	hasPsi bool
+}
+
+// reset empties the table, keeping its storage.
+func (tb *shapeTable) reset() {
+	clear(tb.index)
+	tb.shapes = tb.shapes[:0]
+	tb.rows = tb.rows[:0]
+}
+
+// fillTrainLattice fills s's state rows, ψ blocks and row maxima for inst
+// at theta, everything the forward–backward kernel reads, taking the rows
+// of a shape already in tab from there. A nil tab computes every row
+// directly. The lattice's transition rows are left as scratch.
+func (m *Model) fillTrainLattice(s *scratch, tab *shapeTable, theta []float64, inst Instance) {
+	n := m.cfg.NumStates
+	nn := n * n
+	stride := 2*n + nn
+	s.ensure(len(inst.Obs), n)
+	lat := &s.lat
+	for t, obs := range inst.Obs {
+		st := lat.stateRow(t)
+		var psi, rmax []float64
+		if t >= 1 {
+			psi, rmax = s.psi[t*nn:(t+1)*nn], s.rmax[t*n:(t+1)*n]
+		}
+		e, block, fresh := tab.shape(obs, stride)
+		if e == nil {
 			m.stateScores(theta, obs, st)
 			if t >= 1 {
 				tr := lat.transRow(t)
 				m.transScores(theta, obs, tr)
-				cache.insert(sig, obs, st, tr)
+				psiBlock(st, tr, psi, rmax)
 			}
 			continue
 		}
-		if e := s.findMemo(sig); e != nil && obsEqual(obs, inst.Obs[e.tState]) {
-			copy(st, lat.stateRow(int(e.tState)))
-			if t >= 1 {
-				if e.tTrans >= 1 {
-					copy(lat.transRow(t), lat.transRow(int(e.tTrans)))
-				} else {
-					m.transScores(theta, obs, lat.transRow(t))
-					e.tTrans = int32(t)
-				}
-			}
+		bst := block[:n]
+		if fresh {
+			m.stateScores(theta, obs, bst)
+		}
+		copy(st, bst)
+		if t == 0 {
 			continue
 		}
-		m.stateScores(theta, obs, st)
-		tt := int32(-1)
-		if t >= 1 {
-			m.transScores(theta, obs, lat.transRow(t))
-			tt = int32(t)
+		bpsi, brmax := block[n:n+nn], block[n+nn:]
+		if !e.hasPsi {
+			tr := lat.transRow(t)
+			m.transScores(theta, obs, tr)
+			psiBlock(bst, tr, bpsi, brmax)
+			e.hasPsi = true
 		}
-		s.memo = append(s.memo, memoEntry{hash: sig, tState: int32(t), tTrans: tt})
+		copy(psi, bpsi)
+		copy(rmax, brmax)
 	}
 }
 
-// findMemo returns the memo entry with the given hash, if any. The memo
-// holds one entry per distinct line shape, so a linear scan is cheaper
-// than a map for realistic record lengths.
-func (s *scratch) findMemo(sig uint64) *memoEntry {
-	for i := range s.memo {
-		if s.memo[i].hash == sig {
-			return &s.memo[i]
-		}
+// shape returns obs's entry and block, adding the shape with an unfilled
+// block (fresh) on a miss. It returns a nil entry when the shape cannot
+// be kept: tab is nil or full, or obs's signature belongs to another
+// shape.
+func (tb *shapeTable) shape(obs []int, stride int) (e *tableShape, block []float64, fresh bool) {
+	if tb == nil {
+		return nil, nil, false
 	}
-	return nil
+	sig := obsSignature(obs)
+	if i, ok := tb.index[sig]; ok {
+		if e := &tb.shapes[i]; obsEqual(e.obs, obs) {
+			return e, tb.rows[int(i)*stride : (int(i)+1)*stride], false
+		}
+		return nil, nil, false
+	}
+	if len(tb.shapes) >= maxTableShapes {
+		return nil, nil, false
+	}
+	if tb.index == nil {
+		tb.index = make(map[uint64]int32)
+	}
+	i := len(tb.shapes)
+	tb.index[sig] = int32(i)
+	tb.shapes = append(tb.shapes, tableShape{obs: obs})
+	tb.rows = slices.Grow(tb.rows, stride)[:(i+1)*stride]
+	return &tb.shapes[i], tb.rows[i*stride:], true
+}
+
+// psiBlock exponentiates one position's potentials, shifting every row
+// by its largest score r_i so no exp overflows:
+// psi[i,j] = exp(tr[i,j] + st[j] − r_i), with r_i written to rmax[i].
+func psiBlock(st, tr, psi, rmax []float64) {
+	n := len(st)
+	for i := range rmax {
+		row := psi[i*n : (i+1)*n]
+		r := mathx.NegInf
+		for j, x := range st {
+			x += tr[i*n+j]
+			row[j] = x
+			r = max(r, x)
+		}
+		for j, x := range row {
+			row[j] = math.Exp(x - r)
+		}
+		rmax[i] = r
+	}
+}
+
+// fillPsi runs psiBlock at every position t ≥ 1 of the filled lattice.
+func (s *scratch) fillPsi() {
+	lat := &s.lat
+	n, nn := lat.n, lat.n*lat.n
+	for t := 1; t < lat.T; t++ {
+		psiBlock(lat.stateRow(t), lat.transRow(t), s.psi[t*nn:(t+1)*nn], s.rmax[t*n:(t+1)*n])
+	}
 }
 
 // forward is the first half of the forward–backward kernel, the scaled
 // recursion of Rabiner's HMM tutorial (as in CRFsuite), and returns logZ.
-// It exponentiates each position's potentials once, shifting every row by
-// its largest score r_{t,i} so no exp overflows:
-// ψ_t[i,j] = exp(trans_t[i,j] + state_t[j] − r_{t,i}). The shifts come
-// back as row weights w_t[i] = α̂_{t−1}[i]·exp(r_{t,i} − R_t), with R_t
-// making the largest weight 1, so the row holding the forward mass never
+// It runs over the ψ blocks and row maxima r_{t,i} of psiBlock, which
+// fillPsi or fillTrainLattice left in s. The row shifts come back as row
+// weights w_t[i] = α̂_{t−1}[i]·exp(r_{t,i} − R_t), with R_t making the
+// largest weight 1, so the row holding the forward mass never
 // underflows. Then α̂_t = w_t·ψ_t / c_t, with c_t normalizing α̂_t to sum 1
 // (α̂_0 is exp(state_0 − R_0) normalized), and logZ = Σ_t (log c_t + R_t).
 func (s *scratch) forward() float64 {
@@ -285,21 +384,10 @@ func (s *scratch) forward() float64 {
 	s.scale[0] = normalize(s.alpha[:n])
 	logZ := math.Log(s.scale[0]) + shift
 	for t := 1; t < T; t++ {
-		tr, st := lat.transRow(t), lat.stateRow(t)
-		psi, w := s.psi[t*nn:(t+1)*nn], s.w[t*n:(t+1)*n]
+		psi, w, rmax := s.psi[t*nn:(t+1)*nn], s.w[t*n:(t+1)*n], s.rmax[t*n:(t+1)*n]
 		prev, cur := s.alpha[(t-1)*n:t*n], s.alpha[t*n:(t+1)*n]
 		shift = mathx.NegInf
-		for i := range w {
-			row := psi[i*n : (i+1)*n]
-			r := mathx.NegInf
-			for j, x := range st {
-				x += tr[i*n+j]
-				row[j] = x
-				r = max(r, x)
-			}
-			for j, x := range row {
-				row[j] = math.Exp(x - r)
-			}
+		for i, r := range rmax {
 			w[i] = math.Log(prev[i]) + r
 			shift = max(shift, w[i])
 		}

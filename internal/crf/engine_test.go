@@ -394,24 +394,26 @@ func TestEngineMatchesNaiveGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	dict := makeDict(t, 12)
 	var s scratch
+	var tab shapeTable
 	for trial := 0; trial < 45; trial++ {
 		m, inst := kernelTrial(rng, dict, 15+trial, true)
-		checkGradient(t, m, &s, inst, fmt.Sprintf("trial %d", trial))
-		// Scratch reuse across instances must not leak state.
+		tab.reset() // a new model is a new θ
+		checkGradient(t, m, &s, &tab, inst, fmt.Sprintf("trial %d", trial))
+		// Scratch and table reuse across instances must not leak state.
 		inst2 := randomInstance(rng, dict, 1+rng.Intn(8), m.NumStates(), true)
-		checkGradient(t, m, &s, inst2, fmt.Sprintf("trial %d, reused scratch", trial))
+		checkGradient(t, m, &s, &tab, inst2, fmt.Sprintf("trial %d, reused scratch", trial))
 	}
 }
 
 // checkGradient asserts instanceNLL's value and every gradient component
 // are finite and near the log-space reference.
-func checkGradient(t *testing.T, m *Model, s *scratch, inst Instance, label string) {
+func checkGradient(t *testing.T, m *Model, s *scratch, tab *shapeTable, inst Instance, label string) {
 	t.Helper()
 	theta := m.Theta()
 	wantGrad := make([]float64, m.NumFeatures())
 	wantNLL := m.naiveInstanceNLL(theta, inst, wantGrad)
 	gotGrad := make([]float64, m.NumFeatures())
-	gotNLL := m.instanceNLL(s, theta, inst, gotGrad)
+	gotNLL := m.instanceNLL(s, tab, theta, inst, gotGrad)
 	if math.IsNaN(gotNLL) || math.IsInf(gotNLL, 0) || !near(gotNLL, wantNLL) {
 		t.Fatalf("%s: nll %v, naive %v", label, gotNLL, wantNLL)
 	}
@@ -439,7 +441,7 @@ func TestKernelSurvivesOverflow(t *testing.T) {
 			t.Fatal(err)
 		}
 		label := fmt.Sprintf("trial %d", trial)
-		checkGradient(t, m, &s, inst, label)
+		checkGradient(t, m, &s, nil, inst, label)
 		checkAgainstNaive(t, m, inst, label)
 		post, want := m.Posterior(inst), m.naiveLogZ(inst)
 		if math.IsInf(post.LogZ, 0) || !near(post.LogZ, want) {
@@ -567,8 +569,8 @@ func TestLogZSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestInstanceNLLSteadyStateAllocs: on a warmed scratch, the training
-// path's NLL and gradient allocate nothing.
+// TestInstanceNLLSteadyStateAllocs: on a warmed scratch and table, the
+// training path's NLL and gradient allocate nothing, table reset included.
 func TestInstanceNLLSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -580,9 +582,11 @@ func TestInstanceNLLSteadyStateAllocs(t *testing.T) {
 	inst := repeatingInstance(rng, dict.Len(), 40, 6, true, n)
 	grad := make([]float64, m.NumFeatures())
 	var s scratch
-	m.instanceNLL(&s, m.Theta(), inst, grad)
+	var tab shapeTable
+	m.instanceNLL(&s, &tab, m.Theta(), inst, grad)
 	allocs := testing.AllocsPerRun(200, func() {
-		m.instanceNLL(&s, m.Theta(), inst, grad)
+		tab.reset()
+		m.instanceNLL(&s, &tab, m.Theta(), inst, grad)
 	})
 	if allocs != 0 {
 		t.Errorf("instanceNLL steady state: %.1f allocs/op, want 0", allocs)

@@ -15,7 +15,7 @@ func (m *Model) Decode(inst Instance) ([]int, float64) {
 	defer m.observeDecode(m.decodeStart(), T)
 	s := getScratch()
 	defer putScratch(s)
-	m.fillLattice(s, m.theta, inst, m.curCache())
+	m.fillLattice(s, inst)
 	path := make([]int, T)
 	score := viterbiInto(&s.lat, s, path)
 	return path, score
@@ -29,19 +29,9 @@ func (m *Model) LogZ(inst Instance) float64 {
 	}
 	s := getScratch()
 	defer putScratch(s)
-	m.fillLattice(s, m.theta, inst, m.curCache())
+	m.fillLattice(s, inst)
+	s.fillPsi()
 	return s.forward()
-}
-
-func latticeSeqScore(lat *lattice, y []int) float64 {
-	var s float64
-	for t := 0; t < lat.T; t++ {
-		s += lat.state[t*lat.n+y[t]]
-		if t >= 1 {
-			s += lat.trans[t*lat.n*lat.n+y[t-1]*lat.n+y[t]]
-		}
-	}
-	return s
 }
 
 // forwardBackward fills a pooled scratch for inst at the model's own
@@ -49,7 +39,8 @@ func latticeSeqScore(lat *lattice, y []int) float64 {
 // the caller to putScratch) and logZ.
 func (m *Model) forwardBackward(inst Instance) (*scratch, float64) {
 	s := getScratch()
-	m.fillLattice(s, m.theta, inst, m.curCache())
+	m.fillLattice(s, inst)
+	s.fillPsi()
 	logZ := s.forward()
 	s.backward()
 	return s, logZ

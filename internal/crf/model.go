@@ -212,9 +212,8 @@ func (m *Model) stateScores(theta []float64, obs []int, dst []float64) {
 		dst[y] = theta[m.biasBase+y]
 	}
 	for _, o := range obs {
-		base := o * n
-		for y := 0; y < n; y++ {
-			dst[y] += theta[base+y]
+		for y, x := range theta[o*n:][:n] {
+			dst[y] += x
 		}
 	}
 }
@@ -232,9 +231,8 @@ func (m *Model) transScores(theta []float64, obs []int, dst []float64) {
 		if r < 0 {
 			continue
 		}
-		base := m.tobsBase + r*n*n
-		for k := 0; k < n*n; k++ {
-			dst[k] += theta[base+k]
+		for k, x := range theta[m.tobsBase+r*n*n:][:n*n] {
+			dst[k] += x
 		}
 	}
 }

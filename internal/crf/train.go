@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/mathx"
 	"repro/internal/optimize"
 )
 
@@ -81,15 +80,16 @@ func (m *Model) Train(insts []Instance, cfg TrainConfig) (optimize.Result, error
 // theta and accumulates its gradient (expected minus observed feature
 // counts) into grad. All dynamic-programming tables live in the caller-
 // provided scratch, so the training loop reuses the same buffers across
-// every gradient evaluation.
-func (m *Model) instanceNLL(s *scratch, theta []float64, inst Instance, grad []float64) float64 {
+// every gradient evaluation. tab, filled at theta or empty, supplies the
+// rows of line shapes it has seen; nil scores every position directly.
+func (m *Model) instanceNLL(s *scratch, tab *shapeTable, theta []float64, inst Instance, grad []float64) float64 {
 	n := m.cfg.NumStates
 	T := len(inst.Obs)
 	if T == 0 {
 		return 0
 	}
-	m.fillLattice(s, theta, inst, nil)
-	nll := s.forward() - latticeSeqScore(&s.lat, inst.Labels)
+	m.fillTrainLattice(s, tab, theta, inst)
+	nll := s.forward() - m.labelScore(theta, inst.Obs, inst.Labels)
 	if grad == nil {
 		return nll
 	}
@@ -128,15 +128,44 @@ func (m *Model) instanceNLL(s *scratch, theta []float64, inst Instance, grad []f
 			if r < 0 {
 				continue
 			}
-			base := m.tobsBase + r*n*n
+			// A zero p adds +0, which changes no sum: marginals are never
+			// −0, so no gradient entry is either.
+			g := grad[m.tobsBase+r*n*n:][:len(edge)]
 			for k, p := range edge {
-				if p != 0 {
-					grad[base+k] += p
-				}
+				g[k] += p
 			}
 		}
 	}
 	return nll
+}
+
+// labelScore is the unnormalized log score Σ_t (state_t[y_t] +
+// trans_t[y_{t−1}, y_t]) of labels y at theta. Each score is the one
+// element of the stateScores or transScores row that y selects, summed in
+// the same order, so it is the same bits as reading it off a filled
+// lattice.
+func (m *Model) labelScore(theta []float64, obs [][]int, y []int) float64 {
+	n := m.cfg.NumStates
+	var s float64
+	for t, ob := range obs {
+		st := theta[m.biasBase+y[t]]
+		for _, o := range ob {
+			st += theta[o*n+y[t]]
+		}
+		s += st
+		if t == 0 {
+			continue
+		}
+		k := y[t-1]*n + y[t]
+		tr := theta[m.transBase+k]
+		for _, o := range ob {
+			if r := m.transRank[o]; r >= 0 {
+				tr += theta[m.tobsBase+r*n*n+k]
+			}
+		}
+		s += tr
+	}
+	return s
 }
 
 // gradChunks is the fixed number of contiguous instance ranges the batch
@@ -145,16 +174,25 @@ func (m *Model) instanceNLL(s *scratch, theta []float64, inst Instance, grad []f
 // same bits for every worker count.
 const gradChunks = 8
 
+// foldBlock is the number of θ entries Eval folds at a time.
+const foldBlock = 512
+
 // batchObjective is the full-batch regularized NLL with parallel
 // per-chunk evaluation, as the paper's parallel L-BFGS requires.
 type batchObjective struct {
-	m       *Model
-	insts   []Instance
-	workers int
+	m     *Model
+	insts []Instance
 
-	values    [gradChunks]float64
-	grads     [gradChunks][]float64 // per-chunk gradients, reused across Evals
-	scratches []scratch             // per-worker inference scratch, reused across Evals
+	values  [gradChunks]float64
+	grads   [gradChunks][]float64 // per-chunk gradients, zero between Evals
+	workers []gradWorker          // one per goroutine, reused across Evals
+}
+
+// gradWorker is one gradient goroutine's inference scratch and its score
+// table for the θ being evaluated.
+type gradWorker struct {
+	s   scratch
+	tab shapeTable
 }
 
 func (m *Model) newBatchObjective(insts []Instance, workers int) *batchObjective {
@@ -162,7 +200,7 @@ func (m *Model) newBatchObjective(insts []Instance, workers int) *batchObjective
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = min(workers, gradChunks)
-	b := &batchObjective{m: m, insts: insts, workers: workers, scratches: make([]scratch, workers)}
+	b := &batchObjective{m: m, insts: insts, workers: make([]gradWorker, workers)}
 	for c := range b.grads {
 		b.grads[c] = make([]float64, len(m.theta))
 	}
@@ -171,39 +209,54 @@ func (m *Model) newBatchObjective(insts []Instance, workers int) *batchObjective
 
 func (b *batchObjective) Dim() int { return len(b.m.theta) }
 
+// Eval sums the chunks' NLLs and gradients in chunk order, so the result
+// is the same bits for every worker count. The fold is one pass over θ in
+// blocks of foldBlock entries small enough to stay in L1: each block of
+// grad sums the chunk gradients' blocks in chunk order, zeroes them for
+// the next Eval, and adds the L2 term.
 func (b *batchObjective) Eval(theta, grad []float64) float64 {
 	var next atomic.Int32
 	var wg sync.WaitGroup
-	for w := 0; w < b.workers; w++ {
+	for w := range b.workers {
 		wg.Add(1)
-		go func(s *scratch) {
+		go func(gw *gradWorker) {
 			defer wg.Done()
+			gw.tab.reset()
 			for c := int(next.Add(1)) - 1; c < gradChunks; c = int(next.Add(1)) - 1 {
 				g := b.grads[c]
-				mathx.Fill(g, 0)
 				var v float64
 				for _, inst := range b.insts[c*len(b.insts)/gradChunks : (c+1)*len(b.insts)/gradChunks] {
-					v += b.m.instanceNLL(s, theta, inst, g)
+					v += b.m.instanceNLL(&gw.s, &gw.tab, theta, inst, g)
 				}
 				b.values[c] = v
 			}
-		}(&b.scratches[w])
+		}(&b.workers[w])
 	}
 	wg.Wait()
-	mathx.Fill(grad, 0)
 	var total float64
-	for c := range b.grads {
-		total += b.values[c]
-		mathx.AXPY(1, b.grads[c], grad)
+	for _, v := range b.values {
+		total += v
 	}
-	// L2 regularizer.
 	l2 := b.m.cfg.L2
-	if l2 > 0 {
-		var reg float64
-		for i, th := range theta {
-			reg += th * th
-			grad[i] += l2 * th
+	var reg float64
+	for lo := 0; lo < len(grad); lo += foldBlock {
+		out := grad[lo:min(lo+foldBlock, len(grad))]
+		clear(out)
+		for c := range b.grads {
+			g := b.grads[c][lo:][:len(out)]
+			for i, x := range g {
+				out[i] += x
+			}
+			clear(g)
 		}
+		if l2 > 0 {
+			for i, th := range theta[lo:][:len(out)] {
+				reg += th * th
+				out[i] += l2 * th
+			}
+		}
+	}
+	if l2 > 0 {
 		total += 0.5 * l2 * reg
 	}
 	return total
@@ -212,16 +265,18 @@ func (b *batchObjective) Eval(theta, grad []float64) float64 {
 // sgdObjective adapts per-instance NLL to optimize.StochasticObjective.
 // It evaluates the data term only: the L2 regularizer is handled by the
 // optimizer's WeightDecay (set in Train), which folds the decay into the
-// update pass instead of scanning full θ here on every example.
+// update pass instead of scanning full θ here on every example. θ changes
+// after every example, so the table is reset before each one.
 type sgdObjective struct {
-	m       *Model
-	insts   []Instance
-	scratch scratch
+	m     *Model
+	insts []Instance
+	gw    gradWorker
 }
 
 func (s *sgdObjective) Dim() int         { return len(s.m.theta) }
 func (s *sgdObjective) NumExamples() int { return len(s.insts) }
 
 func (s *sgdObjective) EvalExample(i int, theta, grad []float64) float64 {
-	return s.m.instanceNLL(&s.scratch, theta, s.insts[i], grad)
+	s.gw.tab.reset()
+	return s.m.instanceNLL(&s.gw.s, &s.gw.tab, theta, s.insts[i], grad)
 }

@@ -1,7 +1,7 @@
 // Package optimize implements the numerical optimizers used to train the
 // conditional random fields in this repository: a limited-memory BFGS
-// (L-BFGS) with a backtracking Wolfe line search, plain gradient descent as
-// a fallback, and stochastic gradient descent with step decay.
+// (L-BFGS) with a backtracking Armijo line search, and stochastic gradient
+// descent with step decay.
 //
 // The paper ("Who is .com?", IMC 2015, §3.1 and §3.3) estimates CRF
 // parameters by maximizing a convex conditional log-likelihood with L-BFGS,
@@ -91,6 +91,12 @@ var ErrDimension = errors.New("optimize: dimension mismatch")
 // Nocedal & Wright (Numerical Optimization, 2nd ed., Alg. 7.4-7.5) with a
 // backtracking line search enforcing the Armijo (sufficient decrease)
 // condition and a curvature check before accepting correction pairs.
+//
+// Each pass over the n-vectors does the work of several textbook steps:
+// every AXPY of the two-loop recursion is fused with the dot product that
+// follows it. Every sum still runs over the indices in ascending order
+// with one accumulator, so the iterates are the same bits as the unfused
+// recursion's.
 func LBFGS(obj Objective, x0 []float64, cfg LBFGSConfig) (Result, error) {
 	n := obj.Dim()
 	if len(x0) != n {
@@ -111,10 +117,11 @@ func LBFGS(obj Objective, x0 []float64, cfg LBFGSConfig) (Result, error) {
 	value := obj.Eval(x, grad)
 	evals := 1
 
-	// Correction-pair ring buffers.
-	sHist := make([][]float64, 0, cfg.History)
-	yHist := make([][]float64, 0, cfg.History)
-	rhoHist := make([]float64, 0, cfg.History)
+	// pairs[:k] are the retained correction pairs, oldest first. The
+	// next candidate pair is written into pairs[k], whose buffers were
+	// left there by a pair evicted or dropped earlier, if any.
+	pairs := make([]corrPair, cfg.History+1)
+	k := 0
 
 	dir := make([]float64, n)
 	alpha := make([]float64, cfg.History)
@@ -129,35 +136,12 @@ func LBFGS(obj Objective, x0 []float64, cfg LBFGSConfig) (Result, error) {
 	}
 
 	for iter := 0; iter < cfg.MaxIterations; iter++ {
-		// Two-loop recursion: dir = -H grad.
-		copy(dir, grad)
-		k := len(sHist)
-		for i := k - 1; i >= 0; i-- {
-			alpha[i] = rhoHist[i] * mathx.Dot(sHist[i], dir)
-			mathx.AXPY(-alpha[i], yHist[i], dir)
-		}
-		if k > 0 {
-			// Initial Hessian scaling gamma = s·y / y·y from the newest pair.
-			sy := mathx.Dot(sHist[k-1], yHist[k-1])
-			yy := mathx.Dot(yHist[k-1], yHist[k-1])
-			if yy > 0 {
-				mathx.Scale(sy/yy, dir)
-			}
-		}
-		for i := 0; i < k; i++ {
-			beta := rhoHist[i] * mathx.Dot(yHist[i], dir)
-			mathx.AXPY(alpha[i]-beta, sHist[i], dir)
-		}
-		mathx.Scale(-1, dir)
-
-		dirDeriv := mathx.Dot(grad, dir)
+		dirDeriv := twoLoop(dir, grad, pairs[:k], alpha)
 		if dirDeriv >= 0 {
 			// Not a descent direction (numerical trouble); restart with
 			// steepest descent.
-			copy(dir, grad)
-			mathx.Scale(-1, dir)
-			dirDeriv = mathx.Dot(grad, dir)
-			sHist, yHist, rhoHist = sHist[:0], yHist[:0], rhoHist[:0]
+			dirDeriv = twoLoop(dir, grad, nil, nil)
+			k = 0
 			if dirDeriv == 0 {
 				res.Converged = true
 				break
@@ -176,8 +160,10 @@ func LBFGS(obj Objective, x0 []float64, cfg LBFGSConfig) (Result, error) {
 		var valNext float64
 		accepted := false
 		for ls := 0; ls < cfg.MaxLineSearch; ls++ {
-			copy(xNext, x)
-			mathx.AXPY(step, dir, xNext)
+			xn, d := xNext[:n], dir[:n]
+			for i, xi := range x {
+				xn[i] = xi + step*d[i]
+			}
 			valNext = obj.Eval(xNext, gradNext)
 			evals++
 			if valNext <= value+c1*step*dirDeriv && !math.IsNaN(valNext) && !math.IsInf(valNext, 0) {
@@ -191,33 +177,43 @@ func LBFGS(obj Objective, x0 []float64, cfg LBFGSConfig) (Result, error) {
 			break
 		}
 
-		// Correction pair s = xNext - x, y = gradNext - grad.
-		s := make([]float64, n)
-		y := make([]float64, n)
-		for i := range s {
-			s[i] = xNext[i] - x[i]
-			y[i] = gradNext[i] - grad[i]
+		// Correction pair s = xNext - x, y = gradNext - grad, kept only
+		// if it passes the curvature check.
+		p := &pairs[k]
+		if p.s == nil {
+			p.s, p.y = make([]float64, n), make([]float64, n)
 		}
-		if sy := mathx.Dot(s, y); sy > 1e-10 {
-			if len(sHist) == cfg.History {
-				sHist = append(sHist[1:], s)
-				yHist = append(yHist[1:], y)
-				rhoHist = append(rhoHist[1:], 1/sy)
+		var gradNorm float64
+		p.sy, p.yy = 0, 0
+		ps, py, xn, gn, g := p.s[:n], p.y[:n], xNext[:n], gradNext[:n], grad[:n]
+		for i, xi := range x {
+			si, yi := xn[i]-xi, gn[i]-g[i]
+			ps[i], py[i] = si, yi
+			p.sy += si * yi
+			p.yy += yi * yi
+			if a := math.Abs(gn[i]); a > gradNorm {
+				gradNorm = a
+			}
+		}
+		if p.sy > 1e-10 {
+			p.rho = 1 / p.sy
+			if k < cfg.History {
+				k++
 			} else {
-				sHist = append(sHist, s)
-				yHist = append(yHist, y)
-				rhoHist = append(rhoHist, 1/sy)
+				evicted := pairs[0]
+				copy(pairs, pairs[1:])
+				pairs[cfg.History] = evicted
 			}
 		}
 
 		prevValue := value
-		copy(x, xNext)
-		copy(grad, gradNext)
+		x, xNext = xNext, x
+		grad, gradNext = gradNext, grad
 		value = valNext
 
 		res.Iterations = iter + 1
 		res.Value = value
-		res.GradNorm = mathx.MaxAbs(grad)
+		res.GradNorm = gradNorm
 
 		if cfg.Callback != nil && !cfg.Callback(iter+1, value, res.GradNorm) {
 			break
@@ -237,40 +233,77 @@ func LBFGS(obj Objective, x0 []float64, cfg LBFGSConfig) (Result, error) {
 	return res, nil
 }
 
-// GradientDescent minimizes obj with a fixed number of backtracking
-// steepest-descent steps. It exists as a deliberately simple reference
-// optimizer for tests comparing against L-BFGS.
-func GradientDescent(obj Objective, x0 []float64, steps int, initialStep float64) (Result, error) {
-	n := obj.Dim()
-	if len(x0) != n {
-		return Result{}, fmt.Errorf("%w: objective dim %d, x0 len %d", ErrDimension, n, len(x0))
-	}
-	x := mathx.Clone(x0)
-	grad := make([]float64, n)
-	xNext := make([]float64, n)
-	gradNext := make([]float64, n)
-	value := obj.Eval(x, grad)
-	evals := 1
-	for iter := 0; iter < steps; iter++ {
-		step := initialStep
-		improved := false
-		for ls := 0; ls < 30; ls++ {
-			copy(xNext, x)
-			mathx.AXPY(-step, grad, xNext)
-			v := obj.Eval(xNext, gradNext)
-			evals++
-			if v < value {
-				copy(x, xNext)
-				copy(grad, gradNext)
-				value = v
-				improved = true
-				break
-			}
-			step *= 0.5
+// corrPair is one L-BFGS correction pair with the products the recursion
+// reads: rho = 1/sy, and sy, yy for the initial Hessian scaling.
+type corrPair struct {
+	s, y        []float64
+	rho, sy, yy float64
+}
+
+// twoLoop writes dir = −H·grad by the two-loop recursion over pairs
+// (oldest first), with H₀ = γI, γ = sy/yy of the newest pair, and
+// returns grad·dir. alpha holds at least len(pairs) values. It makes
+// 2·len(pairs)+1 passes over the vectors, each fusing one AXPY with the
+// dot product, scaling or negation that reads its result.
+func twoLoop(dir, grad []float64, pairs []corrPair, alpha []float64) float64 {
+	k := len(pairs)
+	if k == 0 {
+		var dd float64
+		for i, g := range grad {
+			dir[i] = -g
+			dd += g * dir[i]
 		}
-		if !improved {
-			break
+		return dd
+	}
+	newest := &pairs[k-1]
+	gamma := 1.0
+	if newest.yy > 0 {
+		gamma = newest.sy / newest.yy
+	}
+	// First loop, newest pair first: alpha_i = rho_i·s_i·dir, then
+	// dir −= alpha_i·y_i. The first pass copies grad into dir.
+	var dot float64
+	dir, s0 := dir[:len(grad)], newest.s[:len(grad)]
+	for i, g := range grad {
+		dir[i] = g
+		dot += s0[i] * g
+	}
+	for j := k - 1; j >= 1; j-- {
+		alpha[j] = pairs[j].rho * dot
+		na, y, s := -alpha[j], pairs[j].y[:len(dir)], pairs[j-1].s[:len(dir)]
+		dot = 0
+		for i := range dir {
+			dir[i] += na * y[i]
+			dot += s[i] * dir[i]
 		}
 	}
-	return Result{X: x, Value: value, GradNorm: mathx.MaxAbs(grad), Iterations: steps, Evals: evals, Converged: true}, nil
+	// The last AXPY of the first loop, the γ scaling and the second
+	// loop's first dot product.
+	alpha[0] = pairs[0].rho * dot
+	na, y0 := -alpha[0], pairs[0].y[:len(dir)]
+	dot = 0
+	for i := range dir {
+		d := dir[i] + na*y0[i]
+		d *= gamma
+		dir[i] = d
+		dot += y0[i] * d
+	}
+	// Second loop, oldest pair first: dir += (alpha_i − rho_i·y_i·dir)·s_i.
+	for j := 0; j < k-1; j++ {
+		c, s, y := alpha[j]-pairs[j].rho*dot, pairs[j].s[:len(dir)], pairs[j+1].y[:len(dir)]
+		dot = 0
+		for i := range dir {
+			dir[i] += c * s[i]
+			dot += y[i] * dir[i]
+		}
+	}
+	// The last AXPY, the negation and grad·dir.
+	c, s, g := alpha[k-1]-pairs[k-1].rho*dot, pairs[k-1].s[:len(dir)], grad[:len(dir)]
+	var dd float64
+	for i := range dir {
+		d := -(dir[i] + c*s[i])
+		dir[i] = d
+		dd += g[i] * d
+	}
+	return dd
 }

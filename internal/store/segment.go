@@ -141,30 +141,23 @@ const fingerprintSample = 4096
 // Derived artifacts (the query engine's facts sidecars) record it so a
 // stale or foreign sidecar is detected — and regenerated — rather than
 // trusted, without re-reading the whole segment on every query.
+//
+// Head and tail are read through one buffer, which also carries the size
+// after the tail, so a call allocates that buffer and nothing else.
 func (r *SegmentReader) Fingerprint() (uint32, error) {
-	h := crc32.New(Castagnoli)
-	head := int64(fingerprintSample)
-	if head > r.info.Size {
-		head = r.info.Size
-	}
-	buf := make([]byte, head)
-	if _, err := r.f.ReadAt(buf, 0); err != nil {
+	var buf [fingerprintSample + 8]byte
+	head := buf[:min(fingerprintSample, r.info.Size)]
+	if _, err := r.f.ReadAt(head, 0); err != nil {
 		return 0, fmt.Errorf("store: fingerprint: %w", err)
 	}
-	h.Write(buf)
-	tailStart := r.info.Size - fingerprintSample
-	if tailStart < 0 {
-		tailStart = 0
-	}
-	tail := make([]byte, r.info.Size-tailStart)
+	crc := crc32.Update(0, Castagnoli, head)
+	tailStart := max(r.info.Size-fingerprintSample, 0)
+	tail := buf[:r.info.Size-tailStart]
 	if _, err := r.f.ReadAt(tail, tailStart); err != nil {
 		return 0, fmt.Errorf("store: fingerprint: %w", err)
 	}
-	h.Write(tail)
-	var sz [8]byte
-	binary.LittleEndian.PutUint64(sz[:], uint64(r.info.Size))
-	h.Write(sz[:])
-	return h.Sum32(), nil
+	binary.LittleEndian.PutUint64(buf[len(tail):], uint64(r.info.Size))
+	return crc32.Update(crc, Castagnoli, buf[:len(tail)+8]), nil
 }
 
 // frameWalk is the store's one pull-style walk over a snapshot's frames:
