@@ -125,11 +125,15 @@ query-diff:
 # reference, under parsers trained with all 8 tokenize.Options
 # combinations; any difference in the store encoding, a line's
 # Title/Value/HasSep or a confidence fails. The scanner's own
-# differential against the reference tokenizer runs on the same corpus.
+# differential against the reference tokenizer runs on the same corpus,
+# and so does L0's: the compiled template matcher (Match and
+# MatchRegistrar) against a Tokenize-driven reference labeller, with and
+# without layout, which must decline exactly where the reference fails
+# and label every line the same where it does not.
 parse-diff:
 	@echo "parse-diff: PARSEDIFF_N=$(PARSEDIFF_N) PARSEDIFF_SEED=$(PARSEDIFF_SEED)"
 	PARSEDIFF_N=$(PARSEDIFF_N) PARSEDIFF_SEED=$(PARSEDIFF_SEED) \
-	  $(GO) test -run 'TestParseDifferential|TestScanDifferential' -count=1 ./internal/core/ ./internal/tokenize/
+	  $(GO) test -run 'TestParseDifferential|TestScanDifferential|TestMatchDifferential' -count=1 ./internal/core/ ./internal/tokenize/ ./internal/templatebased/
 
 # model-verify: end-to-end registry smoke over the real CLI — generate
 # a small corpus, train a model, publish it into a scratch registry,

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/rdap"
-	"repro/internal/whoisclient"
 )
 
 // Checker obtains one domain through both protocol paths and compares
@@ -24,20 +23,6 @@ type Checker struct {
 	// Parse turns WHOIS text into a parsed record — typically
 	// (*core.Parser).Parse or a tiered router's parse. Required.
 	Parse func(text string) *core.ParsedRecord
-}
-
-// NewChecker wires a checker from the standard clients: WHOIS text via
-// the two-step thick lookup against registryServer, RDAP via rc.
-func NewChecker(wc *whoisclient.Client, registryServer string, rc *rdap.Client, parse func(string) *core.ParsedRecord) *Checker {
-	return &Checker{
-		FetchWHOIS: func(ctx context.Context, domain string) (string, error) {
-			return wc.LookupText(ctx, registryServer, domain)
-		},
-		FetchRDAP: func(ctx context.Context, domain string) (*rdap.Domain, error) {
-			return rc.Lookup(domain)
-		},
-		Parse: parse,
-	}
 }
 
 // Result is one domain's full cross-protocol check: both projected

@@ -436,7 +436,9 @@ func TestKernelSurvivesOverflow(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		m, inst := kernelTrial(rng, dict, 40+trial, true)
 		theta := mathx.Clone(m.Theta())
-		mathx.Scale(200, theta)
+		for i := range theta {
+			theta[i] *= 200
+		}
 		if err := m.SetTheta(theta); err != nil {
 			t.Fatal(err)
 		}

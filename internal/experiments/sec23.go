@@ -79,8 +79,8 @@ func Sec23(o Options) (Sec23Result, string, error) {
 
 	// Snapshot at template-authoring time (no drift).
 	snapshot := synth.GenerateLabeled(synth.Config{N: o.CorpusSize, Seed: o.Seed + 40})
-	deft := templatebased.Build(templateSubset(snapshot, 0.94), tokenize.Options{})
-	ruby := templatebased.Build(templateSubset(snapshot, 0.63), tokenize.Options{})
+	deft := templatebased.Compile(templateSubset(snapshot, 0.94), tokenize.Options{})
+	ruby := templatebased.Compile(templateSubset(snapshot, 0.63), tokenize.Options{})
 
 	// Fresh test data, then the same distribution four months later with
 	// format drift (the paper observed one large registrar change its
@@ -88,17 +88,26 @@ func Sec23(o Options) (Sec23Result, string, error) {
 	fresh := synth.GenerateLabeled(synth.Config{N: o.CorpusSize, Seed: o.Seed + 41})
 	drifted := synth.GenerateLabeled(synth.Config{N: o.CorpusSize, Seed: o.Seed + 42, DriftFraction: 0.7})
 
-	res.DeftCoverage = deft.Coverage(fresh)
-	res.RubyCoverage = ruby.Coverage(fresh)
+	coverage := func(c *templatebased.Compiled, recs []*labels.LabeledRecord) float64 {
+		n := 0
+		for _, r := range recs {
+			if c.HasTemplate(r.Registrar) {
+				n++
+			}
+		}
+		return float64(n) / float64(len(recs))
+	}
+	res.DeftCoverage = coverage(deft, fresh)
+	res.RubyCoverage = coverage(ruby, fresh)
 
-	success := func(p *templatebased.Parser, recs []*labels.LabeledRecord) float64 {
+	success := func(c *templatebased.Compiled, recs []*labels.LabeledRecord) float64 {
 		covered, ok := 0, 0
 		for _, r := range recs {
-			if !p.HasTemplate(r.Registrar) {
+			if !c.HasTemplate(r.Registrar) {
 				continue
 			}
 			covered++
-			if _, _, err := p.ParseBlocks(r.Registrar, r.Text); err == nil {
+			if _, err := c.MatchRegistrar(r.Registrar, r.Text); err == nil {
 				ok++
 			} else if !errors.Is(err, templatebased.ErrMismatch) {
 				return -1

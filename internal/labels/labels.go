@@ -115,13 +115,6 @@ func AllFields() []Field {
 	return out
 }
 
-// FieldNames lists the canonical names in state order.
-func FieldNames() []string {
-	out := make([]string, NumFields)
-	copy(out, fieldNames[:])
-	return out
-}
-
 // LabeledLine pairs one retained line of text with its ground-truth labels.
 // Field is only meaningful when Block == Registrant (and is FieldOther
 // otherwise).

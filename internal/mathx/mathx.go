@@ -1,6 +1,6 @@
 // Package mathx provides small numerically careful helpers used by the CRF
-// training and inference code: dot products, arg-max, and vector
-// arithmetic on dense float64 slices.
+// training and inference code: arg-max, norms, and vector arithmetic on
+// dense float64 slices.
 //
 // NegInf is the log-domain zero: ArgMax returns it for an empty slice,
 // and callers encode impossible transitions with it in log-space score
@@ -11,20 +11,6 @@ import "math"
 
 // NegInf is the log-domain representation of probability zero.
 var NegInf = math.Inf(-1)
-
-// Dot returns the inner product of a and b. The slices must have equal
-// length; Dot panics otherwise, because a length mismatch is always a
-// programming error in this codebase.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("mathx: Dot length mismatch")
-	}
-	var s float64
-	for i, ai := range a {
-		s += ai * b[i]
-	}
-	return s
-}
 
 // AXPY computes dst[i] += alpha * x[i] in place.
 func AXPY(alpha float64, x, dst []float64) {
@@ -44,13 +30,6 @@ func DecayAXPY(decay, alpha float64, x, dst []float64) {
 	}
 	for i, xi := range x {
 		dst[i] = decay*dst[i] + alpha*xi
-	}
-}
-
-// Scale multiplies every element of x by alpha in place.
-func Scale(alpha float64, x []float64) {
-	for i := range x {
-		x[i] *= alpha
 	}
 }
 

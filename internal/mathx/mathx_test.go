@@ -5,24 +5,6 @@ import (
 	"testing"
 )
 
-func TestDot(t *testing.T) {
-	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
-		t.Errorf("Dot = %v, want 32", got)
-	}
-	if got := Dot(nil, nil); got != 0 {
-		t.Errorf("empty Dot = %v, want 0", got)
-	}
-}
-
-func TestDotPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Dot length mismatch did not panic")
-		}
-	}()
-	Dot([]float64{1}, []float64{1, 2})
-}
-
 func TestAXPY(t *testing.T) {
 	dst := []float64{1, 2, 3}
 	AXPY(2, []float64{10, 20, 30}, dst)
@@ -34,14 +16,9 @@ func TestAXPY(t *testing.T) {
 	}
 }
 
-func TestScaleAndNorm(t *testing.T) {
-	x := []float64{3, 4}
-	if got := Norm2(x); got != 5 {
+func TestNorm2(t *testing.T) {
+	if got := Norm2([]float64{3, 4}); got != 5 {
 		t.Errorf("Norm2 = %v, want 5", got)
-	}
-	Scale(2, x)
-	if x[0] != 6 || x[1] != 8 {
-		t.Errorf("Scale: got %v", x)
 	}
 }
 

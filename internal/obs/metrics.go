@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync/atomic"
@@ -169,32 +168,6 @@ func (h *Histogram) Quantile(p float64) float64 {
 // QuantileDuration is Quantile for latency histograms, in time.Duration.
 func (h *Histogram) QuantileDuration(p float64) time.Duration {
 	return time.Duration(h.Quantile(p) * float64(time.Second))
-}
-
-// Merge adds src's observations into h. Both histograms must share the
-// same bucket bounds. Safe to run concurrently with observations on
-// either side.
-func (h *Histogram) Merge(src *Histogram) error {
-	if len(h.bounds) != len(src.bounds) {
-		return fmt.Errorf("obs: merge of mismatched histograms (%d vs %d buckets)", len(h.bounds), len(src.bounds))
-	}
-	for i := range h.bounds {
-		if h.bounds[i] != src.bounds[i] {
-			return fmt.Errorf("obs: merge of mismatched histograms (bound %d: %g vs %g)", i, h.bounds[i], src.bounds[i])
-		}
-	}
-	for i := range h.counts {
-		h.counts[i].Add(src.counts[i].Load())
-	}
-	h.count.Add(src.count.Load())
-	add := src.Sum()
-	for {
-		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + add)
-		if h.sum.CompareAndSwap(old, next) {
-			return nil
-		}
-	}
 }
 
 func (h *Histogram) snapshotValue() any {

@@ -37,31 +37,25 @@ func TestConcurrentCounterIncrements(t *testing.T) {
 	}
 }
 
-func TestConcurrentHistogramObserveAndMerge(t *testing.T) {
-	dst := NewHistogram([]float64{0.001, 0.01, 0.1, 1})
+func TestConcurrentHistogramObserve(t *testing.T) {
+	h := NewHistogram([]float64{0.001, 0.01, 0.1, 1})
 	const workers, perW = 8, 500
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			local := NewHistogram([]float64{0.001, 0.01, 0.1, 1})
 			for i := 0; i < perW; i++ {
-				local.Observe(float64(i%4) * 0.03)
-				dst.Observe(0.05) // direct observation racing the merges
+				h.Observe(float64(i%4) * 0.03)
 			}
-			if err := dst.Merge(local); err != nil {
-				t.Errorf("merge: %v", err)
-			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	want := uint64(2 * workers * perW)
-	if got := dst.Count(); got != want {
-		t.Errorf("merged count = %d, want %d", got, want)
+	if got, want := h.Count(), uint64(workers*perW); got != want {
+		t.Errorf("count = %d, want %d (lost updates)", got, want)
 	}
-	if dst.Quantile(0.5) <= 0 {
-		t.Error("merged histogram has non-positive median")
+	if h.Quantile(0.5) <= 0 {
+		t.Error("histogram has non-positive median")
 	}
 }
 

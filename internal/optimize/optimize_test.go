@@ -356,8 +356,8 @@ func referenceLBFGS(obj Objective, x0 []float64, cfg LBFGSConfig, tr *refTrace) 
 		if dirDeriv >= 0 {
 			tr.restarts++
 			copy(dir, grad)
-			mathx.Scale(-1, dir)
-			dirDeriv = mathx.Dot(grad, dir)
+			scale(-1, dir)
+			dirDeriv = dot(grad, dir)
 			sHist, yHist, rhoHist = sHist[:0], yHist[:0], rhoHist[:0]
 			if dirDeriv == 0 {
 				res.Converged = true
@@ -395,7 +395,7 @@ func referenceLBFGS(obj Objective, x0 []float64, cfg LBFGSConfig, tr *refTrace) 
 			s[i] = xNext[i] - x[i]
 			y[i] = gradNext[i] - grad[i]
 		}
-		if sy := mathx.Dot(s, y); sy > 1e-10 {
+		if sy := dot(s, y); sy > 1e-10 {
 			if len(sHist) == cfg.History {
 				sHist = append(sHist[1:], s)
 				yHist = append(yHist[1:], y)
@@ -436,28 +436,43 @@ func referenceLBFGS(obj Objective, x0 []float64, cfg LBFGSConfig, tr *refTrace) 
 	return res
 }
 
+// dot and scale are the plain loops the reference recursion runs.
+func dot(a, b []float64) float64 {
+	var s float64
+	for i, ai := range a {
+		s += ai * b[i]
+	}
+	return s
+}
+
+func scale(alpha float64, x []float64) {
+	for i := range x {
+		x[i] *= alpha
+	}
+}
+
 // referenceDirection is the unfused two-loop recursion: it writes
 // dir = −H·grad over the pairs (oldest first) and returns grad·dir.
 func referenceDirection(dir, grad []float64, sHist, yHist [][]float64, rhoHist, alpha []float64) float64 {
 	copy(dir, grad)
 	k := len(sHist)
 	for i := k - 1; i >= 0; i-- {
-		alpha[i] = rhoHist[i] * mathx.Dot(sHist[i], dir)
+		alpha[i] = rhoHist[i] * dot(sHist[i], dir)
 		mathx.AXPY(-alpha[i], yHist[i], dir)
 	}
 	if k > 0 {
-		sy := mathx.Dot(sHist[k-1], yHist[k-1])
-		yy := mathx.Dot(yHist[k-1], yHist[k-1])
+		sy := dot(sHist[k-1], yHist[k-1])
+		yy := dot(yHist[k-1], yHist[k-1])
 		if yy > 0 {
-			mathx.Scale(sy/yy, dir)
+			scale(sy/yy, dir)
 		}
 	}
 	for i := 0; i < k; i++ {
-		beta := rhoHist[i] * mathx.Dot(yHist[i], dir)
+		beta := rhoHist[i] * dot(yHist[i], dir)
 		mathx.AXPY(alpha[i]-beta, sHist[i], dir)
 	}
-	mathx.Scale(-1, dir)
-	return mathx.Dot(grad, dir)
+	scale(-1, dir)
+	return dot(grad, dir)
 }
 
 // TestTwoLoopMatchesReference: for every history length, the fused
@@ -480,7 +495,7 @@ func TestTwoLoopMatchesReference(t *testing.T) {
 		var rhoHist []float64
 		for len(pairs) < k {
 			s, y := vec(), vec()
-			sy, yy := mathx.Dot(s, y), mathx.Dot(y, y)
+			sy, yy := dot(s, y), dot(y, y)
 			if sy <= 1e-10 {
 				continue
 			}

@@ -1,16 +1,16 @@
-// The compiled fast path: the same per-registrar exact templates as
-// Parser, rebuilt into a form a serving tier can afford to run on every
-// request. Compile flattens Build's output into per-registrar match
-// tables plus a registrar *detection* index (exact "Registrar: <name>"
-// lines seen in training), and Match labels a record with substring
-// operations only — no tokenize.Tokenize, no observation lists, no
-// lattice. A hit costs a few map probes per line; a miss is a bare
-// sentinel error. This is tier L0 of internal/tiered.
+// The compiled templates: Compile induces one exact template per
+// registrar from labeled records and flattens it into match tables, plus
+// a registrar *detection* index (exact "Registrar: <name>" lines seen in
+// training). Match and MatchRegistrar label a record with substring
+// operations only — no observation lists, no lattice. A hit costs a few
+// map probes per line; a miss is a bare sentinel error. Match is tier L0
+// of internal/tiered; MatchRegistrar is the §2.3 baseline.
 package templatebased
 
 import (
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/labels"
 	"repro/internal/tokenize"
@@ -32,7 +32,7 @@ type compiledTemplate struct {
 }
 
 // Compiled is a set of compiled templates plus the registrar detection
-// index. It is immutable after Compile and safe for concurrent Match.
+// index. It is immutable after Compile and safe for concurrent use.
 type Compiled struct {
 	templates map[string]*compiledTemplate
 	// detect maps exact trimmed registrar-identity lines ("Registrar:
@@ -42,10 +42,9 @@ type Compiled struct {
 	layout bool // whether blank-line NL markers reset header context
 }
 
-// Match is the result of a successful L0 template match. Lines carry Raw,
+// Match is the result of a successful template match. Lines carry Raw,
 // Title, Value and HasSep but no Obs (observations exist only for the
-// CRF); Blocks and Fields align with Lines exactly as Parser.ParseBlocks
-// and Parser.ParseFields would produce them.
+// CRF); Blocks and Fields align with Lines.
 type Match struct {
 	Registrar string
 	Lines     []tokenize.Line
@@ -60,10 +59,12 @@ type Match struct {
 	Confidence float64
 }
 
-// Compile builds the fast-path matcher from labeled records, using the
-// same template induction as Build plus a registrar detection index.
-// Records whose tokenization disagrees with their labels are skipped,
-// mirroring Build.
+// Compile induces the templates from labeled records keyed by their
+// Registrar field, plus the registrar detection index. Titled lines with
+// a value are keyed on their prefix, headers and null-block bare lines
+// on their trimmed text; bare instance-data lines are left to header
+// context. Records whose tokenization disagrees with their labels are
+// skipped.
 func Compile(records []*labels.LabeledRecord, opts tokenize.Options) *Compiled {
 	c := &Compiled{
 		templates: make(map[string]*compiledTemplate),
@@ -71,6 +72,9 @@ func Compile(records []*labels.LabeledRecord, opts tokenize.Options) *Compiled {
 		layout:    !opts.DisableLayout,
 	}
 	ambiguous := make(map[string]bool)
+	// Registrar keys repeat once per training record; intern them so the
+	// template map, the detection index and the tiered router's
+	// per-template state all share one string instance per registrar.
 	intern := make(map[string]string)
 	for _, rec := range records {
 		reg, ok := intern[rec.Registrar]
@@ -97,7 +101,7 @@ func Compile(records []*labels.LabeledRecord, opts tokenize.Options) *Compiled {
 			trimmed := strings.TrimSpace(ln.Raw)
 			switch {
 			case ln.HasSep && ln.Value != "":
-				t.title[linePrefix(ln)] = rule{block: lab.Block, field: lab.Field}
+				t.title[prefixOf(ln.Raw, ln.Title, ln.Value)] = rule{block: lab.Block, field: lab.Field}
 				// A line that literally names the registrar identifies
 				// the template: index its exact text for detection.
 				if ln.Value == rec.Registrar && !ambiguous[trimmed] {
@@ -108,7 +112,7 @@ func Compile(records []*labels.LabeledRecord, opts tokenize.Options) *Compiled {
 						c.detect[trimmed] = t
 					}
 				}
-			case isHeader(ln):
+			case isHeader(trimmed, ln.HasSep, ln.Value):
 				t.headers[trimmed] = lab.Block
 			default:
 				if lab.Block == labels.Null {
@@ -140,99 +144,96 @@ func (c *Compiled) Registrars() []string {
 	return out
 }
 
-// Detect scans the record text for an exact registrar-identity line and
-// returns the owning registrar key (interned) plus the number of retained
-// lines. It returns ("", n) when no template claims the record. The scan
-// is allocation-free.
-func (c *Compiled) Detect(text string) (string, int) {
-	reg := ""
-	n := 0
-	for i := 0; i <= len(text); {
-		j := strings.IndexByte(text[i:], '\n')
-		var raw string
-		if j < 0 {
-			raw = text[i:]
-			i = len(text) + 1
-		} else {
-			raw = text[i : i+j]
-			i += j + 1
-		}
-		raw = strings.TrimRight(raw, "\r")
-		if !tokenize.HasAlnum(raw) {
-			continue
-		}
-		n++
-		if reg == "" {
-			if t, ok := c.detect[strings.TrimSpace(raw)]; ok {
-				reg = t.registrar
-			}
-		}
-	}
-	return reg, n
+// line is one retained line of a record as the labelling pass reads it.
+type line struct {
+	raw, trimmed string
+	blank        bool // a dropped line came before it
 }
 
-// Match labels a record against its detected template. It returns
-// ErrNoTemplate (bare, allocation-free) when no registrar-identity line is
-// recognized, and ErrMismatch when any retained line deviates from the
-// template — the same crisp failure semantics as Parser, minus the
-// wrapped detail (the caller is a router, not a human).
-//
-// On success the Match's Lines/Blocks/Fields are exactly what
-// Parser.ParseBlocks + Parser.ParseFields produce for the same record
-// under the same tokenize.Options, except Lines[i].Obs is nil.
+// linePool holds the retained-line scratch between matches.
+var linePool = sync.Pool{New: func() any { return new([]line) }}
+
+// Match detects the record's registrar from its text and labels the
+// record against that registrar's template. It returns ErrNoTemplate
+// (bare, allocation-free) when no registrar-identity line is recognized,
+// and ErrMismatch when any retained line deviates from the template.
+// The errors carry no detail: the caller is a router, not a human.
 func (c *Compiled) Match(text string) (Match, error) {
-	reg, n := c.Detect(text)
-	if reg == "" {
+	return c.match(nil, text)
+}
+
+// MatchRegistrar labels the record against the given registrar's
+// template, as a template parser handed the registrar by the thin record
+// does. It fails like Match: ErrNoTemplate when the registrar has no
+// template, ErrMismatch when the record deviates from it.
+func (c *Compiled) MatchRegistrar(registrar, text string) (Match, error) {
+	t := c.templates[registrar]
+	if t == nil {
 		return Match{}, ErrNoTemplate
 	}
-	t := c.templates[reg]
+	return c.match(t, text)
+}
+
+// match walks text's retained lines once into pooled scratch, detecting
+// the template on the way when t is nil, then labels them. The result's
+// three slices are its only allocations.
+func (c *Compiled) match(t *compiledTemplate, text string) (Match, error) {
+	buf := linePool.Get().(*[]line)
+	defer linePool.Put(buf)
+	lines := (*buf)[:0]
+	for rest := text; ; {
+		raw, next, blank := tokenize.NextLine(rest)
+		if raw == "" {
+			break
+		}
+		rest = next
+		trimmed := strings.TrimSpace(raw)
+		if t == nil {
+			t = c.detect[trimmed]
+		}
+		lines = append(lines, line{raw: raw, trimmed: trimmed, blank: blank})
+	}
+	*buf = lines
+	if t == nil {
+		return Match{}, ErrNoTemplate
+	}
+	return c.label(t, lines)
+}
+
+// label is the one labelling pass. Headers set the block that bare lines
+// below them carry; a blank line ends that context when layout is on, as
+// the tokenizer's NL marker does.
+func (c *Compiled) label(t *compiledTemplate, lines []line) (Match, error) {
+	n := len(lines)
+	if n == 0 {
+		return Match{}, ErrMismatch
+	}
 	m := Match{
-		Registrar: reg,
-		Lines:     make([]tokenize.Line, 0, n),
-		Blocks:    make([]labels.Block, 0, n),
-		Fields:    make([]labels.Field, 0, n),
+		Registrar: t.registrar,
+		Lines:     make([]tokenize.Line, n),
+		Blocks:    make([]labels.Block, n),
+		Fields:    make([]labels.Field, n),
 	}
 	exact := 0
 	context := labels.Null
 	haveContext := false
-	pendingNL := false
-	for i := 0; i <= len(text); {
-		j := strings.IndexByte(text[i:], '\n')
-		var raw string
-		if j < 0 {
-			raw = text[i:]
-			i = len(text) + 1
-		} else {
-			raw = text[i : i+j]
-			i += j + 1
+	for i, ln := range lines {
+		if ln.blank && c.layout {
+			haveContext = false
 		}
-		raw = strings.TrimRight(raw, "\r")
-		if !tokenize.HasAlnum(raw) {
-			pendingNL = true
-			continue
-		}
-		trimmed := strings.TrimSpace(raw)
-		title, value, hasSep := tokenize.SplitTitleValue(trimmed)
-		if pendingNL {
-			pendingNL = false
-			if c.layout {
-				haveContext = false
-			}
-		}
-		isHdr := (hasSep && value == "") ||
-			(strings.HasSuffix(trimmed, ":") && tokenize.CountWords(trimmed) <= 7)
+		title, value, hasSep := tokenize.SplitTitleValue(ln.trimmed)
 		block := labels.Null
 		field := labels.FieldOther
 		switch {
-		case isHdr:
-			if b, ok := t.headers[trimmed]; ok {
+		case isHeader(ln.trimmed, hasSep, value):
+			if b, ok := t.headers[ln.trimmed]; ok {
 				block = b
 				context, haveContext = b, true
 				exact++
 				break
 			}
 			if hasSep {
-				if r, ok := t.title[prefixOf(raw, title, value)]; ok {
+				if r, ok := t.title[prefixOf(ln.raw, title, value)]; ok {
 					block = r.block
 					if block == labels.Registrant && value != "" {
 						field = r.field
@@ -244,7 +245,7 @@ func (c *Compiled) Match(text string) (Match, error) {
 			}
 			return Match{}, ErrMismatch
 		case hasSep:
-			r, ok := t.title[prefixOf(raw, title, value)]
+			r, ok := t.title[prefixOf(ln.raw, title, value)]
 			if !ok {
 				return Match{}, ErrMismatch
 			}
@@ -254,7 +255,7 @@ func (c *Compiled) Match(text string) (Match, error) {
 			}
 			exact++
 		default:
-			if b, ok := t.raw[trimmed]; ok {
+			if b, ok := t.raw[ln.trimmed]; ok {
 				block = b
 				haveContext = false
 				exact++
@@ -265,13 +266,10 @@ func (c *Compiled) Match(text string) (Match, error) {
 			}
 			block = context
 		}
-		m.Lines = append(m.Lines, tokenize.Line{Raw: raw, Title: title, Value: value, HasSep: hasSep})
-		m.Blocks = append(m.Blocks, block)
-		m.Fields = append(m.Fields, field)
+		m.Lines[i] = tokenize.Line{Raw: ln.raw, Title: title, Value: value, HasSep: hasSep}
+		m.Blocks[i] = block
+		m.Fields[i] = field
 	}
-	if len(m.Lines) == 0 {
-		return Match{}, ErrMismatch
-	}
-	m.Confidence = float64(exact) / float64(len(m.Lines))
+	m.Confidence = float64(exact) / float64(n)
 	return m, nil
 }

@@ -11,23 +11,22 @@ import (
 
 func TestParseMatchesTrainingDistribution(t *testing.T) {
 	recs := synth.GenerateLabeled(synth.Config{N: 600, Seed: 31})
-	p := Build(recs[:400], tokenize.Options{})
+	c := Compile(recs[:400], tokenize.Options{})
 	okDocs, covered := 0, 0
 	var lineErr, lines int
 	for _, rec := range recs[400:] {
-		if !p.HasTemplate(rec.Registrar) {
+		if !c.HasTemplate(rec.Registrar) {
 			continue
 		}
 		covered++
-		got, blocks, err := p.ParseBlocks(rec.Registrar, rec.Text)
+		m, err := c.MatchRegistrar(rec.Registrar, rec.Text)
 		if err != nil {
 			continue
 		}
 		okDocs++
-		_ = got
 		for i := range rec.Lines {
 			lines++
-			if blocks[i] != rec.Lines[i].Block {
+			if m.Blocks[i] != rec.Lines[i].Block {
 				lineErr++
 			}
 		}
@@ -45,8 +44,8 @@ func TestParseMatchesTrainingDistribution(t *testing.T) {
 
 func TestNoTemplateFailsCrisply(t *testing.T) {
 	recs := synth.GenerateLabeled(synth.Config{N: 50, Seed: 32})
-	p := Build(recs, tokenize.Options{})
-	_, _, err := p.ParseBlocks("Unknown Registrar Ltd.", "Domain Name: x.com")
+	c := Compile(recs, tokenize.Options{})
+	_, err := c.MatchRegistrar("Unknown Registrar Ltd.", "Domain Name: x.com")
 	if !errors.Is(err, ErrNoTemplate) {
 		t.Errorf("got %v, want ErrNoTemplate", err)
 	}
@@ -56,16 +55,16 @@ func TestDriftBreaksTemplates(t *testing.T) {
 	// §2.3: minor format changes cause template parsers to fail on the
 	// vast majority of records.
 	snapshot := synth.GenerateLabeled(synth.Config{N: 800, Seed: 33})
-	p := Build(snapshot, tokenize.Options{})
+	c := Compile(snapshot, tokenize.Options{})
 	drifted := synth.GenerateLabeled(synth.Config{N: 400, Seed: 34, DriftFraction: 1.0})
 	fails := 0
 	covered := 0
 	for _, rec := range drifted {
-		if !p.HasTemplate(rec.Registrar) {
+		if !c.HasTemplate(rec.Registrar) {
 			continue
 		}
 		covered++
-		if _, _, err := p.ParseBlocks(rec.Registrar, rec.Text); err != nil {
+		if _, err := c.MatchRegistrar(rec.Registrar, rec.Text); err != nil {
 			if !errors.Is(err, ErrMismatch) {
 				t.Fatalf("unexpected error type: %v", err)
 			}
@@ -80,38 +79,45 @@ func TestDriftBreaksTemplates(t *testing.T) {
 	}
 }
 
+// TestCoverage checks the §2.3 coverage measure Sec23 takes from
+// HasTemplate: templates learned from half a corpus cover most of the
+// other half, and an empty template set covers nothing.
 func TestCoverage(t *testing.T) {
 	recs := synth.GenerateLabeled(synth.Config{N: 500, Seed: 35})
-	p := Build(recs[:250], tokenize.Options{})
-	cov := p.Coverage(recs[250:])
-	if cov <= 0.5 || cov > 1.0 {
+	c := Compile(recs[:250], tokenize.Options{})
+	covered := 0
+	for _, rec := range recs[250:] {
+		if c.HasTemplate(rec.Registrar) {
+			covered++
+		}
+	}
+	if cov := float64(covered) / 250; cov <= 0.5 || cov > 1.0 {
 		t.Errorf("coverage %.3f out of plausible range", cov)
 	}
-	if p.Coverage(nil) != 0 {
-		t.Error("empty coverage should be 0")
+	empty := Compile(nil, tokenize.Options{})
+	for _, rec := range recs {
+		if empty.HasTemplate(rec.Registrar) {
+			t.Fatalf("empty template set covers %q", rec.Registrar)
+		}
 	}
 }
 
 func TestParseFieldsUsesTemplateTitles(t *testing.T) {
 	recs := synth.GenerateLabeled(synth.Config{N: 300, Seed: 36})
-	p := Build(recs, tokenize.Options{})
+	c := Compile(recs, tokenize.Options{})
 	// Find a record with titled registrant lines.
 	for _, rec := range recs {
-		lines, blocks, err := p.ParseBlocks(rec.Registrar, rec.Text)
+		m, err := c.MatchRegistrar(rec.Registrar, rec.Text)
 		if err != nil {
 			continue
 		}
-		fields, err := p.ParseFields(rec.Registrar, lines, blocks)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for i := range rec.Lines {
-			if rec.Lines[i].Block != labels.Registrant || !lines[i].HasSep || lines[i].Value == "" {
+			if rec.Lines[i].Block != labels.Registrant || !m.Lines[i].HasSep || m.Lines[i].Value == "" {
 				continue
 			}
-			if blocks[i] == labels.Registrant && fields[i] != rec.Lines[i].Field {
+			if m.Blocks[i] == labels.Registrant && m.Fields[i] != rec.Lines[i].Field {
 				t.Errorf("record %s line %d: field %v, want %v",
-					rec.Domain, i, fields[i], rec.Lines[i].Field)
+					rec.Domain, i, m.Fields[i], rec.Lines[i].Field)
 			}
 		}
 		return // one thorough record is enough
@@ -120,16 +126,16 @@ func TestParseFieldsUsesTemplateTitles(t *testing.T) {
 }
 
 func TestParseFieldsNoTemplate(t *testing.T) {
-	p := Build(nil, tokenize.Options{})
-	if _, err := p.ParseFields("nobody", nil, nil); !errors.Is(err, ErrNoTemplate) {
+	c := Compile(nil, tokenize.Options{})
+	if _, err := c.MatchRegistrar("nobody", "Registrar: nobody"); !errors.Is(err, ErrNoTemplate) {
 		t.Errorf("got %v, want ErrNoTemplate", err)
 	}
 }
 
 func TestNumTemplatesGrowsWithRegistrars(t *testing.T) {
 	recs := synth.GenerateLabeled(synth.Config{N: 400, Seed: 37})
-	small := Build(recs[:40], tokenize.Options{})
-	large := Build(recs, tokenize.Options{})
+	small := Compile(recs[:40], tokenize.Options{})
+	large := Compile(recs, tokenize.Options{})
 	if large.NumTemplates() < small.NumTemplates() {
 		t.Errorf("template count shrank: %d -> %d", small.NumTemplates(), large.NumTemplates())
 	}

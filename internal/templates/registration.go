@@ -176,18 +176,17 @@ func (s *Schema) date(t time.Time) string {
 // ---- Elements ----
 
 // kv renders "Title<sep>value" labeled (block, field). Empty values are
-// skipped unless keepEmpty is set.
+// skipped.
 type kv struct {
-	block     labels.Block
-	field     labels.Field
-	title     string
-	value     ValueFn
-	keepEmpty bool
+	block labels.Block
+	field labels.Field
+	title string
+	value ValueFn
 }
 
 func (e kv) render(s *Schema, r *Registration, out *builder) {
 	v := e.value(r)
-	if v == "" && !e.keepEmpty {
+	if v == "" {
 		return
 	}
 	out.addLabeled(s.formatKV(e.title, v), e.block, e.field)
@@ -196,11 +195,6 @@ func (e kv) render(s *Schema, r *Registration, out *builder) {
 // KV builds a titled key/value line element.
 func KV(block labels.Block, field labels.Field, title string, value ValueFn) Element {
 	return kv{block: block, field: field, title: title, value: value}
-}
-
-// KVKeep is KV but renders the line even when the value is empty.
-func KVKeep(block labels.Block, field labels.Field, title string, value ValueFn) Element {
-	return kv{block: block, field: field, title: title, value: value, keepEmpty: true}
 }
 
 // bare renders an untitled value line (block-context style), indented per

@@ -19,7 +19,7 @@ func refTokenize(text string, opts Options) []Line {
 	prevIndent := -1
 	for _, raw := range rawLines {
 		raw = strings.TrimRight(raw, "\r")
-		if !HasAlnum(raw) {
+		if !hasAlnum(raw) {
 			pendingNL = true
 			continue
 		}

@@ -39,40 +39,30 @@ func (s *Scan) Reset(text string, opts Options) {
 	s.arena = s.arena[:0]
 	s.ends = s.ends[:0]
 	s.first = s.first[:0]
-	pendingNL := false
 	prevIndent := -1
 	for rest := text; ; {
-		raw := rest
-		nl := strings.IndexByte(rest, '\n')
-		if nl >= 0 {
-			raw, rest = rest[:nl], rest[nl+1:]
-		}
-		raw = strings.TrimRight(raw, "\r")
-		if !HasAlnum(raw) {
-			pendingNL = true
-		} else {
-			s.line(raw, opts)
-			if !opts.DisableLayout {
-				if pendingNL {
-					s.mark(MarkNL)
-				}
-				if len(s.Lines) == 1 {
-					s.mark(MarkBOL)
-				}
-				indent := leadingSpace(raw)
-				if prevIndent >= 0 {
-					if indent < prevIndent {
-						s.mark(MarkSHL)
-					} else if indent > prevIndent {
-						s.mark(MarkSHR)
-					}
-				}
-				prevIndent = indent
-			}
-			pendingNL = false
-		}
-		if nl < 0 {
+		raw, next, blank := NextLine(rest)
+		if raw == "" {
 			break
+		}
+		rest = next
+		s.line(raw, opts)
+		if !opts.DisableLayout {
+			if blank {
+				s.mark(MarkNL)
+			}
+			if len(s.Lines) == 1 {
+				s.mark(MarkBOL)
+			}
+			indent := leadingSpace(raw)
+			if prevIndent >= 0 {
+				if indent < prevIndent {
+					s.mark(MarkSHL)
+				} else if indent > prevIndent {
+					s.mark(MarkSHR)
+				}
+			}
+			prevIndent = indent
 		}
 	}
 	if len(s.Lines) > 0 && !opts.DisableLayout {

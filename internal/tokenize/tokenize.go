@@ -188,11 +188,40 @@ func CountWords(text string) int {
 	return n
 }
 
-// HasAlnum reports whether s contains at least one letter or digit —
-// the retention test Tokenize applies per line. Exported so alternate
-// line iterators (the compiled template matcher) retain exactly the
-// lines Tokenize would.
-func HasAlnum(s string) bool {
+// NextLine returns the first retained line of text and the text after
+// it; blank reports that a dropped line came before the returned one.
+// It is the one copy of the line-retention rule: lines end at '\n' and
+// lose their trailing '\r's, and a line is retained when it has a letter
+// or a digit. line is "" once text holds no retained line. Scan.Reset
+// and the compiled template matcher both walk records with it.
+//
+// The work per line is in cutLine; NextLine stays small enough to be
+// inlined into Scan.Reset's loop.
+func NextLine(text string) (line, rest string, blank bool) {
+	for rest = text; rest != ""; blank = true {
+		if line, rest = cutLine(rest); line != "" {
+			break
+		}
+	}
+	return
+}
+
+// cutLine cuts text's first line off at '\n' and drops its trailing
+// '\r's. line is "" when the line is not retained.
+func cutLine(text string) (line, rest string) {
+	line = text
+	if i := strings.IndexByte(text, '\n'); i >= 0 {
+		line, rest = text[:i], text[i+1:]
+	}
+	line = strings.TrimRight(line, "\r")
+	if !hasAlnum(line) {
+		return "", rest
+	}
+	return line, rest
+}
+
+// hasAlnum reports whether s contains at least one letter or digit.
+func hasAlnum(s string) bool {
 	for _, r := range s {
 		if isWordRune(r) {
 			return true

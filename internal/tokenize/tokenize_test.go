@@ -267,7 +267,7 @@ func TestTokenizeRetentionInvariant(t *testing.T) {
 		want := 0
 		for _, line := range strings.Split(text, "\n") {
 			line = strings.TrimRight(line, "\r")
-			if HasAlnum(line) {
+			if hasAlnum(line) {
 				want++
 			}
 		}
