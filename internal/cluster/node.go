@@ -203,11 +203,8 @@ func NewNode(ps *serve.Server, mgr *lifecycle.Manager, opts Options) (*Node, err
 	return n, nil
 }
 
-// ID returns the node's ring identity.
-func (n *Node) ID() string { return n.id }
-
 // Ring returns the node's ring (shared routing state; mutate only via
-// AddPeer/RemovePeer).
+// AddPeer).
 func (n *Node) Ring() *Ring { return n.ring }
 
 // SetModelArtifact installs the WMDL bytes this node serves to joining
@@ -255,33 +252,12 @@ func (n *Node) AddPeer(id string, client ShardClient) {
 	}
 }
 
-// RemovePeer drops a member, rebalances the ring, and closes the
-// peer's client. Keys it owned redistribute to the survivors; cached
-// answers it gave age out by LRU.
-func (n *Node) RemovePeer(id string) {
-	n.pmu.Lock()
-	p, ok := n.peers[id]
-	delete(n.peers, id)
-	n.pmu.Unlock()
-	if ok {
-		p.client.Close()
-	}
-	if n.ring.Remove(id) {
-		n.met.rebalances.Inc()
-		n.log.Info("peer left", "peer", id, "members", n.ring.Len())
-	}
-}
-
 func (n *Node) peer(id string) *peer {
 	n.pmu.RLock()
 	p := n.peers[id]
 	n.pmu.RUnlock()
 	return p
 }
-
-// Owner returns the member currently owning domain under the
-// bounded-load rule.
-func (n *Node) Owner(domain string) string { return n.ring.LookupBounded(domain) }
 
 // ParseDomain serves one request cluster-aware: the ring names the
 // domain's owner; if that is this node (or the owner is unreachable)

@@ -336,7 +336,7 @@ func TestNodeDegradedForwardTwins(t *testing.T) {
 	if err != nil || rec == nil || rec.Registrar != "node-a" {
 		t.Fatalf("peer request during the forward got %+v, %v; want its own local parse", rec, err)
 	}
-	if got := a.ps.Metrics().Counter("serve.coalesced").Value(); got != twins-1 {
+	if got := a.ps.Stats().Coalesced; got != twins-1 {
 		t.Fatalf("serve.coalesced = %d, want %d: the peer request waited on the forward", got, twins-1)
 	}
 	release()
@@ -943,3 +943,27 @@ func TestNodeApplyServingArtifactIsNoop(t *testing.T) {
 		t.Fatal("node not ready after apply")
 	}
 }
+
+// ID returns the node's ring identity.
+func (n *Node) ID() string { return n.id }
+
+// RemovePeer drops a member, rebalances the ring, and closes the
+// peer's client. Keys it owned redistribute to the survivors; cached
+// answers it gave age out by LRU.
+func (n *Node) RemovePeer(id string) {
+	n.pmu.Lock()
+	p, ok := n.peers[id]
+	delete(n.peers, id)
+	n.pmu.Unlock()
+	if ok {
+		p.client.Close()
+	}
+	if n.ring.Remove(id) {
+		n.met.rebalances.Inc()
+		n.log.Info("peer left", "peer", id, "members", n.ring.Len())
+	}
+}
+
+// Owner returns the member currently owning domain under the
+// bounded-load rule.
+func (n *Node) Owner(domain string) string { return n.ring.LookupBounded(domain) }

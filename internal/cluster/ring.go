@@ -138,29 +138,6 @@ func (r *Ring) Add(id string) bool {
 	return true
 }
 
-// Remove deletes a member and rebuilds the ring. Removing an absent
-// member is a no-op (false).
-func (r *Ring) Remove(id string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	cur := r.state.Load()
-	ids := make([]string, 0, len(cur.ids))
-	found := false
-	for _, have := range cur.ids {
-		if have == id {
-			found = true
-			continue
-		}
-		ids = append(ids, have)
-	}
-	if !found {
-		return false
-	}
-	r.loads.Delete(id)
-	r.rebuild(cur, ids)
-	return true
-}
-
 // rebuild publishes a new state for ids. Callers hold r.mu.
 func (r *Ring) rebuild(cur *ringState, ids []string) {
 	sort.Strings(ids)
@@ -199,21 +176,6 @@ func (r *Ring) Members() []string {
 
 // Len returns the member count.
 func (r *Ring) Len() int { return len(r.state.Load().ids) }
-
-// Version returns the rebuild counter — it changes exactly when
-// membership does, so callers can detect rebalances cheaply.
-func (r *Ring) Version() uint64 { return r.state.Load().version }
-
-// Lookup returns the member owning domain: the owner of the first vnode
-// clockwise of the domain's hash. Empty string on an empty ring.
-// Lock-free and allocation-free — one hash, one binary search.
-func (r *Ring) Lookup(domain string) string {
-	st := r.state.Load()
-	if len(st.hashes) == 0 {
-		return ""
-	}
-	return st.ids[st.owner[r.search(st, hashDomain(domain))]]
-}
 
 // search finds the vnode slot owning hash h (first slot with
 // hashes[i] >= h, wrapping to 0).

@@ -62,9 +62,6 @@ func ServeTCP(ln net.Listener, b Backend, log *slog.Logger) *TCPServer {
 	return s
 }
 
-// Addr returns the listener address.
-func (s *TCPServer) Addr() string { return s.ln.Addr().String() }
-
 func (s *TCPServer) acceptLoop() {
 	defer s.wg.Done()
 	for {

@@ -282,3 +282,6 @@ func TestTCPCloseJoinsGoroutines(t *testing.T) {
 		cli.Close()
 	}
 }
+
+// Addr returns the listener address.
+func (s *TCPServer) Addr() string { return s.ln.Addr().String() }

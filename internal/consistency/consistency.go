@@ -372,23 +372,3 @@ func (c *Comparison) ConflictFields() []Field {
 	}
 	return out
 }
-
-// ParseField resolves a display name back to its Field.
-func ParseField(name string) (Field, bool) {
-	for f := Field(0); f < NumFields; f++ {
-		if fieldNames[f] == name {
-			return f, true
-		}
-	}
-	return 0, false
-}
-
-// FieldsByName returns the field display names in field order — the
-// stable column order for tables and JSON summaries.
-func FieldsByName() []string {
-	out := make([]string, NumFields)
-	for f := Field(0); f < NumFields; f++ {
-		out[f] = fieldNames[f]
-	}
-	return out
-}

@@ -220,12 +220,6 @@ func TestFieldAndVerdictNames(t *testing.T) {
 			t.Errorf("field %d has bad or duplicate name %q", f, name)
 		}
 		seen[name] = true
-		if got, ok := ParseField(name); !ok || got != f {
-			t.Errorf("ParseField(%q) = %v, %v", name, got, ok)
-		}
-	}
-	if _, ok := ParseField("nope"); ok {
-		t.Error("ParseField accepted unknown name")
 	}
 	if Field(-1).String() != "invalid" || Verdict(99).String() != "invalid" {
 		t.Error("out-of-range String() should be \"invalid\"")
@@ -349,13 +343,6 @@ func TestSentinelTransitions(t *testing.T) {
 		t.Fatalf("OnDrift events = %v", events)
 	}
 
-	// Reset clears windows.
-	s.Observe(bad)
-	s.Reset()
-	if got := s.Flagged(); len(got) != 0 {
-		t.Fatalf("Flagged() after reset = %v", got)
-	}
-
 	// No-comparable observations never move windows.
 	var empty Comparison
 	for f := Field(0); f < NumFields; f++ {
@@ -402,4 +389,14 @@ func TestDateEquivalenceAcrossLayouts(t *testing.T) {
 	if c := Compare(w, r); c.Verdicts[FieldCreated] != Equivalent {
 		t.Errorf("created = %s, want equivalent", c.Verdicts[FieldCreated])
 	}
+}
+
+// FieldsByName returns the field display names in field order — the
+// stable column order for tables and JSON summaries.
+func FieldsByName() []string {
+	out := make([]string, NumFields)
+	for f := Field(0); f < NumFields; f++ {
+		out[f] = fieldNames[f]
+	}
+	return out
 }

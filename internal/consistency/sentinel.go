@@ -121,12 +121,3 @@ func (s *Sentinel) Observe(c Comparison) (flagged, unflagged bool) {
 // Flagged returns the display names of currently flagged registrars,
 // unordered.
 func (s *Sentinel) Flagged() []string { return s.flags.Flagged() }
-
-// Reset clears all windows and flags — after a parser promotion or an
-// RDAP data migration, old evidence says nothing about the new state.
-func (s *Sentinel) Reset() {
-	s.flags.Reset()
-	if s.met != nil {
-		s.met.flagged.Set(0)
-	}
-}

@@ -60,6 +60,7 @@ type Parser struct {
 // Instrument). Nil on uninstrumented parsers — the common test path —
 // so the hot path pays one nil check.
 type parserMetrics struct {
+	reg           *obs.Registry
 	parseSeconds  *obs.Histogram
 	parses        *obs.Counter
 	lines         *obs.Counter
@@ -71,10 +72,15 @@ type parserMetrics struct {
 // two-level parse, crf.block.* and crf.field.* for per-level decode
 // latency and token throughput, and core.confidence.min for the
 // distribution of per-record minimum posterior confidence (the §5.3
-// triage signal). Call once, before the parser is shared across
-// goroutines.
+// triage signal). Call before the parser is shared across goroutines.
+// Instrumenting again into the registry the parser already reports to
+// writes nothing, so that call is safe on a shared parser.
 func (p *Parser) Instrument(reg *obs.Registry) {
+	if p.met != nil && p.met.reg == reg {
+		return
+	}
 	p.met = &parserMetrics{
+		reg:           reg,
 		parseSeconds:  reg.Histogram("core.parse.seconds", obs.DurationBounds()),
 		parses:        reg.Counter("core.parse.calls"),
 		lines:         reg.Counter("core.parse.lines"),
@@ -347,18 +353,6 @@ const (
 	// package's two-level CRF).
 	TierCRF = "l1"
 )
-
-// Clone returns a deep copy of the record, for callers that need to
-// mutate a result obtained from a shared cache.
-func (pr *ParsedRecord) Clone() *ParsedRecord {
-	out := *pr
-	out.Lines = append([]tokenize.Line(nil), pr.Lines...)
-	out.Blocks = append([]labels.Block(nil), pr.Blocks...)
-	out.Fields = append([]labels.Field(nil), pr.Fields...)
-	out.NameServers = append([]string(nil), pr.NameServers...)
-	out.Statuses = append([]string(nil), pr.Statuses...)
-	return &out
-}
 
 // Parse runs both levels on raw record text and extracts fields. It is
 // the fused path: the record is scanned once into pooled buffers and its

@@ -491,3 +491,15 @@ func TestRankByUncertaintyMatchesSequential(t *testing.T) {
 		}
 	}
 }
+
+// Clone returns a deep copy of the record, for callers that need to
+// mutate a result obtained from a shared cache.
+func (pr *ParsedRecord) Clone() *ParsedRecord {
+	out := *pr
+	out.Lines = append([]tokenize.Line(nil), pr.Lines...)
+	out.Blocks = append([]labels.Block(nil), pr.Blocks...)
+	out.Fields = append([]labels.Field(nil), pr.Fields...)
+	out.NameServers = append([]string(nil), pr.NameServers...)
+	out.Statuses = append([]string(nil), pr.Statuses...)
+	return &out
+}

@@ -182,9 +182,6 @@ func New(cfg Config) (*Crawler, error) {
 	return c, nil
 }
 
-// Metrics returns the registry the crawler records into.
-func (c *Crawler) Metrics() *obs.Registry { return c.reg }
-
 // clientMetrics returns the cached per-server whoisclient counters, so
 // retries, timeouts, and bytes are attributable per host.
 func (c *Crawler) clientMetrics(server string) *whoisclient.Metrics {

@@ -21,19 +21,6 @@ func (m *Model) Decode(inst Instance) ([]int, float64) {
 	return path, score
 }
 
-// LogZ returns the log of the normalization factor Z(x) (eq. 3/10),
-// computed by the kernel's forward recursion.
-func (m *Model) LogZ(inst Instance) float64 {
-	if len(inst.Obs) == 0 {
-		return 0
-	}
-	s := getScratch()
-	defer putScratch(s)
-	m.fillLattice(s, inst)
-	s.fillPsi()
-	return s.forward()
-}
-
 // forwardBackward fills a pooled scratch for inst at the model's own
 // weights and runs the whole kernel over it, returning the scratch (for
 // the caller to putScratch) and logZ.
@@ -66,25 +53,6 @@ func (s *scratch) nodeMarginalRows() [][]float64 {
 	for t := range out {
 		out[t] = backing[t*n : (t+1)*n]
 		s.nodeMarginals(t, out[t])
-	}
-	return out
-}
-
-// EdgeMarginals returns Pr(y_{t-1}=i, y_t=j | x) for t in [1, T), as a
-// slice indexed by t with n×n matrices flattened row-major (eq. 12).
-func (m *Model) EdgeMarginals(inst Instance) [][]float64 {
-	T := len(inst.Obs)
-	if T == 0 {
-		return nil
-	}
-	s, _ := m.forwardBackward(inst)
-	defer putScratch(s)
-	nn := s.lat.n * s.lat.n
-	out := make([][]float64, T)
-	backing := make([]float64, (T-1)*nn)
-	for t := 1; t < T; t++ {
-		out[t] = backing[(t-1)*nn : t*nn]
-		s.edgeMarginals(t, out[t])
 	}
 	return out
 }

@@ -57,11 +57,6 @@ type Config struct {
 	L2 float64
 }
 
-// DefaultConfig returns the configuration used by the main experiments.
-func DefaultConfig(numStates int) Config {
-	return Config{NumStates: numStates, TransMinCount: 1, L2: 1.0}
-}
-
 // Model is a trained (or trainable) linear-chain CRF.
 type Model struct {
 	cfg  Config
@@ -168,14 +163,8 @@ func isClosedClassObs(name string) bool {
 	return len(name) > 4 && name[:4] == "CLS:"
 }
 
-// NumStates reports the label-space size.
-func (m *Model) NumStates() int { return m.cfg.NumStates }
-
 // NumFeatures reports the dimensionality of θ.
 func (m *Model) NumFeatures() int { return len(m.theta) }
-
-// NumTransObs reports how many observations carry transition features.
-func (m *Model) NumTransObs() int { return m.numTrans }
 
 // Dict exposes the model's observation dictionary.
 func (m *Model) Dict() *tokenize.Dictionary { return m.dict }

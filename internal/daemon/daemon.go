@@ -123,7 +123,7 @@ type Stack struct {
 	Parse func(text string) *core.ParsedRecord
 
 	cfg     Config
-	parser  *core.Parser // the boot model
+	parser  *core.Parser // the boot model of a stack without a manager
 	id      string       // identity of a model without a manager
 	hup     chan os.Signal
 	servers []*http.Server
@@ -203,7 +203,7 @@ func (s *Stack) load() error {
 	if s.Manager != nil {
 		snap := s.Manager.Current()
 		log.Printf("lifecycle: serving model %s (%s)", snap.Version, snap.Info)
-		s.parser, s.Parse = snap.Parser, s.Manager.Parse
+		s.Parse = s.Manager.Parse
 		return nil
 	}
 	s.parser.Instrument(c.Metrics)

@@ -49,14 +49,6 @@ func (m Metrics) DocErrorRate() float64 {
 	return float64(m.DocErrors) / float64(m.Docs)
 }
 
-// Add merges another Metrics into m.
-func (m *Metrics) Add(o Metrics) {
-	m.Lines += o.Lines
-	m.LineErrors += o.LineErrors
-	m.Docs += o.Docs
-	m.DocErrors += o.DocErrors
-}
-
 // EvalBlocks measures first-level performance of p on labeled records.
 // Records whose tokenization does not align with their labels are skipped
 // with an error (they indicate corpus corruption, not parser error).

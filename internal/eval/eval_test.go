@@ -129,9 +129,10 @@ func TestCrossValidateOracle(t *testing.T) {
 	var recs []*labels.LabeledRecord
 	gold := make(map[string][]labels.Block)
 	for i := 0; i < 40; i++ {
-		rec := mkRecord(i, labels.Domain, labels.Registrant, labels.Date)
+		blocks := []labels.Block{labels.Domain, labels.Registrant, labels.Date}
+		rec := mkRecord(i, blocks...)
 		recs = append(recs, rec)
-		gold[rec.Text] = rec.BlockSeq()
+		gold[rec.Text] = blocks
 	}
 	factory := func(train []*labels.LabeledRecord) (BlockParser, error) {
 		return oracleParser{gold}, nil
@@ -236,4 +237,12 @@ func TestConfusionEmpty(t *testing.T) {
 	if c.Total() != 0 || c.Accuracy() != 0 {
 		t.Errorf("empty confusion: %+v", c)
 	}
+}
+
+// Add merges another Metrics into m.
+func (m *Metrics) Add(o Metrics) {
+	m.Lines += o.Lines
+	m.LineErrors += o.LineErrors
+	m.Docs += o.Docs
+	m.DocErrors += o.DocErrors
 }

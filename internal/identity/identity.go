@@ -366,10 +366,3 @@ func (g *Generator) Person(countryCode string, hasOrg bool) Person {
 	p.Email = user + "@" + pick(rng, emailDomains)
 	return p
 }
-
-// OrgPerson generates an identity that always carries an organization.
-func (g *Generator) OrgPerson(countryCode string) Person { return g.Person(countryCode, true) }
-
-// RNG exposes the generator's PRNG so composing generators (internal/synth)
-// can draw from the same deterministic stream.
-func (g *Generator) RNG() *rand.Rand { return g.rng }

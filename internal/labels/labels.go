@@ -106,15 +106,6 @@ func ParseField(s string) (Field, error) {
 	return 0, fmt.Errorf("labels: unknown field label %q", s)
 }
 
-// AllFields lists every second-level label in state order.
-func AllFields() []Field {
-	out := make([]Field, NumFields)
-	for i := range out {
-		out[i] = Field(i)
-	}
-	return out
-}
-
 // LabeledLine pairs one retained line of text with its ground-truth labels.
 // Field is only meaningful when Block == Registrant (and is FieldOther
 // otherwise).
@@ -137,26 +128,6 @@ type LabeledRecord struct {
 	Text string
 	// Lines holds the ground truth for each retained line of Text.
 	Lines []LabeledLine
-}
-
-// BlockSeq extracts the first-level label sequence.
-func (r *LabeledRecord) BlockSeq() []Block {
-	out := make([]Block, len(r.Lines))
-	for i, ln := range r.Lines {
-		out[i] = ln.Block
-	}
-	return out
-}
-
-// RegistrantLines returns the indices of lines labeled Registrant.
-func (r *LabeledRecord) RegistrantLines() []int {
-	var out []int
-	for i, ln := range r.Lines {
-		if ln.Block == Registrant {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // Validate checks internal consistency: every label in range and line text

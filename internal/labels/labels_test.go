@@ -222,3 +222,32 @@ func TestFormatRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// AllFields lists every second-level label in state order.
+func AllFields() []Field {
+	out := make([]Field, NumFields)
+	for i := range out {
+		out[i] = Field(i)
+	}
+	return out
+}
+
+// BlockSeq extracts the first-level label sequence.
+func (r *LabeledRecord) BlockSeq() []Block {
+	out := make([]Block, len(r.Lines))
+	for i, ln := range r.Lines {
+		out[i] = ln.Block
+	}
+	return out
+}
+
+// RegistrantLines returns the indices of lines labeled Registrant.
+func (r *LabeledRecord) RegistrantLines() []int {
+	var out []int
+	for i, ln := range r.Lines {
+		if ln.Block == Registrant {
+			out = append(out, i)
+		}
+	}
+	return out
+}

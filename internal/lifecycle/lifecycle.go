@@ -1,20 +1,18 @@
 // Package lifecycle is the online model-lifecycle control plane: it owns
-// which trained model is live, swaps models with zero downtime, watches
-// live traffic for drift, queues the records a human should label next
-// (§5.3 active learning), and retrains + shadow-evaluates candidates so a
-// worse model is never promoted.
+// which trained model is live, swaps models with zero downtime, and
+// watches live traffic for drift.
 //
 // The paper's system is not a one-shot parser: WHOIS templates drift as
 // registrars change formats (§5.1), so the deployed model is retrained
-// on newly labeled records and redeployed while the daemons keep
-// serving. This package closes that loop in-process:
+// on newly labeled records (§5.3) and redeployed while the daemons keep
+// serving. Retraining happens out of process (`whoisparse train`, `eval`,
+// `model publish`/`promote`); this package is the serving half of the
+// loop:
 //
-//	     ┌──────────────────────────────────────────────┐
-//	     ▼                                              │
-//	Serving ──drift──▶ DriftFlagged ──▶ Retraining ──▶ Shadow
-//	     ▲                                              │
-//	     └────────────── promoted ◀─────────────────────┘
-//	                     (rejected keeps the old model)
+//	Serving ──drift──▶ DriftFlagged
+//	   ▲                    │
+//	   └──────recovered─────┘
+//	(a reload swaps the model in either state)
 //
 // The hot-swap mechanics live in internal/serve: a Manager holds the
 // current model in an atomic Snapshot pointer and, on swap, rebinds every
@@ -45,24 +43,18 @@ import (
 	"repro/internal/tiered"
 )
 
-// State is the lifecycle position of the serving stack. Transitions are
-// Serving → DriftFlagged (sentinel), DriftFlagged/Serving → Retraining →
-// Shadow → Serving (promoted or rejected; DriftFlagged again if flags
-// remain). Exported via the lifecycle.state gauge.
+// State is the lifecycle position of the serving stack: Serving →
+// DriftFlagged when the sentinel flags a registrar, and back once every
+// flag has cleared. Exported via the lifecycle.state gauge.
 type State int32
 
 const (
 	// StateServing: the live model is healthy and serving.
 	StateServing State = iota
 	// StateDriftFlagged: at least one registrar window tripped the
-	// sentinel; the live model keeps serving while labeling/retraining
-	// catches up.
+	// sentinel; the live model keeps serving until the flags clear or
+	// an operator reloads a retrained model.
 	StateDriftFlagged
-	// StateRetraining: a candidate model is being trained.
-	StateRetraining
-	// StateShadow: the candidate is being evaluated against the live
-	// model on held-out labeled data.
-	StateShadow
 )
 
 func (s State) String() string {
@@ -71,10 +63,6 @@ func (s State) String() string {
 		return "serving"
 	case StateDriftFlagged:
 		return "drift-flagged"
-	case StateRetraining:
-		return "retraining"
-	case StateShadow:
-		return "shadow"
 	}
 	return fmt.Sprintf("state(%d)", int32(s))
 }
@@ -88,29 +76,27 @@ type Snapshot struct {
 	// Seq is the in-process generation number, starting at 1 for the
 	// model the Manager was built with and incrementing per swap.
 	Seq uint64
-	// Info is the WMDL artifact identity when the model came from (or
-	// was promoted to) disk; zero for purely in-memory models.
+	// Info is the WMDL artifact identity when the model came from disk;
+	// zero for purely in-memory models.
 	Info store.ModelInfo
 	// Path is the artifact path the model was loaded from, if any.
 	Path string
 	// Family and SemVer name the model's registry entry when it was
-	// resolved from one (NewFromRegistry, ReloadServing, or a
-	// registry-backed Retrain); both empty otherwise. They describe the
-	// model for /admin/model, logs and the retrain parent link; they are
-	// never part of the stamp.
+	// resolved from one (NewFromRegistry or ReloadServing); both empty
+	// otherwise. They describe the model for /admin/model and logs;
+	// they are never part of the stamp.
 	Family string
 	SemVer string
 	// Version is the string stamped into every ParsedRecord this
 	// snapshot produces: the artifact's "wmdl-<crc32c>" (ModelInfo.ID)
-	// however the artifact arrived — registry, file, cluster bytes or
-	// a promoted retrain — so every process serving the same bytes
-	// stamps the same string. Purely in-memory models stamp "m<seq>".
+	// however the artifact arrived — registry, file or cluster bytes —
+	// so every process serving the same bytes stamps the same string.
+	// Purely in-memory models stamp "m<seq>".
 	Version string
 }
 
 // Options configures a Manager. The zero value is usable: drift
-// sentinel on with default thresholds, no queue persistence, no
-// retraining (Retrain errors without Holdout).
+// sentinel on with default thresholds, no template tier.
 type Options struct {
 	// Metrics receives lifecycle.* metrics; nil means a private
 	// registry (reachable via Manager.Metrics). Swapped-in models are
@@ -118,8 +104,8 @@ type Options struct {
 	// daemon that shares one registry across core/serve/store sees
 	// every model generation under the same core.* names.
 	Metrics *obs.Registry
-	// Log receives lifecycle events (swaps, drift flags, promotion
-	// verdicts); nil discards them.
+	// Log receives lifecycle events (swaps, drift flags, template
+	// demotions); nil discards them.
 	Log *slog.Logger
 
 	// SampleEvery scores every Nth parse with posterior confidence
@@ -140,59 +126,14 @@ type Options struct {
 	// of Null/Other lines exceeds it — the "model stopped recognizing
 	// the template" signal (§5.1). <= 0 means 0.9.
 	NullOtherCeiling float64
-	// OnDrift, when non-nil, is invoked (on the parsing goroutine, keep
-	// it cheap) each time a registrar newly trips the sentinel.
-	OnDrift func(registrar string)
-
-	// Queue, when non-nil, is the store that FlushQueue persists
-	// low-confidence records into for labeling, ranked most uncertain
-	// first (§5.3). Without it no record is queued: nothing would ever
-	// drain the buffer.
-	Queue *store.Store
-	// QueueThreshold admits a record to the labeling queue when its
-	// minimum posterior confidence is below it; <= 0 means
-	// ConfidenceFloor.
-	QueueThreshold float64
-	// QueueCap bounds the in-memory queue; when full, the least
-	// uncertain entry is evicted first. <= 0 means 256.
-	QueueCap int
 
 	// Tiered, when non-nil, is the L0 template router the manager serves
 	// through: every parse function handed to attached servers is bound
-	// via Tiered.Bind, a registrar that trips the drift sentinel has its
-	// template demoted (the §2.3 failure mode — the template is exactly
-	// what drifted), and a promoted retrain rebuilds the template set
-	// from the candidate's training records so both tiers move together.
-	// Plain model swaps/reloads leave L0 untouched: templates derive from
-	// labeled data, not model weights.
+	// via Tiered.Bind, and a registrar that trips the drift sentinel has
+	// its template demoted (the §2.3 failure mode — the template is
+	// exactly what drifted). Model swaps and reloads leave L0 untouched:
+	// templates derive from labeled data, not model weights.
 	Tiered *tiered.Router
-
-	// Train is the config candidates are retrained with; the zero value
-	// means core.DefaultConfig().
-	Train core.Config
-	// Holdout is the labeled evaluation set for shadow comparison;
-	// Retrain refuses to run without it, because promotion without an
-	// independent yardstick is how a worse model goes live.
-	Holdout []*labels.LabeledRecord
-	// PromotePath, when non-empty, receives the promoted candidate as a
-	// WMDL artifact (atomic write) before the in-process swap, so a
-	// restart comes back up on the promoted model. Ignored when Registry
-	// is set — the registry owns promoted artifacts then.
-	PromotePath string
-
-	// Registry, when non-nil, routes Retrain through the model registry
-	// instead of overwriting PromotePath: every candidate is published
-	// as an immutable version with provenance, walked candidate → shadow
-	// through the state machine, and — only if the shadow gate passes —
-	// promoted to serving and swapped in-process. Rejected candidates
-	// stay parked at shadow with their scores on record.
-	Registry *modelreg.Registry
-	// Family is the registry family this manager serves;
-	// empty means modelreg.DefaultFamily.
-	Family string
-	// CorpusPath, when set, is recorded in published manifests as the
-	// training-data source (Provenance.CorpusPath).
-	CorpusPath string
 }
 
 func (o Options) withDefaults() Options {
@@ -220,64 +161,48 @@ func (o Options) withDefaults() Options {
 	if o.NullOtherCeiling <= 0 {
 		o.NullOtherCeiling = 0.9
 	}
-	if o.QueueThreshold <= 0 {
-		o.QueueThreshold = o.ConfidenceFloor
-	}
-	if o.QueueCap <= 0 {
-		o.QueueCap = 256
-	}
-	if o.Train.L2 == 0 && o.Train.MinCount == 0 {
-		o.Train = core.DefaultConfig()
-	}
 	return o
 }
 
 type metrics struct {
-	swaps       *obs.Counter
-	reloads     *obs.Counter
-	promotions  *obs.Counter
-	rejections  *obs.Counter
-	retrainErrs *obs.Counter
-	state       *obs.Gauge
-	modelSeq    *obs.Gauge
+	swaps    *obs.Counter
+	reloads  *obs.Counter
+	state    *obs.Gauge
+	modelSeq *obs.Gauge
 
 	driftObs     *obs.Counter
 	driftEvents  *obs.Counter
 	driftFlagged *obs.Gauge
 	confidence   *obs.Histogram
 	nullRate     *obs.Histogram
-
-	queuePersisted *obs.Counter
-	queueDropped   *obs.Counter
 }
 
 func newMetrics(reg *obs.Registry) metrics {
 	return metrics{
-		swaps:       reg.Counter("lifecycle.swaps"),
-		reloads:     reg.Counter("lifecycle.reloads"),
-		promotions:  reg.Counter("lifecycle.retrain.promotions"),
-		rejections:  reg.Counter("lifecycle.retrain.rejections"),
-		retrainErrs: reg.Counter("lifecycle.retrain.errors"),
-		state:       reg.Gauge("lifecycle.state"),
-		modelSeq:    reg.Gauge("lifecycle.model.seq"),
+		swaps:    reg.Counter("lifecycle.swaps"),
+		reloads:  reg.Counter("lifecycle.reloads"),
+		state:    reg.Gauge("lifecycle.state"),
+		modelSeq: reg.Gauge("lifecycle.model.seq"),
 
 		driftObs:     reg.Counter("lifecycle.drift.observations"),
 		driftEvents:  reg.Counter("lifecycle.drift.events"),
 		driftFlagged: reg.Gauge("lifecycle.drift.flagged"),
 		confidence:   reg.Histogram("lifecycle.drift.confidence", obs.UnitBounds()),
 		nullRate:     reg.Histogram("lifecycle.drift.nullrate", obs.UnitBounds()),
-
-		queuePersisted: reg.Counter("lifecycle.queue.persisted"),
-		queueDropped:   reg.Counter("lifecycle.queue.dropped"),
 	}
 }
 
-// Manager owns the live model and the loop around it. All methods are
-// safe for concurrent use.
+// Manager owns the live model and the drift watch around it. All
+// methods are safe for concurrent use.
 type Manager struct {
 	opts Options
 	log  *slog.Logger
 	met  metrics
+
+	// registry and family, set by NewFromRegistry, name the registry
+	// entry ReloadServing re-resolves; registry is nil otherwise.
+	registry *modelreg.Registry
+	family   string
 
 	cur   atomic.Pointer[Snapshot]
 	seq   atomic.Uint64
@@ -285,23 +210,17 @@ type Manager struct {
 
 	// mu serializes swaps and the attached-server set, so every server
 	// converges on the latest snapshot even under concurrent swaps.
-	mu           sync.Mutex
-	attached     []*serve.Server
-	instrument   bool
-	instrumented map[*core.Parser]bool
-
-	// retrainMu serializes train → shadow → promote, one candidate at
-	// a time.
-	retrainMu sync.Mutex
+	mu         sync.Mutex
+	attached   []*serve.Server
+	instrument bool
 
 	sentinel *sentinel
-	queue    *alqueue
 }
 
 // New builds a Manager serving p (an in-memory model; use NewFromFile
 // when the model has an artifact identity).
 func New(p *core.Parser, opts Options) *Manager {
-	return newManager(Snapshot{Parser: p}, opts)
+	return newManager(Snapshot{Parser: p}, opts, nil, "")
 }
 
 // NewFromFile loads the WMDL artifact at path and builds a Manager
@@ -311,26 +230,24 @@ func NewFromFile(path string, opts Options) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newManager(Snapshot{Parser: p, Info: info, Path: path}, opts), nil
+	return newManager(Snapshot{Parser: p, Info: info, Path: path}, opts, nil, ""), nil
 }
 
 // newManager builds a Manager serving first, whose Seq and Version
-// publish assigns.
-func newManager(first Snapshot, opts Options) *Manager {
+// publish assigns; reg and family are the registry entry it serves, if
+// any.
+func newManager(first Snapshot, opts Options, reg *modelreg.Registry, family string) *Manager {
 	instrument := opts.Metrics != nil
 	opts = opts.withDefaults()
 	m := &Manager{
-		opts:         opts,
-		log:          opts.Log,
-		met:          newMetrics(opts.Metrics),
-		instrument:   instrument,
-		instrumented: map[*core.Parser]bool{},
+		opts:       opts,
+		log:        opts.Log,
+		met:        newMetrics(opts.Metrics),
+		registry:   reg,
+		family:     family,
+		instrument: instrument,
+		sentinel:   newSentinel(opts),
 	}
-	m.sentinel = newSentinel(opts)
-	m.queue = newALQueue(opts.QueueThreshold, opts.QueueCap)
-	opts.Metrics.GaugeFunc("lifecycle.queue.pending", func() float64 {
-		return float64(m.queue.len())
-	})
 	m.setState(StateServing)
 	m.publish(first)
 	return m
@@ -377,7 +294,7 @@ func (m *Manager) Parse(text string) *core.ParsedRecord {
 
 // parseFuncFor binds a snapshot into the ParseFunc handed to serve: it
 // stamps every record with the snapshot version and feeds the drift
-// sentinel and active-learning queue. The closure captures the snapshot,
+// sentinel. The closure captures the snapshot,
 // not the manager's current pointer, so a request admitted under cache
 // generation G always parses with the model that generation belongs to.
 func (m *Manager) parseFuncFor(snap *Snapshot) serve.ParseFunc {
@@ -397,16 +314,16 @@ func (m *Manager) parseFuncFor(snap *Snapshot) serve.ParseFunc {
 	if m.opts.Tiered == nil {
 		return base
 	}
-	// Route through L0. Only L1-served records reach the sentinel and
-	// queue above — which is the point: records that fall through L0
-	// (no template, mismatch, low match confidence, demoted) are exactly
-	// the ones worth scoring, and their low L1 confidence feeds the
-	// active-learning queue as before.
+	// Route through L0. Only L1-served records reach the sentinel above
+	// — which is the point: records that fall through L0 (no template,
+	// mismatch, low match confidence, demoted) are exactly the ones
+	// worth scoring.
 	return m.opts.Tiered.Bind(base)
 }
 
-// observe feeds one scored parse into the sentinel and queue.
-func (m *Manager) observe(snap *Snapshot, rec *core.ParsedRecord, text string, conf float64) {
+// observe feeds one scored parse of a record's text into the sentinel,
+// which keys on the extracted registrar and reads no text.
+func (m *Manager) observe(snap *Snapshot, rec *core.ParsedRecord, _ string, conf float64) {
 	rate := nullOtherRate(rec)
 	m.met.driftObs.Inc()
 	m.met.confidence.Observe(conf)
@@ -437,22 +354,12 @@ func (m *Manager) observe(snap *Snapshot, rec *core.ParsedRecord, text string, c
 				// agreement re-promotes it.
 				m.log.Warn("template demoted", "registrar", reg)
 			}
-			if m.opts.OnDrift != nil {
-				m.opts.OnDrift(reg)
-			}
 		}
 		if unflagged {
 			m.log.Info("drift cleared", "registrar", reg)
 			if total == 0 && m.State() == StateDriftFlagged {
 				m.setState(StateServing)
 			}
-		}
-	}
-
-	if m.opts.Queue != nil && conf < m.opts.QueueThreshold {
-		domain := rec.DomainName
-		if !m.queue.add(domain, text, conf) {
-			m.met.queueDropped.Inc()
 		}
 	}
 }
@@ -490,15 +397,15 @@ func (m *Manager) publish(next Snapshot) *Snapshot {
 	next.Seq = m.seq.Add(1)
 	next.Version = versionString(next.Seq, next.Info)
 	snap := &next
-	p := snap.Parser
-	// Instrument before publication (Instrument is not safe once the
-	// parser is shared), exactly once per parser object, and only into
-	// a caller-provided registry — instrumenting into the manager's
-	// private default would silently redirect core.* metrics a daemon
-	// already wired elsewhere.
-	if m.instrument && !m.instrumented[p] {
-		p.Instrument(m.opts.Metrics)
-		m.instrumented[p] = true
+	// Instrument before publication, and only into a caller-provided
+	// registry — instrumenting into the manager's private default would
+	// silently redirect core.* metrics a daemon already wired elsewhere.
+	// A parser swapped in again is already instrumented into this
+	// registry, and Instrument leaves it untouched then: earlier
+	// snapshots may still be parsing with it. The check lives on the
+	// parser, so the manager holds no replaced model.
+	if m.instrument {
+		snap.Parser.Instrument(m.opts.Metrics)
 	}
 	m.cur.Store(snap)
 	m.met.modelSeq.Set(int64(snap.Seq))

@@ -4,22 +4,24 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/labels"
+	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/store"
 	"repro/internal/synth"
 )
 
 // Shared fixtures, trained once per test binary: a deliberately weak
-// "live" model (small training slice) and a strong candidate
-// warm-started from it over a much larger slice — so promotion tests
-// have real headroom instead of coin-flip ties. The weak model is built
-// separately so benchmarks (which only serve, never promote) skip the
-// expensive retrain.
+// "live" model (small training slice) and a strong one warm-started
+// from it over a much larger slice, so swap tests have two models that
+// parse differently. The weak model is built separately so benchmarks
+// (which swap only the weak model) skip the expensive retrain.
 var (
 	corpusOnce sync.Once
 	fixCorpus  []*labels.LabeledRecord
@@ -64,17 +66,10 @@ func fixtures(t testing.TB) ([]*labels.LabeledRecord, *core.Parser, *core.Parser
 	return recs, weak, fixStrong
 }
 
-func holdoutSet(t testing.TB) []*labels.LabeledRecord {
-	recs, _, _ := fixtures(t)
-	return recs[300:]
-}
-
 func TestStateString(t *testing.T) {
 	want := map[State]string{
 		StateServing:      "serving",
 		StateDriftFlagged: "drift-flagged",
-		StateRetraining:   "retraining",
-		StateShadow:       "shadow",
 		State(99):         "state(99)",
 	}
 	for s, w := range want {
@@ -195,6 +190,44 @@ func TestNewFromFileAndReload(t *testing.T) {
 	if m.Current() != snap2 {
 		t.Fatal("failed reload replaced the live snapshot")
 	}
+}
+
+// TestReplacedModelIsCollected: a manager that instruments models into
+// a caller's registry must not keep the models it replaced reachable,
+// or every reload leaks one model for the life of the daemon.
+func TestReplacedModelIsCollected(t *testing.T) {
+	_, weak, strong := fixtures(t)
+	dir := t.TempDir()
+	pathA := filepath.Join(dir, "a.model")
+	pathB := filepath.Join(dir, "b.model")
+	if _, err := store.SaveModel(weak, pathA); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.SaveModel(strong, pathB); err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewFromFile(pathA, Options{Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	collected := make(chan struct{})
+	runtime.SetFinalizer(m.Current().Parser, func(*core.Parser) { close(collected) })
+	if _, err := m.ReloadFromFile(pathB); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for done := false; !done; {
+		runtime.GC()
+		select {
+		case <-collected:
+			done = true
+		case <-time.After(10 * time.Millisecond):
+			if time.Now().After(deadline) {
+				t.Fatal("replaced parser still reachable after reload")
+			}
+		}
+	}
+	runtime.KeepAlive(m)
 }
 
 // TestHotSwapUnderLoad is the end-to-end acceptance test: goroutines
@@ -327,21 +360,13 @@ func TestHotSwapUnderLoad(t *testing.T) {
 
 // TestManagerDriftLifecycle drives the sentinel through the manager's
 // observe path with synthetic observations: flag on sustained low
-// confidence, invoke OnDrift once, queue the low-confidence record,
-// then clear the flag when confidence recovers.
+// confidence, once per transition, then clear the flag when confidence
+// recovers.
 func TestManagerDriftLifecycle(t *testing.T) {
 	_, weak, _ := fixtures(t)
-	queue, err := store.Open(t.TempDir(), store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer queue.Close()
-	var drifted []string
 	m := New(weak, Options{
 		SampleEvery: 1, Window: 8, MinWindow: 4,
 		ConfidenceFloor: 0.5,
-		OnDrift:         func(r string) { drifted = append(drifted, r) },
-		Queue:           queue,
 	})
 	rec := &core.ParsedRecord{
 		Registrar: "Example Registrar",
@@ -355,12 +380,6 @@ func TestManagerDriftLifecycle(t *testing.T) {
 	}
 	if got := m.Flagged(); len(got) != 1 || got[0] != "Example Registrar" {
 		t.Fatalf("Flagged() = %v", got)
-	}
-	if len(drifted) != 1 || drifted[0] != "Example Registrar" {
-		t.Fatalf("OnDrift calls = %v, want exactly one", drifted)
-	}
-	if got := m.queue.len(); got != 1 {
-		t.Fatalf("queue holds %d entries, want 1 (deduped)", got)
 	}
 	if got := m.Metrics().Counter("lifecycle.drift.events").Value(); got != 1 {
 		t.Fatalf("drift.events = %d, want 1", got)

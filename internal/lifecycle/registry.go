@@ -2,32 +2,20 @@ package lifecycle
 
 import (
 	"errors"
-	"fmt"
-	"os"
-	"path/filepath"
 
-	"repro/internal/core"
 	"repro/internal/modelreg"
 	"repro/internal/store"
 )
 
-// ErrNoRegistry reports a registry-only operation on a Manager built
-// without Options.Registry.
+// ErrNoRegistry reports a registry-only operation on a Manager that
+// NewFromRegistry did not build.
 var ErrNoRegistry = errors.New("lifecycle: manager has no model registry")
-
-// family returns the registry family this manager serves.
-func (m *Manager) family() string {
-	if m.opts.Family != "" {
-		return m.opts.Family
-	}
-	return modelreg.DefaultFamily
-}
 
 // NewFromRegistry resolves the family's serving pointer in reg and
 // builds a Manager serving that model. The snapshot names its registry
 // entry (Family, SemVer) and stamps the artifact's "wmdl-<crc32c>", the
-// same stamp a daemon loading those bytes from a file carries.
-// opts.Registry and opts.Family are overwritten from the arguments.
+// same stamp a daemon loading those bytes from a file carries. An empty
+// family means modelreg.DefaultFamily.
 func NewFromRegistry(reg *modelreg.Registry, family string, opts Options) (*Manager, error) {
 	if family == "" {
 		family = modelreg.DefaultFamily
@@ -40,9 +28,7 @@ func NewFromRegistry(reg *modelreg.Registry, family string, opts Options) (*Mana
 	if err != nil {
 		return nil, err
 	}
-	opts.Registry = reg
-	opts.Family = family
-	return newManager(next, opts), nil
+	return newManager(next, opts, reg, family), nil
 }
 
 // loadResolved reads a resolved registry artifact into an unpublished
@@ -63,10 +49,10 @@ func loadResolved(res *modelreg.Resolved) (Snapshot, error) {
 // signals are free. The resolved artifact is fully validated before anything is
 // published; a corrupt registry entry leaves the old model serving.
 func (m *Manager) ReloadServing() (snap *Snapshot, changed bool, err error) {
-	if m.opts.Registry == nil {
+	if m.registry == nil {
 		return nil, false, ErrNoRegistry
 	}
-	res, err := m.opts.Registry.ResolveServing(m.family())
+	res, err := m.registry.ResolveServing(m.family)
 	if err != nil {
 		return nil, false, err
 	}
@@ -80,90 +66,4 @@ func (m *Manager) ReloadServing() (snap *Snapshot, changed bool, err error) {
 	snap = m.swap(next)
 	m.met.reloads.Inc()
 	return snap, true, nil
-}
-
-// publishCandidate publishes a retrain candidate into the registry with
-// full provenance and stages it as the family's candidate. Called with
-// retrainMu held.
-func (m *Manager) publishCandidate(cand *core.Parser, report ShadowReport, trainRecords int) (*modelreg.Manifest, error) {
-	reg := m.opts.Registry
-	family := m.family()
-	// Serialize through the registry's own publish path: write the WMDL
-	// to a scratch file, publish the verified bytes.
-	tmp, err := tempArtifact(cand)
-	if err != nil {
-		return nil, err
-	}
-	defer tmp.cleanup()
-
-	live := m.cur.Load()
-	parent := ""
-	if live != nil && live.Family == family {
-		parent = live.SemVer
-	}
-	manifest, err := reg.Publish(modelreg.PublishRequest{
-		Family:       family,
-		Parent:       parent,
-		ArtifactPath: tmp.path,
-		Provenance: modelreg.Provenance{
-			CorpusPath:           m.opts.CorpusPath,
-			TrainRecords:         trainRecords,
-			HoldoutRecords:       len(m.opts.Holdout),
-			ShadowTokenAccuracy:  1 - report.CandBlocks.LineErrorRate(),
-			ShadowRecordAccuracy: 1 - report.CandBlocks.DocErrorRate(),
-			LiveTokenAccuracy:    1 - report.LiveBlocks.LineErrorRate(),
-			LiveRecordAccuracy:   1 - report.LiveBlocks.DocErrorRate(),
-			Trainer:              "lifecycle.Retrain",
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := reg.SetCandidate(family, manifest.Version); err != nil {
-		return manifest, err
-	}
-	return manifest, nil
-}
-
-// promoteThroughRegistry walks an already-staged candidate version to
-// serving (candidate → shadow → serving, each move verify-gated) and
-// returns the resolved serving entry. Called with retrainMu held.
-func (m *Manager) promoteThroughRegistry(version string) (*modelreg.Resolved, error) {
-	reg := m.opts.Registry
-	family := m.family()
-	if _, err := reg.Promote(family, version); err != nil {
-		return nil, err
-	}
-	if _, err := reg.Promote(family, version); err != nil {
-		return nil, err
-	}
-	return reg.ResolveServing(family)
-}
-
-// parkAtShadow moves a rejected candidate to the shadow stage and
-// leaves it there — the audit trail: the version, its provenance, and
-// its losing scores stay inspectable (`model list`, `model diff`)
-// instead of evaporating with the training run.
-func (m *Manager) parkAtShadow(version string) error {
-	_, err := m.opts.Registry.Promote(m.family(), version)
-	return err
-}
-
-// scratch is a temporary WMDL written only so Publish can verify and
-// copy it; the registry's copy is the durable one.
-type scratch struct{ path, dir string }
-
-func (s scratch) cleanup() { os.RemoveAll(s.dir) }
-
-func tempArtifact(p *core.Parser) (scratch, error) {
-	dir, err := os.MkdirTemp("", "lifecycle-candidate-*")
-	if err != nil {
-		return scratch{}, fmt.Errorf("lifecycle: scratch artifact: %w", err)
-	}
-	path := filepath.Join(dir, "candidate.wmdl")
-	if _, err := store.SaveModel(p, path); err != nil {
-		os.RemoveAll(dir)
-		return scratch{}, fmt.Errorf("lifecycle: scratch artifact: %w", err)
-	}
-	return scratch{path: path, dir: dir}, nil
 }

@@ -1,14 +1,11 @@
 package lifecycle
 
 import (
-	"context"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/labels"
 	"repro/internal/modelreg"
-	"repro/internal/serve"
 	"repro/internal/store"
 )
 
@@ -98,114 +95,5 @@ func TestNewFromRegistryStampsCanonicalVersion(t *testing.T) {
 	plain := New(weak, Options{})
 	if _, _, err := plain.ReloadServing(); err != ErrNoRegistry {
 		t.Fatalf("plain ReloadServing err = %v", err)
-	}
-}
-
-func TestRetrainPublishesAndPromotesThroughRegistry(t *testing.T) {
-	recs, weak, _ := fixtures(t)
-	reg, _ := seedRegistry(t, weak, "default")
-
-	m, err := NewFromRegistry(reg, "default", Options{
-		Holdout:    holdoutSet(t),
-		CorpusPath: "/data/corpus.store",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps := serve.New(weak, serve.Options{Workers: 2})
-	defer ps.Close()
-	m.Attach(ps)
-
-	res, err := m.Retrain(recs[:300])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Promoted {
-		t.Fatalf("candidate rejected: %s", res.Reason)
-	}
-	if res.Manifest == nil || res.Manifest.Version != "1.1.0" {
-		t.Fatalf("manifest = %+v", res.Manifest)
-	}
-	p := res.Manifest.Provenance
-	if p.Trainer != "lifecycle.Retrain" || p.CorpusPath != "/data/corpus.store" ||
-		p.TrainRecords != 300 || p.HoldoutRecords != len(holdoutSet(t)) {
-		t.Fatalf("provenance = %+v", p)
-	}
-	if p.ShadowTokenAccuracy <= 0 || p.ShadowTokenAccuracy < p.LiveTokenAccuracy {
-		t.Fatalf("shadow accuracy %v vs live %v", p.ShadowTokenAccuracy, p.LiveTokenAccuracy)
-	}
-	if res.Manifest.Parent != "1.0.0" {
-		t.Fatalf("parent = %q", res.Manifest.Parent)
-	}
-
-	// The registry's serving pointer moved with the in-process swap, and
-	// both agree on the version string.
-	resolved, err := reg.ResolveServing("default")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resolved.Version != "1.1.0" {
-		t.Fatalf("registry serving %q", resolved.Version)
-	}
-	if m.Current().Version != resolved.Info.ID() {
-		t.Fatalf("snapshot %q, registry %q", m.Current().Version, resolved.Info.ID())
-	}
-
-	// Attached servers stamp the new identity.
-	rec, err := ps.ParseWait(context.Background(), recs[0].Text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.ModelVersion != resolved.Info.ID() {
-		t.Fatalf("served %q", rec.ModelVersion)
-	}
-
-	// The displaced 1.0.0 is still on disk and still verifies —
-	// promotion is a pointer move, not an overwrite.
-	if _, err := reg.Verify("default", "1.0.0"); err != nil {
-		t.Fatalf("old serving no longer verifies: %v", err)
-	}
-}
-
-func TestRetrainRejectionParksAtShadow(t *testing.T) {
-	recs, _, strong := fixtures(t)
-	reg, _ := seedRegistry(t, strong, "default")
-	m, err := NewFromRegistry(reg, "default", Options{Holdout: holdoutSet(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := m.Current()
-
-	corrupt := make([]*labels.LabeledRecord, 0, 150)
-	for _, r := range recs[:150] {
-		c := *r
-		c.Lines = append([]labels.LabeledLine(nil), r.Lines...)
-		for i := range c.Lines {
-			c.Lines[i].Block = labels.Block((int(c.Lines[i].Block) + 1) % labels.NumBlocks)
-		}
-		corrupt = append(corrupt, &c)
-	}
-
-	res, err := m.Retrain(corrupt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Promoted {
-		t.Fatal("corrupt candidate promoted")
-	}
-	if res.Manifest == nil {
-		t.Fatal("rejected candidate not published")
-	}
-	// The loser is parked at shadow: inspectable, not serving.
-	st, err := reg.StageOf("default", res.Manifest.Version)
-	if err != nil || st != modelreg.StageShadow {
-		t.Fatalf("rejected candidate stage = %v, %v", st, err)
-	}
-	resolved, err := reg.ResolveServing("default")
-	if err != nil || resolved.Version != "1.0.0" {
-		t.Fatalf("serving after rejection = %+v, %v", resolved, err)
-	}
-	if m.Current() != before {
-		t.Fatal("rejection replaced the live snapshot")
 	}
 }

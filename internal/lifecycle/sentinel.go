@@ -59,7 +59,3 @@ func (s *sentinel) observe(registrar string, conf, nullRate float64) (flagged, u
 
 // flagged returns the currently flagged registrars, unordered.
 func (s *sentinel) flagged() []string { return s.flags.Flagged() }
-
-// reset clears all windows and flags — called after a promotion, since
-// the evidence of the old model's drift says nothing about the new one.
-func (s *sentinel) reset() { s.flags.Reset() }

@@ -65,13 +65,6 @@ func TestSentinelIsolatesRegistrars(t *testing.T) {
 	if len(got) != 1 || got[0] != "bad" {
 		t.Fatalf("flagged() = %v, want [bad]", got)
 	}
-	s.reset()
-	if len(s.flagged()) != 0 {
-		t.Fatal("reset left flags standing")
-	}
-	if f, _, _ := s.observe("bad", 0.1, 0); f {
-		t.Fatal("flagged immediately after reset: windows survived")
-	}
 }
 
 func TestSentinelSampling(t *testing.T) {

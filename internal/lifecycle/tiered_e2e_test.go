@@ -115,52 +115,3 @@ func TestTieredDriftE2E(t *testing.T) {
 		t.Fatalf("router status %+v", st)
 	}
 }
-
-// TestRetrainRebuildsTemplates: a promoted retrain must recompile L0
-// from the candidate's training records and re-arm demoted templates.
-func TestRetrainRebuildsTemplates(t *testing.T) {
-	recs, weak, _ := fixtures(t)
-	router := tiered.New(tiered.Options{ShadowEvery: 1 << 30})
-	router.Rebuild(recs[:60], core.DefaultConfig().Tokenize)
-	before := router.Status().Templates
-
-	m := New(weak, Options{
-		Tiered:  router,
-		Holdout: recs[300:360],
-	})
-	// Demote something so the rebuild's re-arm is observable.
-	var reg string
-	for _, rec := range recs[:60] {
-		if router.Demote(rec.Registrar) {
-			reg = rec.Registrar
-			break
-		}
-	}
-	if reg == "" {
-		t.Fatal("could not demote any template")
-	}
-
-	res, err := m.Retrain(recs[:300])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Promoted {
-		t.Fatalf("candidate not promoted: %s", res.Reason)
-	}
-	st := router.Status()
-	if st.Templates < before {
-		t.Fatalf("template count shrank on rebuild: %d -> %d", before, st.Templates)
-	}
-	if len(st.Demoted) != 0 {
-		t.Fatalf("rebuild left templates demoted: %v", st.Demoted)
-	}
-	if router.Demoted(reg) {
-		t.Fatalf("template %q still demoted after promotion rebuild", reg)
-	}
-
-	// The rebound parse functions still route through the router.
-	out := m.Parse(recs[0].Text)
-	if out.Tier != core.TierTemplate && out.Tier != core.TierCRF {
-		t.Fatalf("post-promotion parse has no tier stamp: %+v", out)
-	}
-}

@@ -110,11 +110,3 @@ func (f *WindowFlags) Flagged() []string {
 	}
 	return out
 }
-
-// Reset drops every window and flag.
-func (f *WindowFlags) Reset() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.keys = map[string]*keyWindows{}
-	f.flags = map[string]bool{}
-}

@@ -50,7 +50,7 @@ type Provenance struct {
 	LiveTokenAccuracy    float64 `json:"live_token_accuracy,omitempty"`
 	LiveRecordAccuracy   float64 `json:"live_record_accuracy,omitempty"`
 	// Trainer names the code path that produced the artifact
-	// ("lifecycle.Retrain", "whoisparse model publish", ...).
+	// ("whoisparse model publish", ...).
 	Trainer string `json:"trainer,omitempty"`
 	// Note is free-form operator context.
 	Note string `json:"note,omitempty"`

@@ -4,10 +4,9 @@
 // — and promotion becomes an auditable state-machine move instead of a
 // file overwrite.
 //
-// Before this package the retrain loop (internal/lifecycle) promoted in
-// place: the candidate artifact was written over the serving WMDL, and
-// the previous model, its training provenance, and any chance of
-// rollback were gone. The registry borrows the artifact discipline of
+// Without it, promoting a retrained model means writing it over the
+// serving WMDL, and the previous model, its training provenance, and any
+// chance of rollback are gone. The registry borrows the artifact discipline of
 // package systems (immutable content-addressed artifacts, an
 // inspect/verify CLI) and schema registries (immutable IDs, semver
 // families, per-environment mutability): artifacts are immutable once
@@ -37,7 +36,7 @@
 //
 // All Registry methods are safe for concurrent use within one process;
 // cross-process writers should coordinate externally (the daemons only
-// read, the retrain loop and the CLI write).
+// read, the CLI writes).
 package modelreg
 
 import (
@@ -163,9 +162,6 @@ func Open(dir string, opts Options) (*Registry, error) {
 	})
 	return r, nil
 }
-
-// Root returns the registry's root directory.
-func (r *Registry) Root() string { return r.root }
 
 func (r *Registry) familyDir(family string) string {
 	return filepath.Join(r.root, family)

@@ -276,3 +276,8 @@ func TestParseVersion(t *testing.T) {
 		t.Fatal("Less ordering broken")
 	}
 }
+
+// BumpPatch returns the next patch version.
+func (v Version) BumpPatch() Version {
+	return Version{v.Major, v.Minor, v.Patch + 1}
+}

@@ -54,8 +54,3 @@ func (v Version) Less(o Version) bool {
 func (v Version) BumpMinor() Version {
 	return Version{v.Major, v.Minor + 1, 0}
 }
-
-// BumpPatch returns the next patch version.
-func (v Version) BumpPatch() Version {
-	return Version{v.Major, v.Minor, v.Patch + 1}
-}

@@ -43,21 +43,6 @@ func (s Stage) String() string {
 	return fmt.Sprintf("stage(%d)", int(s))
 }
 
-// ParseStage parses a stage name.
-func ParseStage(s string) (Stage, error) {
-	switch s {
-	case "candidate":
-		return StageCandidate, nil
-	case "shadow":
-		return StageShadow, nil
-	case "serving":
-		return StageServing, nil
-	case "none", "":
-		return StageNone, nil
-	}
-	return StageNone, fmt.Errorf("modelreg: unknown stage %q", s)
-}
-
 // Stage and transition errors.
 var (
 	ErrNoSuchStage = errors.New("modelreg: stage not set")

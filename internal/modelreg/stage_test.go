@@ -2,6 +2,7 @@ package modelreg
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"testing"
 
@@ -252,4 +253,19 @@ func TestHistorySkipsTornLines(t *testing.T) {
 	if len(hist) != 3 {
 		t.Fatalf("history = %d entries, want 3 (torn line skipped)", len(hist))
 	}
+}
+
+// ParseStage parses a stage name.
+func ParseStage(s string) (Stage, error) {
+	switch s {
+	case "candidate":
+		return StageCandidate, nil
+	case "shadow":
+		return StageShadow, nil
+	case "serving":
+		return StageServing, nil
+	case "none", "":
+		return StageNone, nil
+	}
+	return StageNone, fmt.Errorf("modelreg: unknown stage %q", s)
 }

@@ -94,9 +94,6 @@ func LoadBootstrapFile(path string) (*Bootstrap, error) {
 	return ParseBootstrap(data)
 }
 
-// TLDs returns the number of TLDs the registry maps.
-func (b *Bootstrap) TLDs() int { return len(b.services) }
-
 // BaseFor resolves the RDAP base URL serving domain (matched by its
 // final label). The second return is false when the registry has no
 // entry for the TLD.

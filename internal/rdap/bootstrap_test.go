@@ -158,3 +158,6 @@ func TestClientLooksUpThroughBootstrap(t *testing.T) {
 		t.Fatalf("fallback did not reach the server: %v", err)
 	}
 }
+
+// TLDs returns the number of TLDs the registry maps.
+func (b *Bootstrap) TLDs() int { return len(b.services) }

@@ -14,7 +14,6 @@
 package rdap
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -120,27 +119,6 @@ func FromRegistration(reg *templates.Registration) *Domain {
 		d.Nameservers = append(d.Nameservers, Nameserver{ObjectClassName: "nameserver", LDHName: strings.ToLower(ns)})
 	}
 	return d
-}
-
-// Marshal renders the domain object as RDAP JSON.
-func (d *Domain) Marshal() ([]byte, error) {
-	b, err := json.Marshal(d)
-	if err != nil {
-		return nil, fmt.Errorf("rdap: marshal %s: %w", d.LDHName, err)
-	}
-	return b, nil
-}
-
-// Parse decodes RDAP JSON into a Domain.
-func Parse(data []byte) (*Domain, error) {
-	var d Domain
-	if err := json.Unmarshal(data, &d); err != nil {
-		return nil, fmt.Errorf("rdap: parse: %w", err)
-	}
-	if d.ObjectClassName != "domain" {
-		return nil, fmt.Errorf("rdap: object class %q, want \"domain\"", d.ObjectClassName)
-	}
-	return &d, nil
 }
 
 // Contact is the flattened view of an entity's jCard, mirroring the

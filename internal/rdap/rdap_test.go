@@ -2,6 +2,7 @@ package rdap
 
 import (
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -229,3 +230,27 @@ func TestDomainGolden(t *testing.T) {
 		}
 	}
 }
+
+// Marshal renders the domain object as RDAP JSON.
+func (d *Domain) Marshal() ([]byte, error) {
+	b, err := json.Marshal(d)
+	if err != nil {
+		return nil, fmt.Errorf("rdap: marshal %s: %w", d.LDHName, err)
+	}
+	return b, nil
+}
+
+// Parse decodes RDAP JSON into a Domain.
+func Parse(data []byte) (*Domain, error) {
+	var d Domain
+	if err := json.Unmarshal(data, &d); err != nil {
+		return nil, fmt.Errorf("rdap: parse: %w", err)
+	}
+	if d.ObjectClassName != "domain" {
+		return nil, fmt.Errorf("rdap: object class %q, want \"domain\"", d.ObjectClassName)
+	}
+	return &d, nil
+}
+
+// Addr returns the bound address ("" before Listen).
+func (s *Server) Addr() string { return s.addr }

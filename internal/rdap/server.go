@@ -250,9 +250,6 @@ func (s *Server) Listen(addr string) (string, error) {
 	return s.addr, nil
 }
 
-// Addr returns the bound address ("" before Listen).
-func (s *Server) Addr() string { return s.addr }
-
 // Close shuts the HTTP server down: it closes the listener and every
 // open connection, and returns once the Serve goroutine has.
 func (s *Server) Close() error {

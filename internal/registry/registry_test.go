@@ -140,3 +140,14 @@ func TestRateLimiterDisabled(t *testing.T) {
 		}
 	}
 }
+
+// PenalizedUntil reports the end of the source's penalty window (zero
+// time if none), for tests.
+func (rl *RateLimiter) PenalizedUntil(source string) time.Time {
+	rl.mu.Lock()
+	defer rl.mu.Unlock()
+	if st := rl.sources[source]; st != nil {
+		return st.penalized
+	}
+	return time.Time{}
+}

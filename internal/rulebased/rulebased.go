@@ -201,12 +201,6 @@ func isHeaderLike(ln tokenize.Line) bool {
 	return strings.HasSuffix(trimmed, ":") && tokenize.CountWords(trimmed) <= 7
 }
 
-// NumRules reports how many learned rules the parser holds (titles +
-// headers + boilerplate lines), for the §5.1 roll-back comparisons.
-func (p *Parser) NumRules() int {
-	return len(p.titleBlock) + len(p.headers) + len(p.rawBlock)
-}
-
 // ParseBlocks labels each retained line of text with a first-level block.
 func (p *Parser) ParseBlocks(text string) ([]tokenize.Line, []labels.Block) {
 	lines := tokenize.Tokenize(text, p.opts)

@@ -195,3 +195,9 @@ func TestNormalize(t *testing.T) {
 		}
 	}
 }
+
+// NumRules reports how many learned rules the parser holds (titles +
+// headers + boilerplate lines), for the §5.1 roll-back comparisons.
+func (p *Parser) NumRules() int {
+	return len(p.titleBlock) + len(p.headers) + len(p.rawBlock)
+}

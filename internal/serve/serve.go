@@ -166,10 +166,6 @@ func NewFunc(fn ParseFunc, opts Options) *Server {
 	return s
 }
 
-// Metrics returns the registry the server records into — the one passed
-// via Options.Metrics, or the private one created by default.
-func (s *Server) Metrics() *obs.Registry { return s.reg }
-
 // SetParseFunc atomically replaces the parse function and bumps the
 // cache generation in one step — the zero-downtime model swap. Requests
 // admitted before the call finish under the old function and stay cached
@@ -187,26 +183,9 @@ func (s *Server) SetParseFunc(fn ParseFunc) {
 	s.m.invalidations.Inc()
 }
 
-// InvalidateAll bumps the cache generation without changing the parse
-// function: every cached entry becomes unreachable at once. O(1) — a
-// single atomic pointer swap, no lock sweep; the orphaned entries are
-// evicted by LRU pressure as the new generation fills in. Model swaps
-// use SetParseFunc, which invalidates and swaps atomically; InvalidateAll
-// is the standalone escape hatch (e.g. upstream corpus changed under an
-// unchanged model).
-func (s *Server) InvalidateAll() {
-	for {
-		old := s.state.Load()
-		if s.state.CompareAndSwap(old, &parseState{fn: old.fn, gen: old.gen + 1}) {
-			break
-		}
-	}
-	s.m.invalidations.Inc()
-}
-
 // Generation returns the current cache generation — incremented by every
-// SetParseFunc or InvalidateAll. Entries written under older generations
-// can no longer be returned.
+// SetParseFunc. Entries written under older generations can no longer be
+// returned.
 func (s *Server) Generation() uint64 { return s.state.Load().gen }
 
 // cacheEntries counts cached records across shards.

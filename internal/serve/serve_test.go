@@ -794,3 +794,24 @@ func TestSetParseFuncSwapsModelAndCache(t *testing.T) {
 		t.Errorf("post-swap version = %q, want v2 (stale v1 entry served)", r.ModelVersion)
 	}
 }
+
+// InvalidateAll bumps the cache generation without changing the parse
+// function: every cached entry becomes unreachable at once. O(1) — a
+// single atomic pointer swap, no lock sweep; the orphaned entries are
+// evicted by LRU pressure as the new generation fills in. Model swaps
+// use SetParseFunc, which invalidates and swaps atomically; InvalidateAll
+// is the standalone escape hatch (e.g. upstream corpus changed under an
+// unchanged model).
+func (s *Server) InvalidateAll() {
+	for {
+		old := s.state.Load()
+		if s.state.CompareAndSwap(old, &parseState{fn: old.fn, gen: old.gen + 1}) {
+			break
+		}
+	}
+	s.m.invalidations.Inc()
+}
+
+// Metrics returns the registry the server records into — the one passed
+// via Options.Metrics, or the private one created by default.
+func (s *Server) Metrics() *obs.Registry { return s.reg }

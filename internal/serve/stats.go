@@ -48,7 +48,7 @@ type Stats struct {
 	Hits, Misses, Coalesced, Shed, Parsed uint64
 	// Preloads counts records injected by Preload (store warm-start).
 	Preloads uint64
-	// Invalidations counts generation bumps (SetParseFunc/InvalidateAll):
+	// Invalidations counts generation bumps (SetParseFunc):
 	// each one orphans every cached entry at once.
 	Invalidations uint64
 	// InFlight is the number of admitted-but-unfinished parses, Queued

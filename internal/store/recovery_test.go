@@ -212,3 +212,10 @@ func TestRecoveryTornHeader(t *testing.T) {
 		t.Fatalf("Len after append = %d, want 4", got)
 	}
 }
+
+// RecoveredBytes reports how many torn-tail bytes Open truncated.
+func (s *Store) RecoveredBytes() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.recovered
+}

@@ -318,9 +318,6 @@ func rewriteHeader(path string) error {
 	return f.Close()
 }
 
-// Metrics returns the registry the store records into.
-func (s *Store) Metrics() *obs.Registry { return s.reg }
-
 // Len reports the number of stored records, including superseded
 // duplicates not yet removed by compaction.
 func (s *Store) Len() uint64 {
@@ -349,13 +346,6 @@ func (s *Store) Bytes() int64 {
 		n += seg.size
 	}
 	return n
-}
-
-// RecoveredBytes reports how many torn-tail bytes Open truncated.
-func (s *Store) RecoveredBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.recovered
 }
 
 // Append encodes rec and appends it to the active segment, rotating

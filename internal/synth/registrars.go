@@ -38,11 +38,6 @@ type RegistrarInfo struct {
 	CountryAffinity map[string]float64
 }
 
-// Registrars returns the simulated registrar pool. Shares follow Table 5;
-// privacy rates are back-solved from Tables 5–7; blacklist factors from
-// Table 9.
-func Registrars() []*RegistrarInfo { return registrarPool }
-
 var registrarPool = []*RegistrarInfo{
 	{Name: "GoDaddy.com, LLC", IANA: 146, URL: "http://www.godaddy.com", WhoisServer: "whois.godaddy.com",
 		SchemaID: "icann-0", ShareAll: 34.2, Share2014: 34.4, PrivacyRate: 0.18,

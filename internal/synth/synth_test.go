@@ -277,3 +277,8 @@ func TestUnknownCountryRecordsOmitCountryLine(t *testing.T) {
 		t.Error("no unknown-country registrants generated (Table 3 needs ~3%)")
 	}
 }
+
+// Registrars returns the simulated registrar pool. Shares follow Table 5;
+// privacy rates are back-solved from Tables 5–7; blacklist factors from
+// Table 9.
+func Registrars() []*RegistrarInfo { return registrarPool }

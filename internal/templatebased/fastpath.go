@@ -144,10 +144,14 @@ func (c *Compiled) Registrars() []string {
 	return out
 }
 
-// line is one retained line of a record as the labelling pass reads it.
+// line is one retained line of a record: the walk fills raw, trimmed
+// and blank, the labelling pass the rest.
 type line struct {
-	raw, trimmed string
-	blank        bool // a dropped line came before it
+	trimmed string
+	blank   bool // a dropped line came before it
+	tok     tokenize.Line
+	block   labels.Block
+	field   labels.Field
 }
 
 // linePool holds the retained-line scratch between matches.
@@ -175,8 +179,8 @@ func (c *Compiled) MatchRegistrar(registrar, text string) (Match, error) {
 }
 
 // match walks text's retained lines once into pooled scratch, detecting
-// the template on the way when t is nil, then labels them. The result's
-// three slices are its only allocations.
+// the template on the way when t is nil, then labels them there. Only a
+// match allocates: the result's three slices.
 func (c *Compiled) match(t *compiledTemplate, text string) (Match, error) {
 	buf := linePool.Get().(*[]line)
 	defer linePool.Put(buf)
@@ -191,7 +195,7 @@ func (c *Compiled) match(t *compiledTemplate, text string) (Match, error) {
 		if t == nil {
 			t = c.detect[trimmed]
 		}
-		lines = append(lines, line{raw: raw, trimmed: trimmed, blank: blank})
+		lines = append(lines, line{trimmed: trimmed, blank: blank, tok: tokenize.Line{Raw: raw}})
 	}
 	*buf = lines
 	if t == nil {
@@ -200,24 +204,20 @@ func (c *Compiled) match(t *compiledTemplate, text string) (Match, error) {
 	return c.label(t, lines)
 }
 
-// label is the one labelling pass. Headers set the block that bare lines
-// below them carry; a blank line ends that context when layout is on, as
-// the tokenizer's NL marker does.
+// label is the one labelling pass, over the scratch in place; the result
+// is copied out only once every line has matched. Headers set the block
+// that bare lines below them carry; a blank line ends that context when
+// layout is on, as the tokenizer's NL marker does.
 func (c *Compiled) label(t *compiledTemplate, lines []line) (Match, error) {
 	n := len(lines)
 	if n == 0 {
 		return Match{}, ErrMismatch
 	}
-	m := Match{
-		Registrar: t.registrar,
-		Lines:     make([]tokenize.Line, n),
-		Blocks:    make([]labels.Block, n),
-		Fields:    make([]labels.Field, n),
-	}
 	exact := 0
 	context := labels.Null
 	haveContext := false
-	for i, ln := range lines {
+	for i := range lines {
+		ln := &lines[i]
 		if ln.blank && c.layout {
 			haveContext = false
 		}
@@ -233,7 +233,7 @@ func (c *Compiled) label(t *compiledTemplate, lines []line) (Match, error) {
 				break
 			}
 			if hasSep {
-				if r, ok := t.title[prefixOf(ln.raw, title, value)]; ok {
+				if r, ok := t.title[prefixOf(ln.tok.Raw, title, value)]; ok {
 					block = r.block
 					if block == labels.Registrant && value != "" {
 						field = r.field
@@ -245,7 +245,7 @@ func (c *Compiled) label(t *compiledTemplate, lines []line) (Match, error) {
 			}
 			return Match{}, ErrMismatch
 		case hasSep:
-			r, ok := t.title[prefixOf(ln.raw, title, value)]
+			r, ok := t.title[prefixOf(ln.tok.Raw, title, value)]
 			if !ok {
 				return Match{}, ErrMismatch
 			}
@@ -266,10 +266,18 @@ func (c *Compiled) label(t *compiledTemplate, lines []line) (Match, error) {
 			}
 			block = context
 		}
-		m.Lines[i] = tokenize.Line{Raw: ln.raw, Title: title, Value: value, HasSep: hasSep}
-		m.Blocks[i] = block
-		m.Fields[i] = field
+		ln.tok.Title, ln.tok.Value, ln.tok.HasSep = title, value, hasSep
+		ln.block, ln.field = block, field
 	}
-	m.Confidence = float64(exact) / float64(n)
+	m := Match{
+		Registrar:  t.registrar,
+		Lines:      make([]tokenize.Line, n),
+		Blocks:     make([]labels.Block, n),
+		Fields:     make([]labels.Field, n),
+		Confidence: float64(exact) / float64(n),
+	}
+	for i := range lines {
+		m.Lines[i], m.Blocks[i], m.Fields[i] = lines[i].tok, lines[i].block, lines[i].field
+	}
 	return m, nil
 }

@@ -458,6 +458,17 @@ func TestMatchAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("Match allocates %.1f times on ErrNoTemplate; want 0", allocs)
 	}
+	// A drifted record: the template is detected, then one boilerplate
+	// line it has never seen fails the match.
+	drifted := text + "\nA boilerplate line no template has seen\n"
+	allocs = testing.AllocsPerRun(100, func() {
+		if _, err := c.Match(drifted); err != ErrMismatch {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Match allocates %.1f times on ErrMismatch; want 0", allocs)
+	}
 }
 
 // TestMatchConcurrent runs Match and MatchRegistrar from several
