@@ -80,6 +80,7 @@ benchcheck:
 	$(GO) build -o /tmp/benchcheck ./cmd/benchcheck
 	( $(GO) test -run '^$$' -bench 'BenchmarkPosterior$$|BenchmarkServeHot$$|BenchmarkParseRecord$$|BenchmarkTokenizeRecord$$' -benchtime 200x -count 3 ./internal/serve . && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkStoreAppend$$|BenchmarkStoreScan$$' -benchtime 4096x -count 3 ./internal/store && \
+	  $(GO) test -run '^$$' -bench 'BenchmarkStoreCompress$$' -benchtime 20x -count 3 ./internal/store && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkHotSwap$$|BenchmarkParseDuringSwap$$' -benchtime 4096x -count 3 ./internal/lifecycle && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkTiered' -benchtime 200x -count 3 ./internal/tiered && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkRingLookup$$|BenchmarkRingLookupBounded$$|BenchmarkShardForward$$|BenchmarkShardForwardRemoteHit$$|BenchmarkShardForwardTCP$$' -benchtime 20000x -count 3 ./internal/cluster && \

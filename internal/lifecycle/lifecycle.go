@@ -11,8 +11,9 @@
 //
 //	Serving ──drift──▶ DriftFlagged
 //	   ▲                    │
-//	   └──────recovered─────┘
-//	(a reload swaps the model in either state)
+//	   └──recovered/swap────┘
+//	(a reload swaps the model in either state; the new model starts
+//	with fresh drift windows)
 //
 // The hot-swap mechanics live in internal/serve: a Manager holds the
 // current model in an atomic Snapshot pointer and, on swap, rebinds every
@@ -208,8 +209,10 @@ type Manager struct {
 	seq   atomic.Uint64
 	state atomic.Int32
 
-	// mu serializes swaps and the attached-server set, so every server
-	// converges on the latest snapshot even under concurrent swaps.
+	// mu serializes swaps, the attached-server set and drift state
+	// transitions, so every server converges on the latest snapshot even
+	// under concurrent swaps, and a swap's reset of the drift state is
+	// never overtaken by a flag from the replaced model.
 	mu         sync.Mutex
 	attached   []*serve.Server
 	instrument bool
@@ -248,7 +251,6 @@ func newManager(first Snapshot, opts Options, reg *modelreg.Registry, family str
 		instrument: instrument,
 		sentinel:   newSentinel(opts),
 	}
-	m.setState(StateServing)
 	m.publish(first)
 	return m
 }
@@ -322,7 +324,9 @@ func (m *Manager) parseFuncFor(snap *Snapshot) serve.ParseFunc {
 }
 
 // observe feeds one scored parse of a record's text into the sentinel,
-// which keys on the extracted registrar and reads no text.
+// which keys on the extracted registrar and reads no text. A parse by a
+// snapshot that is no longer current is dropped: its model's windows
+// are gone, and it must not flag the model that replaced it.
 func (m *Manager) observe(snap *Snapshot, rec *core.ParsedRecord, _ string, conf float64) {
 	rate := nullOtherRate(rec)
 	m.met.driftObs.Inc()
@@ -336,31 +340,41 @@ func (m *Manager) observe(snap *Snapshot, rec *core.ParsedRecord, _ string, conf
 		// not lost.
 		reg = "(unattributed)"
 	}
-	flagged, unflagged, total := m.sentinel.observe(reg, conf, rate)
-	if flagged || unflagged {
-		m.met.driftFlagged.Set(int64(total))
-		if flagged {
-			m.met.driftEvents.Inc()
-			m.log.Warn("drift flagged",
-				"registrar", reg, "model", snap.Version,
-				"conf", fmt.Sprintf("%.3f", conf), "nullrate", fmt.Sprintf("%.3f", rate))
-			if m.State() == StateServing {
-				m.setState(StateDriftFlagged)
-			}
-			if m.opts.Tiered != nil && m.opts.Tiered.Demote(reg) {
-				// The drifted registrar's template must stop serving:
-				// an exact template is the artifact drift invalidates
-				// first (§2.3). L1 takes the registrar until shadow
-				// agreement re-promotes it.
-				m.log.Warn("template demoted", "registrar", reg)
-			}
+	flagged, unflagged, _ := m.sentinel.observe(snap.Seq, reg, conf, rate)
+	if !flagged && !unflagged {
+		return
+	}
+	// Transitions apply under mu, where publish resets the windows and
+	// the state: one that lost the race to a swap came from the
+	// replaced windows and is dropped. The state and the gauge are read
+	// off the windows rather than the transition's own count, so
+	// transitions applied out of order still leave them right.
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.cur.Load() != snap {
+		return
+	}
+	if flagged {
+		m.met.driftEvents.Inc()
+		m.log.Warn("drift flagged",
+			"registrar", reg, "model", snap.Version,
+			"conf", fmt.Sprintf("%.3f", conf), "nullrate", fmt.Sprintf("%.3f", rate))
+		if m.opts.Tiered != nil && m.opts.Tiered.Demote(reg) {
+			// The drifted registrar's template must stop serving:
+			// an exact template is the artifact drift invalidates
+			// first (§2.3). L1 takes the registrar until shadow
+			// agreement re-promotes it.
+			m.log.Warn("template demoted", "registrar", reg)
 		}
-		if unflagged {
-			m.log.Info("drift cleared", "registrar", reg)
-			if total == 0 && m.State() == StateDriftFlagged {
-				m.setState(StateServing)
-			}
-		}
+	} else {
+		m.log.Info("drift cleared", "registrar", reg)
+	}
+	n := len(m.sentinel.flagged())
+	m.met.driftFlagged.Set(int64(n))
+	if n > 0 {
+		m.setState(StateDriftFlagged)
+	} else {
+		m.setState(StateServing)
 	}
 }
 
@@ -392,7 +406,9 @@ func (m *Manager) swap(next Snapshot) *Snapshot {
 }
 
 // publish assigns next its Seq and Version, then instruments, stores,
-// and rebinds. Callers other than newManager must hold m.mu.
+// and rebinds. The new model starts with fresh drift windows, no flags
+// and StateServing: the replaced model's drift says nothing about it.
+// Callers other than newManager must hold m.mu.
 func (m *Manager) publish(next Snapshot) *Snapshot {
 	next.Seq = m.seq.Add(1)
 	next.Version = versionString(next.Seq, next.Info)
@@ -408,6 +424,9 @@ func (m *Manager) publish(next Snapshot) *Snapshot {
 		snap.Parser.Instrument(m.opts.Metrics)
 	}
 	m.cur.Store(snap)
+	m.sentinel.reset(snap.Seq)
+	m.met.driftFlagged.Set(0)
+	m.setState(StateServing)
 	m.met.modelSeq.Set(int64(snap.Seq))
 	fn := m.parseFuncFor(snap)
 	for _, ps := range m.attached {

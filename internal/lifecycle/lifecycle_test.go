@@ -2,6 +2,7 @@ package lifecycle
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -404,5 +405,116 @@ func TestManagerDriftLifecycle(t *testing.T) {
 	}
 	if got := m.Flagged(); len(got) != 1 || got[0] != "(unattributed)" {
 		t.Fatalf("Flagged() = %v, want [(unattributed)]", got)
+	}
+}
+
+// TestSwapResetsDrift: a swap gives the new model fresh drift windows.
+// The state returns to serving with no flags and a zero flagged gauge,
+// and a parse by the replaced model that lands after the swap cannot
+// flag its registrar again.
+func TestSwapResetsDrift(t *testing.T) {
+	_, weak, strong := fixtures(t)
+	m := New(weak, Options{
+		SampleEvery: 1, Window: 8, MinWindow: 4,
+		ConfidenceFloor: 0.5,
+	})
+	rec := &core.ParsedRecord{
+		Registrar: "Example Registrar",
+		Blocks:    []labels.Block{labels.Registrar, labels.Null},
+	}
+	old := m.Current()
+	for i := 0; i < 8; i++ {
+		m.observe(old, rec, "low confidence text", 0.1)
+	}
+	if got := m.State(); got != StateDriftFlagged {
+		t.Fatalf("state before swap = %v, want drift-flagged", got)
+	}
+
+	m.Swap(strong, store.ModelInfo{}, "")
+	flagged := m.Metrics().Gauge("lifecycle.drift.flagged")
+	if got := m.State(); got != StateServing {
+		t.Fatalf("state after swap = %v, want serving", got)
+	}
+	if got := m.Flagged(); len(got) != 0 {
+		t.Fatalf("Flagged() after swap = %v, want none", got)
+	}
+	if got := flagged.Value(); got != 0 {
+		t.Fatalf("lifecycle.drift.flagged after swap = %d, want 0", got)
+	}
+
+	// In-flight parses by the replaced model land after the swap.
+	for i := 0; i < 8; i++ {
+		m.observe(old, rec, "low confidence text", 0.1)
+	}
+	if got, fs := m.State(), m.Flagged(); got != StateServing || len(fs) != 0 {
+		t.Fatalf("after stale observations: state %v, flagged %v; want serving, none", got, fs)
+	}
+
+	// The new model's own windows still flag.
+	for i := 0; i < 8; i++ {
+		m.observe(m.Current(), rec, "low confidence text", 0.1)
+	}
+	if got := m.State(); got != StateDriftFlagged {
+		t.Fatalf("state after the new model drifts = %v, want drift-flagged", got)
+	}
+	if got := flagged.Value(); got != 1 {
+		t.Fatalf("lifecycle.drift.flagged = %d, want 1", got)
+	}
+}
+
+// TestDriftStateUnderSwaps: observations from several goroutines, some
+// by replaced snapshots, race repeated swaps. Once they stop, the state
+// and the flagged gauge agree with the flagged registrars.
+func TestDriftStateUnderSwaps(t *testing.T) {
+	_, weak, strong := fixtures(t)
+	m := New(weak, Options{
+		SampleEvery: 1, Window: 8, MinWindow: 4,
+		ConfidenceFloor: 0.5,
+	})
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rec := &core.ParsedRecord{
+				Registrar: fmt.Sprintf("Registrar %d", g%3),
+				Blocks:    []labels.Block{labels.Registrar, labels.Null},
+			}
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				snap := m.Current()
+				if i%5 == 0 {
+					runtime.Gosched() // widen the window for a swap to replace snap
+				}
+				conf := 0.1
+				if (i/8)%2 == 1 {
+					conf = 0.99
+				}
+				m.observe(snap, rec, "text", conf)
+			}
+		}(g)
+	}
+	for i := 0; i < 40; i++ {
+		p := weak
+		if i%2 == 0 {
+			p = strong
+		}
+		m.Swap(p, store.ModelInfo{}, "")
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	wg.Wait()
+
+	flagged := m.Flagged()
+	if got := m.Metrics().Gauge("lifecycle.drift.flagged").Value(); got != int64(len(flagged)) {
+		t.Errorf("lifecycle.drift.flagged = %d, but %d registrars are flagged (%v)", got, len(flagged), flagged)
+	}
+	if want := len(flagged) > 0; (m.State() == StateDriftFlagged) != want {
+		t.Errorf("state %v with flagged registrars %v", m.State(), flagged)
 	}
 }

@@ -21,22 +21,42 @@ import (
 // threshold (with at least minWindow observations), and unflagged when
 // both recover. Transitions, not levels, are reported to the manager so
 // flapping windows do not spam logs or callbacks.
+//
+// The windows belong to one model generation: a swap starts fresh ones,
+// and a parse by a replaced model, still in flight, is dropped.
 type sentinel struct {
 	sampleEvery uint64
 	confFloor   float64
 	nullCeil    float64
+	window      int
+	minWindow   int
 
-	tick  atomic.Uint64
+	tick atomic.Uint64
+	cur  atomic.Pointer[driftWindows]
+}
+
+// driftWindows are the windows of the snapshot with sequence seq.
+type driftWindows struct {
+	seq   uint64
 	flags *mathx.WindowFlags
 }
 
 func newSentinel(opts Options) *sentinel {
-	return &sentinel{
+	s := &sentinel{
 		sampleEvery: uint64(opts.SampleEvery),
 		confFloor:   opts.ConfidenceFloor,
 		nullCeil:    opts.NullOtherCeiling,
-		flags:       mathx.NewWindowFlags(opts.Window, opts.MinWindow),
+		window:      opts.Window,
+		minWindow:   opts.MinWindow,
 	}
+	s.reset(0)
+	return s
+}
+
+// reset gives snapshot seq fresh, empty windows, discarding the previous
+// model's.
+func (s *sentinel) reset(seq uint64) {
+	s.cur.Store(&driftWindows{seq: seq, flags: mathx.NewWindowFlags(s.window, s.minWindow)})
 }
 
 // shouldScore decides whether this parse pays for posterior confidence;
@@ -48,14 +68,20 @@ func (s *sentinel) shouldScore() bool {
 	return s.tick.Add(1)%s.sampleEvery == 0
 }
 
-// observe records one scored parse and reports whether the registrar's
-// flag transitioned, plus the total number of currently flagged
-// registrars (valid whenever a transition happened).
-func (s *sentinel) observe(registrar string, conf, nullRate float64) (flagged, unflagged bool, total int) {
-	return s.flags.Observe(registrar, registrar, []float64{conf, nullRate}, func(means []float64) bool {
+// observe records one scored parse by snapshot seq and reports whether
+// the registrar's flag transitioned, plus the total number of currently
+// flagged registrars (valid whenever a transition happened). An
+// observation by any snapshot but the one the windows belong to is
+// dropped, with no transition.
+func (s *sentinel) observe(seq uint64, registrar string, conf, nullRate float64) (flagged, unflagged bool, total int) {
+	w := s.cur.Load()
+	if w.seq != seq {
+		return false, false, 0
+	}
+	return w.flags.Observe(registrar, registrar, []float64{conf, nullRate}, func(means []float64) bool {
 		return means[0] < s.confFloor || means[1] > s.nullCeil
 	})
 }
 
 // flagged returns the currently flagged registrars, unordered.
-func (s *sentinel) flagged() []string { return s.flags.Flagged() }
+func (s *sentinel) flagged() []string { return s.cur.Load().flags.Flagged() }

@@ -13,16 +13,16 @@ func TestSentinelFlagsLowConfidence(t *testing.T) {
 	s := testSentinel()
 	// Below minWindow: never flags, even at zero confidence.
 	for i := 0; i < 3; i++ {
-		if f, _, _ := s.observe("r", 0, 0); f {
+		if f, _, _ := s.observe(0, "r", 0, 0); f {
 			t.Fatal("flagged before minWindow observations")
 		}
 	}
-	f, _, total := s.observe("r", 0, 0)
+	f, _, total := s.observe(0, "r", 0, 0)
 	if !f || total != 1 {
 		t.Fatalf("4th low-confidence observation: flagged=%v total=%d, want true/1", f, total)
 	}
 	// Already flagged: no repeated transition.
-	if f, _, _ := s.observe("r", 0, 0); f {
+	if f, _, _ := s.observe(0, "r", 0, 0); f {
 		t.Fatal("flag transition reported twice")
 	}
 	if got := s.flagged(); len(got) != 1 || got[0] != "r" {
@@ -31,7 +31,7 @@ func TestSentinelFlagsLowConfidence(t *testing.T) {
 	// Healthy observations wash the window out (window=8).
 	var un bool
 	for i := 0; i < 8; i++ {
-		_, u, _ := s.observe("r", 1, 0)
+		_, u, _ := s.observe(0, "r", 1, 0)
 		un = un || u
 	}
 	if !un {
@@ -48,7 +48,7 @@ func TestSentinelFlagsNullRate(t *testing.T) {
 	// the ceiling signal must trip on its own.
 	var f bool
 	for i := 0; i < 4; i++ {
-		f, _, _ = s.observe("r", 0.95, 1.0)
+		f, _, _ = s.observe(0, "r", 0.95, 1.0)
 	}
 	if !f {
 		t.Fatal("all-null parses did not flag")
@@ -58,8 +58,8 @@ func TestSentinelFlagsNullRate(t *testing.T) {
 func TestSentinelIsolatesRegistrars(t *testing.T) {
 	s := testSentinel()
 	for i := 0; i < 8; i++ {
-		s.observe("bad", 0.1, 0)
-		s.observe("good", 0.95, 0)
+		s.observe(0, "bad", 0.1, 0)
+		s.observe(0, "good", 0.95, 0)
 	}
 	got := s.flagged()
 	if len(got) != 1 || got[0] != "bad" {

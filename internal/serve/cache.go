@@ -10,14 +10,14 @@ import (
 
 // key identifies a raw record without storing its text: two independent
 // 64-bit hashes plus the length, plus the cache generation current when
-// the key was computed. h1 is an inline FNV-1a (stable, also the shard
-// selector); h2 is a maphash under a per-server random seed. A false
-// cache hit needs all three hash dimensions to collide — with 128+ bits
-// of independent hash over same-length texts that is beyond negligible,
-// the same stance internal/crf takes for its score cache signatures.
-// gen makes model identity part of record identity: a swap bumps the
-// generation, so entries written under the old model can never answer a
-// request admitted under the new one.
+// the key was computed. h1 and h2 are maphashes of the text under two
+// independent per-server random seeds; h1 also selects the shard. A
+// false cache hit needs all three hash dimensions to collide — with 128+
+// bits of independent hash over same-length texts that is beyond
+// negligible, the same stance internal/crf takes for its score cache
+// signatures. gen makes model identity part of record identity: a swap
+// bumps the generation, so entries written under the old model can never
+// answer a request admitted under the new one.
 type key struct {
 	h1  uint64
 	h2  uint64
@@ -25,28 +25,24 @@ type key struct {
 	gen uint64
 }
 
-// hashSeed carries the per-server maphash seed so keys are only
-// comparable within one Server (cache keys never persist).
-type hashSeed struct{ s maphash.Seed }
+// hashSeed carries the per-server maphash seeds of h1 and h2, so keys
+// are only comparable within one Server (cache keys never persist).
+type hashSeed struct{ s1, s2 maphash.Seed }
 
-func makeHashSeed() hashSeed { return hashSeed{maphash.MakeSeed()} }
+func makeHashSeed() hashSeed { return hashSeed{maphash.MakeSeed(), maphash.MakeSeed()} }
 
 // hashKey computes the cache/coalescing key for a raw record under one
-// cache generation. Zero allocations: FNV-1a runs byte-wise over the
-// string, maphash.String hashes without copying. The generation rides as
-// its own key field rather than being mixed into the hashes, so shard
-// selection (h1) is stable across swaps.
+// cache generation. Zero allocations: maphash.String hashes the string
+// without copying. The generation rides as its own key field rather than
+// being mixed into the hashes, so shard selection (h1) is stable across
+// swaps.
 func (s *Server) hashKey(text string, gen uint64) key {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h1 := uint64(offset64)
-	for i := 0; i < len(text); i++ {
-		h1 ^= uint64(text[i])
-		h1 *= prime64
+	return key{
+		h1:  maphash.String(s.seed.s1, text),
+		h2:  maphash.String(s.seed.s2, text),
+		n:   len(text),
+		gen: gen,
 	}
-	return key{h1: h1, h2: maphash.String(s.seed.s, text), n: len(text), gen: gen}
 }
 
 // entry is one cached parse result.

@@ -1,8 +1,12 @@
 package store
 
 import (
+	"bytes"
+	"compress/flate"
+	"encoding/binary"
 	"fmt"
 	"os"
+	"sync"
 	"time"
 )
 
@@ -88,51 +92,106 @@ func (s *Store) CompressSealed() (CompressStats, error) {
 // regardless of record sizes.
 const blockFlushBytes = 4 << 20
 
+// maxPooledScratch caps the buffers blockScratchPool keeps: a block of
+// ordinary records stays well under it, and the scratch of a rewrite
+// that met one huge record is dropped rather than pinned.
+const maxPooledScratch = blockFlushBytes
+
+// blockScratch is the reusable state of block encoding: the pending
+// block's raw record stream, a flate writer and the buffer it compresses
+// into, and the frame. A rewrite takes one from blockScratchPool and
+// returns it when done. It is not held on the Store, so an idle store
+// keeps none of it live.
+type blockScratch struct {
+	raw   []byte
+	comp  bytes.Buffer
+	zw    *flate.Writer
+	frame []byte
+}
+
+var blockScratchPool = sync.Pool{New: func() any {
+	zw, err := flate.NewWriter(nil, flate.BestSpeed)
+	if err != nil {
+		panic(err) // BestSpeed is a valid level
+	}
+	return &blockScratch{zw: zw}
+}}
+
 // blockWriter batches record payloads into compressed block frames,
 // maintaining the destination segment's metadata (record count, size,
-// block count) as it goes.
+// block count) as it goes. Payloads are appended, length-prefixed,
+// straight into the scratch's raw buffer, and each block is compressed
+// by the one reused flate writer, so a steady-state rewrite allocates
+// nothing per record or per block. The bytes written are exactly those
+// of a fresh flate writer per block.
 type blockWriter struct {
 	f            *os.File
 	seg          *segment
 	blockRecords int
 
-	batch      [][]byte
-	batchBytes int
-	frame      []byte
+	*blockScratch
+	count        int // records in raw
+	payloadBytes int // their payload bytes, without length prefixes
 }
 
 func newBlockWriter(f *os.File, seg *segment, blockRecords int) *blockWriter {
-	return &blockWriter{f: f, seg: seg, blockRecords: blockRecords}
+	sc := blockScratchPool.Get().(*blockScratch)
+	sc.raw = sc.raw[:0]
+	return &blockWriter{f: f, seg: seg, blockRecords: blockRecords, blockScratch: sc}
 }
 
-// add queues one record payload (copied) and flushes a full block.
+// release returns the scratch to the pool, unless a buffer grew past
+// maxPooledScratch. The writer is unusable afterwards.
+func (bw *blockWriter) release() {
+	sc := bw.blockScratch
+	bw.blockScratch = nil
+	if cap(sc.raw) <= maxPooledScratch && sc.comp.Cap() <= maxPooledScratch && cap(sc.frame) <= maxPooledScratch {
+		blockScratchPool.Put(sc)
+	}
+}
+
+// add appends one record payload to the pending block and flushes a
+// full one. payload may be reused by the caller once add returns.
 func (bw *blockWriter) add(payload []byte) error {
-	// Copy: callers reuse payload memory across frames.
-	bw.batch = append(bw.batch, append([]byte(nil), payload...))
-	bw.batchBytes += len(payload)
-	if len(bw.batch) >= bw.blockRecords || bw.batchBytes >= blockFlushBytes {
+	bw.raw = AppendString(bw.raw, payload)
+	bw.count++
+	bw.payloadBytes += len(payload)
+	if bw.count >= bw.blockRecords || bw.payloadBytes >= blockFlushBytes {
 		return bw.flush()
 	}
 	return nil
 }
 
-// flush writes the pending batch as one block frame.
+// flush writes the pending block as one frame: the block header and the
+// flate stream go into the reused comp buffer, which is then framed into
+// the reused frame buffer.
 func (bw *blockWriter) flush() error {
-	if len(bw.batch) == 0 {
+	if bw.count == 0 {
 		return nil
 	}
-	payload, err := appendBlock(nil, bw.batch)
-	if err != nil {
+	if len(bw.raw) > maxBlockRaw {
+		return fmt.Errorf("%w: %d raw bytes", ErrBadBlock, len(bw.raw))
+	}
+	c := &bw.comp
+	c.Reset()
+	hdr := append(c.AvailableBuffer(), blockKind)
+	hdr = binary.AppendUvarint(hdr, uint64(bw.count))
+	c.Write(binary.AppendUvarint(hdr, uint64(len(bw.raw))))
+	bw.zw.Reset(c)
+	if _, err := bw.zw.Write(bw.raw); err != nil {
 		return err
 	}
-	bw.frame = AppendFrame(bw.frame[:0], payload)
+	if err := bw.zw.Close(); err != nil {
+		return err
+	}
+	bw.frame = AppendFrame(bw.frame[:0], c.Bytes())
 	if _, err := bw.f.Write(bw.frame); err != nil {
 		return fmt.Errorf("store: compress write: %w", err)
 	}
 	bw.seg.size += int64(len(bw.frame))
-	bw.seg.records += uint64(len(bw.batch))
+	bw.seg.records += uint64(bw.count)
 	bw.seg.blocks++
-	bw.batch = bw.batch[:0]
-	bw.batchBytes = 0
+	bw.raw = bw.raw[:0]
+	bw.count, bw.payloadBytes = 0, 0
 	return nil
 }

@@ -426,38 +426,6 @@ const (
 // (bad counts, short decompression, trailing bytes).
 var ErrBadBlock = errors.New("store: malformed block payload")
 
-// appendBlock encodes payloads as one compressed block payload appended
-// to buf.
-func appendBlock(buf []byte, payloads [][]byte) ([]byte, error) {
-	var rawLen int
-	for _, p := range payloads {
-		rawLen += binary.MaxVarintLen64 + len(p)
-	}
-	raw := make([]byte, 0, rawLen)
-	for _, p := range payloads {
-		raw = binary.AppendUvarint(raw, uint64(len(p)))
-		raw = append(raw, p...)
-	}
-	if len(raw) > maxBlockRaw {
-		return nil, fmt.Errorf("%w: %d raw bytes", ErrBadBlock, len(raw))
-	}
-	buf = append(buf, blockKind)
-	buf = binary.AppendUvarint(buf, uint64(len(payloads)))
-	buf = binary.AppendUvarint(buf, uint64(len(raw)))
-	var cb bytes.Buffer
-	zw, err := flate.NewWriter(&cb, flate.BestSpeed)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := zw.Write(raw); err != nil {
-		return nil, err
-	}
-	if err := zw.Close(); err != nil {
-		return nil, err
-	}
-	return append(buf, cb.Bytes()...), nil
-}
-
 // decodeBlock splits a block payload into its record payloads. The
 // returned slices alias one freshly allocated buffer, so they stay valid
 // after the caller's frame buffer is reused. It never panics and bounds

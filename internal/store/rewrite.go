@@ -62,6 +62,7 @@ func (s *Store) rewrite(in []*SegmentReader, keep []bool) (*segment, error) {
 	}
 	out := &segment{path: first.Path, id: first.ID, size: segHeaderLen}
 	bw := newBlockWriter(f, out, s.opts.BlockRecords)
+	defer bw.release()
 	var read, kept uint64
 	for _, r := range in {
 		err := r.Frames(func(_ int64, payloads [][]byte) error {

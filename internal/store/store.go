@@ -61,7 +61,7 @@ type Store struct {
 	dir  string
 	opts Options
 
-	mu        sync.Mutex // guards the fields from segments to sealBusy
+	mu        sync.Mutex // guards the fields from segments to frame
 	segments  []*segment
 	active    *os.File
 	unsynced  int
@@ -71,6 +71,8 @@ type Store struct {
 	onSeal    func(id uint64) // see SetOnSeal
 	sealQueue []uint64        // seal-hook ids the worker has yet to run
 	sealBusy  bool            // the seal worker is running
+	// payload and frame are Append's encode buffers, reused under mu.
+	payload, frame []byte
 	// wg counts the running rewrite and the seal worker. Add is called
 	// only under mu while !closed, so Close's Wait never races an Add.
 	wg sync.WaitGroup
@@ -107,6 +109,10 @@ func (m *storeMetrics) register(reg *obs.Registry) {
 }
 
 const segSuffix = ".seg"
+
+// maxAppendBuf caps the encode buffers a Store keeps between appends;
+// a typical record frame is a few KiB.
+const maxAppendBuf = 64 << 10
 
 func segPath(dir string, id uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("%08d%s", id, segSuffix))
@@ -351,11 +357,14 @@ func (s *Store) Bytes() int64 {
 // Append encodes rec and appends it to the active segment, rotating
 // first when the segment is over the size threshold. The record is
 // durable after the next Sync or Close.
+//
+// Encoding runs under s.mu into the payload and frame buffers the Store
+// owns, so a steady-state append allocates nothing. Appenders are
+// serialized anyway: the one sink or writer feeding a store appends in
+// order. A buffer that grew past maxAppendBuf for one huge record is
+// dropped after it.
 func (s *Store) Append(rec *Record) error {
 	start := time.Now()
-	payload := appendRecord(nil, rec)
-	frame := AppendFrame(make([]byte, 0, len(payload)+8), payload)
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -367,6 +376,12 @@ func (s *Store) Append(rec *Record) error {
 			return err
 		}
 		active = s.segments[len(s.segments)-1]
+	}
+	s.payload = appendRecord(s.payload[:0], rec)
+	s.frame = AppendFrame(s.frame[:0], s.payload)
+	frame := s.frame
+	if cap(s.payload) > maxAppendBuf || cap(s.frame) > maxAppendBuf {
+		s.payload, s.frame = nil, nil
 	}
 	if _, err := s.active.Write(frame); err != nil {
 		return fmt.Errorf("store: append: %w", err)

@@ -126,14 +126,16 @@ func hasAlnum(s string) bool {
 	return false
 }
 
-// Render produces the record text and ground-truth labels for r.
+// Render produces the record text and ground-truth labels for r. The
+// text is copied out of the builder at its exact size: callers keep
+// rendered texts for a process's life, and a substring of the builder
+// would also pin its spare capacity.
 func (s *Schema) Render(r *Registration) Rendered {
 	var b builder
 	for _, e := range s.Elements {
 		e.render(s, r, &b)
 	}
-	text := b.text.String()
-	text = strings.TrimRight(text, "\n")
+	text := strings.Clone(strings.TrimRight(b.text.String(), "\n"))
 	return Rendered{Text: text, Lines: b.lines}
 }
 
