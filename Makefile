@@ -78,7 +78,7 @@ importcheck:
 # 30%; widen with BENCH_TOL=0.5 on noisy machines.
 benchcheck:
 	$(GO) build -o /tmp/benchcheck ./cmd/benchcheck
-	( $(GO) test -run '^$$' -bench 'BenchmarkPosterior$$|BenchmarkServeHot$$|BenchmarkParseRecord$$|BenchmarkTokenizeRecord$$' -benchtime 200x -count 3 ./internal/serve . && \
+	( $(GO) test -run '^$$' -bench 'BenchmarkPosterior$$|BenchmarkServeHot$$|BenchmarkParseRecord$$|BenchmarkParseStream$$|BenchmarkTokenizeRecord$$' -benchtime 200x -count 3 ./internal/serve . && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkStoreAppend$$|BenchmarkStoreScan$$' -benchtime 4096x -count 3 ./internal/store && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkStoreCompress$$' -benchtime 20x -count 3 ./internal/store && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkHotSwap$$|BenchmarkParseDuringSwap$$' -benchtime 4096x -count 3 ./internal/lifecycle && \

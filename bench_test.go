@@ -18,8 +18,9 @@ package whoisparse
 //	BenchmarkFigure4 / BenchmarkFigure5 — §6 survey figures
 //	BenchmarkCrawl           — §4.1 crawl over loopback TCP
 //
-// plus microbenchmarks (tokenize, decode, train, parse) and the ablation
-// suite over the design choices DESIGN.md calls out.
+// plus microbenchmarks (tokenize, decode, train, parse, a distinct-record
+// parse stream) and the ablation suite over the design choices DESIGN.md
+// calls out.
 
 import (
 	"runtime"
@@ -139,6 +140,36 @@ func BenchmarkParseRecord(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		benchParser.Parse(benchText)
+	}
+}
+
+var (
+	streamSetup sync.Once
+	streamTexts []string
+)
+
+// BenchmarkParseStream parses a seeded cycle of 4,096 distinct records,
+// drawn as perfbench draws its traffic (BrandFraction 0.02), with the
+// bench parser. No text repeats within a cycle, so unlike
+// BenchmarkParseRecord it measures a parse of text the parser has not
+// just seen.
+func BenchmarkParseStream(b *testing.B) {
+	setupBench(b)
+	streamSetup.Do(func() {
+		seen := make(map[string]bool)
+		for _, d := range synth.Generate(synth.Config{N: 4096, Seed: 403, BrandFraction: 0.02}) {
+			text := d.Render().Text
+			if seen[text] {
+				panic("BenchmarkParseStream: a record repeats within the cycle")
+			}
+			seen[text] = true
+			streamTexts = append(streamTexts, text)
+		}
+	})
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchParser.Parse(streamTexts[i%len(streamTexts)])
 	}
 }
 

@@ -451,7 +451,7 @@ func TestParseSteadyStateAllocs(t *testing.T) {
 	}
 	p := getParser(t)
 	text := synth.Generate(synth.Config{N: 1, Seed: 509})[0].Render().Text
-	p.Parse(text) // warm the score caches and scratch pools
+	p.Parse(text) // warm the scratch pools
 	p.ParseWithConfidence(text)
 	if got := testing.AllocsPerRun(100, func() { p.Parse(text) }); got > 24 {
 		t.Errorf("Parse allocates %.0f/op, want <= 24", got)

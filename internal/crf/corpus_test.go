@@ -292,3 +292,21 @@ func TestTableBound(t *testing.T) {
 		}
 	}
 }
+
+// TestTableCollisionIsMiss: a signature held by another shape (a hash
+// collision, forced here by pointing B's signature at A's entry) is a
+// miss, never A's rows.
+func TestTableCollisionIsMiss(t *testing.T) {
+	var tab shapeTable
+	a, b := []int{1, 2, 3}, []int{4, 5, 6}
+	if e, _, fresh := tab.shape(a, 4); e == nil || !fresh {
+		t.Fatal("first sight of a shape must add it")
+	}
+	tab.index[obsSignature(b)] = tab.index[obsSignature(a)]
+	if e, _, _ := tab.shape(b, 4); e != nil {
+		t.Fatal("a colliding shape was served another shape's rows")
+	}
+	if e, _, fresh := tab.shape(a, 4); e == nil || fresh {
+		t.Fatal("a kept shape must hit")
+	}
+}

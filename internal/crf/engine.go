@@ -4,40 +4,38 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/mathx"
 )
 
 // This file implements the reusable inference engine: a pooled scratch
 // type holding flat backing arrays for the lattice and every dynamic-
-// programming table, memoization of per-position score rows keyed by the
-// observation-id signature of the line, Viterbi, and the one forward–
-// backward kernel. WHOIS records are template-generated (§2.3), so both a
-// survey-scale workload and a training batch see a small set of distinct
-// line shapes; caching the score rows turns the dominant O(T·|obs|·n²)
-// lattice build into O(distinct·|obs|·n²) plus copies.
+// programming table, the score rows of each position, Viterbi, and the
+// one forward–backward kernel.
 //
-// Memoization invariants:
-//   - A cached row is the byte-for-byte output of the direct computation
-//     (same accumulation order), so cached and uncached inference and
-//     training agree bit-identically. The differential tests in
-//     engine_test.go assert it.
-//   - Inference (Decode, LogZ, the marginals, Posterior) uses one cache
-//     per model, scoreCache, holding log score rows at the model's own
-//     weights. It is dropped whenever θ changes (SetTheta, Train,
-//     WarmStartFrom), so it is never valid across theta updates.
+// Inference (Decode, LogZ, the marginals, Posterior) computes every
+// position's rows directly through addTo and keeps nothing between
+// calls. A line's observation set carries every annotated word of its
+// value (§3.3), so across distinct records it is close to unique, and a
+// memo of rows by line shape would hit mostly on repeated text.
+//
+// Memoization invariants (training only):
 //   - Training uses one shapeTable per gradient worker, holding the score
 //     rows and also the forward kernel's ψ block and row maxima, at one
-//     explicit θ. The batch objective resets each worker's table at the
-//     start of every Eval, and the SGD objective before every example,
-//     so a table never outlives the θ it was filled at. It is bounded by
-//     maxTableShapes; past the bound rows are computed directly.
+//     explicit θ. A hit saves the ψ block's n² exps, which cost far more
+//     than summing the rows. The batch objective resets each worker's
+//     table at the start of every Eval, and the SGD objective before
+//     every example, so a table never outlives the θ it was filled at.
+//     It is bounded by maxTableShapes; past the bound rows are computed
+//     directly.
+//   - A table row is the byte-for-byte output of the direct computation
+//     (same accumulation order), so training with and without the table
+//     agrees bit-identically. The differential tests in engine_test.go
+//     assert it.
 //
 // Viterbi runs max-sum over the log-domain lattice. The forward–backward
 // kernel runs in probability space on potentials it exponentiates into
-// the per-call scratch or the training table only; the model-level cache
-// keeps log scores.
+// the per-call scratch or the training table only.
 
 // lattice holds the per-position log-domain score tables for one
 // instance as flat backing arrays.
@@ -113,7 +111,7 @@ func getScratch() *scratch  { return scratchPool.Get().(*scratch) }
 func putScratch(s *scratch) { scratchPool.Put(s) }
 
 // obsSignature hashes a position's observation ids (FNV-1a over the id
-// words plus the length) into the memo/cache key.
+// words plus the length) into the training table's key.
 func obsSignature(obs []int) uint64 {
 	const (
 		offset = 14695981039346656037
@@ -141,87 +139,15 @@ func obsEqual(a, b []int) bool {
 	return true
 }
 
-// maxScoreCacheEntries bounds the model-level cache. At the paper's
-// 6- and 12-state label spaces one entry is a few hundred bytes, so the
-// cap keeps the cache in the low megabytes while covering far more line
-// shapes than real WHOIS templates produce.
-const maxScoreCacheEntries = 1 << 13
-
-// scoreEntry caches the state and transition score rows of one line shape.
-// Entries are immutable once published.
-type scoreEntry struct {
-	obs   []int
-	state []float64 // n
-	trans []float64 // n*n
-}
-
-// scoreCache memoizes score rows across records for a fixed θ. Reads are
-// lock-free (sync.Map); a hash collision (different obs, same signature)
-// is treated as a miss so correctness never depends on hash quality.
-type scoreCache struct {
-	entries sync.Map // uint64 -> *scoreEntry
-	count   atomic.Int64
-}
-
-func (c *scoreCache) lookup(sig uint64, obs []int) (*scoreEntry, bool) {
-	v, ok := c.entries.Load(sig)
-	if !ok {
-		return nil, false
-	}
-	e := v.(*scoreEntry)
-	if !obsEqual(e.obs, obs) {
-		return nil, false
-	}
-	return e, true
-}
-
-func (c *scoreCache) insert(sig uint64, obs []int, state, trans []float64) {
-	if c.count.Load() >= maxScoreCacheEntries {
-		return
-	}
-	e := &scoreEntry{
-		obs:   append([]int(nil), obs...),
-		state: append([]float64(nil), state...),
-		trans: append([]float64(nil), trans...),
-	}
-	if _, loaded := c.entries.LoadOrStore(sig, e); !loaded {
-		c.count.Add(1)
-	}
-}
-
-// curCache returns the cache valid for the model's current θ.
-func (m *Model) curCache() *scoreCache { return m.scores.Load() }
-
-// invalidateScores drops all cached score rows; every θ mutation must call
-// it (see the memoization invariants above).
-func (m *Model) invalidateScores() { m.scores.Store(new(scoreCache)) }
-
-// fillLattice populates s.lat for inst at the model's own weights, sharing
-// score rows across records through the model-level cache. It reproduces
-// the direct computation bit-for-bit, because every cached row is the
-// direct computation's output copied verbatim.
+// fillLattice populates s.lat for inst at the model's own weights,
+// computing every position's state and transition rows directly.
 func (m *Model) fillLattice(s *scratch, inst Instance) {
-	n := m.cfg.NumStates
-	T := len(inst.Obs)
-	s.ensure(T, n)
+	s.ensure(len(inst.Obs), m.cfg.NumStates)
 	lat := &s.lat
-	cache := m.curCache()
-	for t := 0; t < T; t++ {
-		obs := inst.Obs[t]
-		sig := obsSignature(obs)
-		st := lat.stateRow(t)
-		if e, ok := cache.lookup(sig, obs); ok {
-			copy(st, e.state)
-			if t >= 1 {
-				copy(lat.transRow(t), e.trans)
-			}
-			continue
-		}
-		m.stateScores(m.theta, obs, st)
+	for t, obs := range inst.Obs {
+		m.stateScores(m.theta, obs, lat.stateRow(t))
 		if t >= 1 {
-			tr := lat.transRow(t)
-			m.transScores(m.theta, obs, tr)
-			cache.insert(sig, obs, st, tr)
+			m.transScores(m.theta, obs, lat.transRow(t))
 		}
 	}
 }

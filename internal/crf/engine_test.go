@@ -11,14 +11,15 @@ import (
 	"repro/internal/tokenize"
 )
 
-// Differential tests for the pooled/memoized inference engine: the naive
+// Differential tests for the pooled inference engine: the naive
 // implementations below are the pre-engine code (fresh [][]float64 tables,
-// no memoization, no pooling, log-space forward–backward) kept as the
-// reference. Viterbi must reproduce it bit-identically: cached score rows
-// are copies of the direct computation, and the max-sum recursion performs
-// the same floating-point operations in the same order. The probability-
-// space kernel must agree with the log-space recursion within near's
-// bound, and its cache-hit and direct passes must agree bit-identically.
+// plain score loops, no pooling, log-space forward–backward) kept as the
+// reference. Viterbi must reproduce it bit-identically: the addTo kernel
+// sums every score element in the reference loops' order, and the max-sum
+// recursion performs the same floating-point operations in the same
+// order. The probability-space kernel must agree with the log-space
+// recursion within near's bound, and repeated passes must agree
+// bit-identically.
 
 // near reports |a−b| ≤ 1e-9·max(1,|b|), the bound the scaled kernel keeps
 // against the log-space reference.
@@ -49,13 +50,45 @@ func (m *Model) naiveBuildLattice(theta []float64, inst Instance) *naiveLattice 
 	lat.trans = make([][]float64, T)
 	for t := 0; t < T; t++ {
 		lat.state[t] = make([]float64, n)
-		m.stateScores(theta, inst.Obs[t], lat.state[t])
+		m.naiveStateScores(theta, inst.Obs[t], lat.state[t])
 		if t >= 1 {
 			lat.trans[t] = make([]float64, n*n)
-			m.transScores(theta, inst.Obs[t], lat.trans[t])
+			m.naiveTransScores(theta, inst.Obs[t], lat.trans[t])
 		}
 	}
 	return lat
+}
+
+// naiveStateScores is the plain emission loop the addTo kernel must
+// reproduce bit for bit: the bias row, then each observation's row.
+func (m *Model) naiveStateScores(theta []float64, obs []int, dst []float64) {
+	n := m.cfg.NumStates
+	for y := 0; y < n; y++ {
+		dst[y] = theta[m.biasBase+y]
+	}
+	for _, o := range obs {
+		for y := 0; y < n; y++ {
+			dst[y] += theta[o*n+y]
+		}
+	}
+}
+
+// naiveTransScores is the plain transition loop: the label-bigram block,
+// then each ranked observation's block.
+func (m *Model) naiveTransScores(theta []float64, obs []int, dst []float64) {
+	nn := m.cfg.NumStates * m.cfg.NumStates
+	for k := 0; k < nn; k++ {
+		dst[k] = theta[m.transBase+k]
+	}
+	for _, o := range obs {
+		r := m.transRank[o]
+		if r < 0 {
+			continue
+		}
+		for k := 0; k < nn; k++ {
+			dst[k] += theta[m.tobsBase+r*nn+k]
+		}
+	}
 }
 
 func naiveForward(lat *naiveLattice) [][]float64 {
@@ -310,8 +343,8 @@ func TestEngineMatchesNaiveDecode(t *testing.T) {
 			inst = randomInstance(rng, dict, 1+rng.Intn(12), n, false)
 		}
 		wantPath, wantScore := m.naiveDecode(inst)
-		// Run twice: the first call populates the model cache, the second
-		// exercises the pure cache-hit path.
+		// Run twice: the second call reuses the pooled scratch the first
+		// filled.
 		for pass := 0; pass < 2; pass++ {
 			gotPath, gotScore := m.Decode(inst)
 			if gotScore != wantScore {
@@ -348,7 +381,7 @@ func TestEngineMatchesNaiveMarginalsAndLogZ(t *testing.T) {
 }
 
 // checkAgainstNaive runs LogZ, Marginals and EdgeMarginals twice (the
-// first pass fills the model cache, the second only hits it): the passes
+// second pass reuses the pooled scratch the first filled): the passes
 // must agree exactly, and both must be finite and near the log-space
 // reference.
 func checkAgainstNaive(t *testing.T, m *Model, inst Instance, label string) {
@@ -371,7 +404,7 @@ func checkAgainstNaive(t *testing.T, m *Model, inst Instance, label string) {
 		if pass == 0 {
 			firstZ, firstM, firstE = gotZ, gotM, gotE
 		} else if gotZ != firstZ || !reflect.DeepEqual(gotM, firstM) || !reflect.DeepEqual(gotE, firstE) {
-			t.Fatalf("%s: cache-hit pass differs from the direct pass", label)
+			t.Fatalf("%s: second pass differs from the first", label)
 		}
 		check("LogZ", gotZ, wantZ)
 		for tt := range wantM {
@@ -500,15 +533,15 @@ func TestPosteriorEmptyInstance(t *testing.T) {
 	}
 }
 
-// TestScoreCacheInvalidatedOnThetaChange guards the central memoization
-// invariant: cached rows must never survive a theta update.
-func TestScoreCacheInvalidatedOnThetaChange(t *testing.T) {
+// TestDecodeFollowsThetaChange: decoding reads the model's weights as
+// they are after SetTheta and WarmStartFrom, never rows from before.
+func TestDecodeFollowsThetaChange(t *testing.T) {
 	rng := rand.New(rand.NewSource(105))
 	dict := makeDict(t, 10)
 	n := 3
 	m := randomModel(rng, dict, n)
 	inst := randomInstance(rng, dict, 6, n, false)
-	_, before := m.Decode(inst) // populate the cache
+	_, before := m.Decode(inst)
 	theta := mathx.Clone(m.Theta())
 	for i := range theta {
 		theta[i] += 0.5
@@ -518,17 +551,17 @@ func TestScoreCacheInvalidatedOnThetaChange(t *testing.T) {
 	}
 	_, after := m.Decode(inst)
 	if _, naive := m.naiveDecode(inst); after != naive {
-		t.Fatalf("post-SetTheta decode score %v, naive %v (stale cache?)", after, naive)
+		t.Fatalf("post-SetTheta decode score %v, naive %v (stale rows?)", after, naive)
 	}
 	if after == before {
-		t.Fatal("decode score unchanged after theta shift — cache not invalidated")
+		t.Fatal("decode score unchanged after theta shift")
 	}
-	// WarmStartFrom also mutates theta in place and must invalidate.
+	// WarmStartFrom also mutates theta in place.
 	m2 := randomModel(rng, dict, n)
 	_, _ = m2.Decode(inst)
 	m2.WarmStartFrom(m)
 	if _, naive := m2.naiveDecode(inst); func() float64 { _, s := m2.Decode(inst); return s }() != naive {
-		t.Fatal("stale cache after WarmStartFrom")
+		t.Fatal("stale decode after WarmStartFrom")
 	}
 }
 
@@ -543,7 +576,7 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 	n := 6
 	m := randomModel(rng, dict, n)
 	inst := repeatingInstance(rng, dict.Len(), 40, 6, false, n)
-	m.Decode(inst) // warm the score cache and the scratch pool
+	m.Decode(inst) // warm the scratch pool
 	allocs := testing.AllocsPerRun(200, func() {
 		m.Decode(inst)
 	})
@@ -595,26 +628,41 @@ func TestInstanceNLLSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-func TestScoreCacheCollisionSafe(t *testing.T) {
-	// Force two shapes through lookup with the same hash by checking the
-	// collision guard directly: a lookup with mismatched obs must miss.
-	c := new(scoreCache)
-	obsA := []int{1, 2, 3}
-	c.insert(42, obsA, []float64{1}, []float64{2})
-	if _, ok := c.lookup(42, []int{4, 5, 6}); ok {
-		t.Fatal("lookup returned an entry for different observations")
-	}
-	if e, ok := c.lookup(42, obsA); !ok || e.state[0] != 1 {
-		t.Fatal("lookup missed the inserted entry")
-	}
-}
-
-func TestScoreCacheCapBoundsInsertions(t *testing.T) {
-	c := new(scoreCache)
-	for i := 0; i < maxScoreCacheEntries+100; i++ {
-		c.insert(uint64(i), []int{i}, []float64{0}, []float64{0})
-	}
-	if got := c.count.Load(); got > maxScoreCacheEntries {
-		t.Fatalf("cache grew to %d entries, cap is %d", got, maxScoreCacheEntries)
+// TestScoreKernelMatchesReference: stateScores and transScores, through
+// addTo, are the same bits as the plain loops for every label-space size
+// from 2 to 13 (so both the unrolled body and every tail length run),
+// with and without observation-conditioned transitions.
+func TestScoreKernelMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(110))
+	dict := makeDict(t, 14)
+	for n := 2; n <= 13; n++ {
+		for _, noTransObs := range []bool{false, true} {
+			m := New(dict, Config{NumStates: n, DisableTransObs: noTransObs})
+			for i := range m.theta {
+				m.theta[i] = rng.NormFloat64()
+			}
+			label := fmt.Sprintf("n=%d DisableTransObs=%v", n, noTransObs)
+			if noTransObs != (m.numTrans == 0) {
+				t.Fatalf("%s: %d transition observations", label, m.numTrans)
+			}
+			for trial := 0; trial < 20; trial++ {
+				obs := make([]int, rng.Intn(8))
+				for i := range obs {
+					obs[i] = rng.Intn(dict.Len())
+				}
+				got, want := make([]float64, n), make([]float64, n)
+				m.stateScores(m.theta, obs, got)
+				m.naiveStateScores(m.theta, obs, want)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s obs %v: state row %v, reference %v", label, obs, got, want)
+				}
+				got, want = make([]float64, n*n), make([]float64, n*n)
+				m.transScores(m.theta, obs, got)
+				m.naiveTransScores(m.theta, obs, want)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s obs %v: transition row %v, reference %v", label, obs, got, want)
+				}
+			}
+		}
 	}
 }

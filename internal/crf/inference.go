@@ -1,8 +1,9 @@
 package crf
 
 // The public inference entry points below all run on pooled scratch
-// buffers (see engine.go) and consult the model-level score-row cache, so
-// in steady state they allocate only their escaping outputs.
+// buffers (see engine.go) and compute each position's score rows
+// directly, so in steady state they allocate only their escaping outputs
+// and keep no state between calls.
 
 // Decode returns the Viterbi (maximum a posteriori) label sequence for the
 // instance, together with its unnormalized log score (eq. 13). An empty

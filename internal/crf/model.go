@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -73,10 +72,6 @@ type Model struct {
 	biasBase  int
 	transBase int // start of the (i,j) bigram table
 	tobsBase  int // start of the obs-conditioned transition block
-
-	// scores caches per-line-shape score rows for the current theta; it is
-	// swapped out wholesale on every theta mutation (see engine.go).
-	scores atomic.Pointer[scoreCache]
 
 	// met, when non-nil, receives decode latency and token throughput
 	// (see Instrument). Set once before concurrent use.
@@ -150,7 +145,6 @@ func New(dict *tokenize.Dictionary, cfg Config) *Model {
 	m.transBase = m.biasBase + n
 	m.tobsBase = m.transBase + n*n
 	m.theta = make([]float64, m.tobsBase+m.numTrans*n*n)
-	m.scores.Store(new(scoreCache))
 	return m
 }
 
@@ -179,7 +173,6 @@ func (m *Model) SetTheta(theta []float64) error {
 		return fmt.Errorf("crf: SetTheta length %d, want %d", len(theta), len(m.theta))
 	}
 	copy(m.theta, theta)
-	m.invalidateScores()
 	return nil
 }
 
@@ -194,35 +187,51 @@ func (m *Model) MapLines(lines []tokenize.Line) Instance {
 }
 
 // stateScores fills dst (length n) with the emission score of each label
-// at a position with the given observations, using theta.
+// at a position with the given observations, using theta: the bias row
+// plus each observation's row, summed in observation order.
 func (m *Model) stateScores(theta []float64, obs []int, dst []float64) {
 	n := m.cfg.NumStates
-	for y := 0; y < n; y++ {
-		dst[y] = theta[m.biasBase+y]
-	}
+	dst = dst[:n]
+	copy(dst, theta[m.biasBase:])
 	for _, o := range obs {
-		for y, x := range theta[o*n:][:n] {
-			dst[y] += x
-		}
+		addTo(dst, theta[o*n:])
 	}
 }
 
 // transScores fills dst (length n*n, row = previous label) with the
-// transition score into a position with the given observations.
+// transition score into a position with the given observations: the
+// label-bigram block plus each ranked observation's block, summed in
+// observation order.
 func (m *Model) transScores(theta []float64, obs []int, dst []float64) {
-	n := m.cfg.NumStates
-	copy(dst, theta[m.transBase:m.transBase+n*n])
+	nn := m.cfg.NumStates * m.cfg.NumStates
+	dst = dst[:nn]
+	copy(dst, theta[m.transBase:])
 	if m.numTrans == 0 {
 		return
 	}
 	for _, o := range obs {
-		r := m.transRank[o]
-		if r < 0 {
-			continue
+		if r := m.transRank[o]; r >= 0 {
+			addTo(dst, theta[m.tobsBase+r*nn:])
 		}
-		for k, x := range theta[m.tobsBase+r*n*n:][:n*n] {
-			dst[k] += x
-		}
+	}
+}
+
+// addTo adds src[k] to dst[k] for every k < len(dst), four elements per
+// step and then the tail. Reslicing src to len(dst) lets the compiler
+// drop every bounds check inside both loops. Each element still gets one
+// addition, so the result is the same bits as the plain loop.
+func addTo(dst, src []float64) {
+	src = src[:len(dst)]
+	for len(dst) >= 4 && len(src) >= 4 {
+		dst[0] += src[0]
+		dst[1] += src[1]
+		dst[2] += src[2]
+		dst[3] += src[3]
+		dst, src = dst[4:], src[4:]
+	}
+	src = src[:len(dst)]
+	for k, x := range src {
+		dst[k] += x
 	}
 }
 

@@ -50,7 +50,6 @@ func (m *Model) Train(insts []Instance, cfg TrainConfig) (optimize.Result, error
 			return res, fmt.Errorf("crf: lbfgs: %w", err)
 		}
 		copy(m.theta, res.X)
-		m.invalidateScores()
 		return res, nil
 	case "sgd":
 		scfg := cfg.SGD
@@ -69,7 +68,6 @@ func (m *Model) Train(insts []Instance, cfg TrainConfig) (optimize.Result, error
 			return res, fmt.Errorf("crf: sgd: %w", err)
 		}
 		copy(m.theta, res.X)
-		m.invalidateScores()
 		return res, nil
 	default:
 		return optimize.Result{}, fmt.Errorf("crf: unknown training method %q", cfg.Method)

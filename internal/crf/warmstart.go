@@ -13,7 +13,6 @@ func (m *Model) WarmStartFrom(old *Model) {
 	if old == nil || old.cfg.NumStates != m.cfg.NumStates {
 		return
 	}
-	defer m.invalidateScores()
 	n := m.cfg.NumStates
 
 	// Bias and label-bigram blocks are position-compatible.

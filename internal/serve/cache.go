@@ -14,8 +14,7 @@ import (
 // independent per-server random seeds; h1 also selects the shard. A
 // false cache hit needs all three hash dimensions to collide — with 128+
 // bits of independent hash over same-length texts that is beyond
-// negligible, the same stance internal/crf takes for its score cache
-// signatures. gen makes model identity part of record identity: a swap
+// negligible. gen makes model identity part of record identity: a swap
 // bumps the generation, so entries written under the old model can never
 // answer a request admitted under the new one.
 type key struct {

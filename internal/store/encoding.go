@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/labels"
@@ -553,13 +554,30 @@ func ReadFrame(r *bufio.Reader, buf *[]byte, limit int) (payload []byte, n int, 
 // in memory at a time. It tracks byte offsets for frame positions and
 // for recovery truncation.
 type frameScanner struct {
-	r   *bufio.Reader
-	off int64  // offset of the next unread byte
-	buf []byte // reusable payload buffer
+	r   *bufio.Reader // from frameReaders; nil once released
+	off int64         // offset of the next unread byte
+	buf []byte        // reusable payload buffer
 }
 
+// frameReaders recycles the scanners' 64 KiB read buffers, so a walk
+// over a segment of a few records does not allocate one.
+var frameReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 1<<16) }}
+
 func newFrameScanner(r io.Reader, start int64) *frameScanner {
-	return &frameScanner{r: bufio.NewReaderSize(r, 1<<16), off: start}
+	br := frameReaders.Get().(*bufio.Reader)
+	br.Reset(r)
+	return &frameScanner{r: br, off: start}
+}
+
+// release returns the read buffer to frameReaders; the scanner must not
+// be read after. Calling it again does nothing.
+func (fs *frameScanner) release() {
+	if fs.r == nil {
+		return
+	}
+	fs.r.Reset(nil)
+	frameReaders.Put(fs.r)
+	fs.r = nil
 }
 
 // next returns the next frame's payload and its start offset, with

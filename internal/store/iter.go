@@ -89,6 +89,9 @@ func (it *Iterator) Err() error { return it.err }
 // Close releases every file handle the snapshot still holds. Safe to
 // call repeatedly.
 func (it *Iterator) Close() error {
+	if it.walk != nil {
+		it.walk.close()
+	}
 	closeReaders(it.segs)
 	it.segs, it.walk, it.pending = nil, nil, nil
 	return nil

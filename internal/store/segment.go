@@ -165,7 +165,9 @@ func (r *SegmentReader) Fingerprint() (uint32, error) {
 // carries (one for a plain frame, many for a compressed block), valid
 // until the following next. At the end of the snapshot next returns
 // io.EOF, or ErrTornFrame when the bytes held fewer records than the
-// snapshot committed — the file shrank underneath the reader.
+// snapshot committed — the file shrank underneath the reader. A walk
+// that returned an error (io.EOF included) has released its read buffer
+// and must not be read again; one abandoned earlier must be closed.
 type frameWalk struct {
 	r      *SegmentReader
 	sc     *frameScanner
@@ -186,6 +188,7 @@ func (w *frameWalk) next() (int64, [][]byte, error) {
 	payload, off, err := w.sc.next()
 	if err == io.EOF {
 		if w.seen == info.Records {
+			w.close()
 			return off, nil, io.EOF
 		}
 		err = fmt.Errorf("%w: %d of %d records", ErrTornFrame, w.seen, info.Records)
@@ -196,11 +199,15 @@ func (w *frameWalk) next() (int64, [][]byte, error) {
 		payloads, err = decodeBlock(payload)
 	}
 	if err != nil {
+		w.close()
 		return off, nil, fmt.Errorf("store: %s at offset %d: %w", info.Path, off, err)
 	}
 	w.seen += uint64(len(payloads))
 	return off, payloads, nil
 }
+
+// close releases the walk's read buffer. Calling it again does nothing.
+func (w *frameWalk) close() { w.sc.release() }
 
 // Frames walks every frame of the snapshot in order, handing fn the
 // frame's byte offset and the record payloads it carries. Payloads are
@@ -209,6 +216,7 @@ func (w *frameWalk) next() (int64, [][]byte, error) {
 // ErrTornFrame.
 func (r *SegmentReader) Frames(fn func(off int64, payloads [][]byte) error) error {
 	w := r.walk()
+	defer w.close()
 	for {
 		off, payloads, err := w.next()
 		if err == io.EOF {

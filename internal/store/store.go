@@ -251,6 +251,7 @@ func scanSegment(path string, id uint64, isLast bool) (*segment, int64, error) {
 
 	seg := &segment{path: path, id: id, size: segHeaderLen}
 	sc := newFrameScanner(f, segHeaderLen)
+	defer sc.release()
 	for {
 		payload, start, err := sc.next()
 		if err == io.EOF {

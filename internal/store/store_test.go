@@ -205,6 +205,76 @@ func TestIteratorSnapshotExcludesLaterAppends(t *testing.T) {
 	}
 }
 
+// TestInterleavedWalksKeepTheirReadBuffers: frame walks take their read
+// buffers from a shared pool and give them back at EOF, on error and on
+// Close. Two iterators read alternately over different stores, one is
+// closed mid-walk, Frames walks run, and two more iterators start (and
+// may take returned buffers): every walk must still yield exactly its
+// own store's records, in order.
+func TestInterleavedWalksKeepTheirReadBuffers(t *testing.T) {
+	open := func(first, n int) *Store {
+		st, err := Open(t.TempDir(), Options{SegmentBytes: 4 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		for i := first; i < first+n; i++ {
+			if err := st.Append(testRecord(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return st
+	}
+	a, b := open(0, 60), open(1000, 60)
+	want := func(i int) string { return fmt.Sprintf("example%04d.com", i) }
+	step := func(it *Iterator, name string, i int) {
+		t.Helper()
+		if !it.Next() {
+			t.Fatalf("%s ended at record %d: %v", name, i, it.Err())
+		}
+		if got := it.Record().Domain; got != want(i) {
+			t.Fatalf("%s record %d: %s, want %s", name, i, got, want(i))
+		}
+	}
+	itA, itB := a.Iter(), b.Iter()
+	defer itB.Close()
+	for i := 0; i < 25; i++ {
+		step(itA, "a", i)
+		step(itB, "b", 1000+i)
+	}
+	itA.Close() // mid-walk: its buffer goes back to the pool
+	// Frames releases at EOF and again when it returns: the second
+	// release must not hand the same buffer to two later walks.
+	segs, err := a.OpenSegments()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range segs {
+		if err := r.Frames(func(int64, [][]byte) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	closeReaders(segs)
+	itA2, itB2 := a.Iter(), b.Iter()
+	defer itA2.Close()
+	defer itB2.Close()
+	for i := 0; i < 60; i++ {
+		step(itA2, "a again", i)
+		step(itB2, "b again", 1000+i)
+		if i+25 < 60 {
+			step(itB, "b", 1000+25+i)
+		}
+	}
+	for _, it := range []*Iterator{itA2, itB2, itB} {
+		if it.Next() {
+			t.Fatalf("walk yielded an extra record %s", it.Record().Domain)
+		}
+		if err := it.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestCompactDedupsNewestWins(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, Options{SegmentBytes: 4 << 10})

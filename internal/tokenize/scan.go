@@ -169,7 +169,7 @@ func (s *Scan) classes(value string) {
 		if i == j {
 			return
 		}
-		f := strings.Trim(value[i:j], "()[]")
+		f := trimBrackets(value[i:j])
 		value = value[j:]
 		switch {
 		case isFiveDigit(f):
@@ -209,3 +209,17 @@ func (s *Scan) class(c string, from int) {
 }
 
 func isFieldSep(c byte) bool { return c == ' ' || c == ',' || c == ';' }
+
+// trimBrackets is strings.Trim(f, "()[]") as a byte loop from both ends.
+func trimBrackets(f string) string {
+	i, j := 0, len(f)
+	for i < j && isBracket(f[i]) {
+		i++
+	}
+	for j > i && isBracket(f[j-1]) {
+		j--
+	}
+	return f[i:j]
+}
+
+func isBracket(c byte) bool { return c == '(' || c == ')' || c == '[' || c == ']' }

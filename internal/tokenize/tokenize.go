@@ -348,7 +348,13 @@ func looksDate(s string) bool {
 			break
 		}
 	}
-	if t := strings.IndexAny(s, "tT"); t > 0 && strings.Count(s[:t], "-") == 2 {
+	// The first t or T, by byte: both are ASCII, and no byte of a
+	// multi-byte UTF-8 rune is.
+	t := 0
+	for t < len(s) && s[t] != 't' && s[t] != 'T' {
+		t++
+	}
+	if t > 0 && t < len(s) && strings.Count(s[:t], "-") == 2 {
 		s = s[:t] // 2015-02-27t12:00:00z
 	}
 	seps := 0
