@@ -8,6 +8,7 @@
 // domains already in that store, so an interrupted crawl picks up where
 // its last checkpoint left off instead of starting over. With -model the
 // records are parsed before persisting, so the store is survey-ready.
+// Once the crawl ends, the store's sealed segments are flate-compressed.
 //
 // Usage:
 //
@@ -84,9 +85,10 @@ func main() {
 	// Persistent sink: records land in the store as their domains finish,
 	// fsynced on the sink's checkpoint cadence, so a crash loses at most
 	// one checkpoint's worth of crawling.
+	var st *store.Store
 	var sink *store.Sink
 	if *storeDir != "" {
-		st, err := store.Open(*storeDir, store.Options{Metrics: reg})
+		st, err = store.Open(*storeDir, store.Options{Metrics: reg})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -153,6 +155,11 @@ func main() {
 			log.Fatal(err)
 		}
 		log.Printf("persisted %d records to %s", sink.Written(), *storeDir)
+		cs, err := st.CompressSealed()
+		if err != nil {
+			log.Fatal(err)
+		}
+		log.Printf("store: %v", cs)
 	}
 
 	written := 0

@@ -7,7 +7,8 @@
 // directory written by whoiscrawl -store / a previous -store-out run
 // (-store dir). The store path streams: facts fold into the survey
 // aggregates one record at a time, so surveying a 102M-record store never
-// materializes the corpus in memory.
+// materializes the corpus in memory. A -store-out run flate-compresses
+// the store's sealed segments once ingest ends, before closing it.
 //
 // A -store survey accepts -where to restrict it to a predicate
 // (registrar=X, country=Y, year=N, since=N, comma-conjoined). Predicated
@@ -168,7 +169,7 @@ func main() {
 			log.Fatal(err)
 		}
 		defer func() {
-			if err := sink.Close(); err != nil {
+			if err := closeStoreOut(sink); err != nil {
 				log.Printf("store close: %v", err)
 			}
 		}()
@@ -241,6 +242,20 @@ func surveySynthetic(s *survey.Survey, n int, seed int64, parseAll func([]string
 		s.Add(f)
 		persist(f.Domain, texts[i], pr, f)
 	}
+}
+
+// closeStoreOut ends a -store-out run once ingest is done: it
+// compresses the sealed segments the run left as plain frames, logs
+// what that did, and closes the store.
+func closeStoreOut(st *store.Store) error {
+	cs, err := st.CompressSealed()
+	if err == nil {
+		log.Printf("store: %v", cs)
+	}
+	if cerr := st.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // runConsistency is the -consistency mode: audit the store's WHOIS

@@ -262,6 +262,71 @@ func TestStoreSurveyMatchesInMemory(t *testing.T) {
 	}
 }
 
+// TestStoreOutCompressesSealedSegments: the -store-out path's close
+// compresses every sealed segment a run left as plain frames, and the
+// store surveys exactly as it did before.
+func TestStoreOutCompressesSealedSegments(t *testing.T) {
+	facts := syntheticFacts(3000)
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{SegmentBytes: 16 << 10}) // seal several plain segments
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range facts {
+		if err := st.Append(&store.Record{Domain: facts[i].Domain, Facts: facts[i]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	render := func() []byte {
+		t.Helper()
+		s := survey.New(nil)
+		if _, err := surveyFromStore(dir, s, nil); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		renderSurvey(&buf, s, true)
+		return buf.Bytes()
+	}
+	sealed := func() []store.SegmentInfo {
+		t.Helper()
+		st, err := store.Open(dir, store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		infos := st.SegmentInfos()
+		return infos[:len(infos)-1]
+	}
+	plain := render()
+	before := sealed()
+	if len(before) < 2 || before[0].Plain == 0 {
+		t.Fatalf("want several plain sealed segments before -store-out, got %+v", before)
+	}
+
+	st, err = store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := closeStoreOut(st); err != nil {
+		t.Fatal(err)
+	}
+	after := sealed()
+	if len(after) != len(before) {
+		t.Fatalf("%d sealed segments after -store-out, want %d", len(after), len(before))
+	}
+	for _, info := range after {
+		if info.Blocks == 0 || info.Plain != 0 {
+			t.Errorf("segment %d not compressed: %+v", info.ID, info)
+		}
+	}
+	if got := render(); !bytes.Equal(got, plain) {
+		t.Fatalf("survey after -store-out differs:\n--- plain ---\n%s\n--- compressed ---\n%s", plain, got)
+	}
+}
+
 // TestSyntheticSurveyAttributesRegistrars: -synthetic joins each parse
 // with its thin record, as the paper's two-step crawl does (§4.1), so
 // schemas whose thick record carries no registrar line (Network

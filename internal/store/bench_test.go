@@ -28,10 +28,10 @@ func BenchmarkStoreAppend(b *testing.B) {
 }
 
 // BenchmarkStoreCompress measures one CompressSealed pass over four
-// freshly sealed plain segments of 512 records each: the frame walk,
-// the block encoding with the pooled flate writer, and the rewrite's
-// file swap per segment. Appending and sealing the input runs with the
-// timer stopped.
+// freshly sealed plain segments of 512 records each, on
+// min(GOMAXPROCS, 4) workers: the frame walk, the records streamed into
+// each worker's pooled flate writer, and the rewrite's file swap per
+// segment. Appending and sealing the input runs with the timer stopped.
 func BenchmarkStoreCompress(b *testing.B) {
 	st, err := Open(b.TempDir(), Options{})
 	if err != nil {

@@ -85,7 +85,9 @@ func (s *Store) Compact() (CompactStats, error) {
 	}
 
 	// Pass 2: copy the winners, in order, over the sealed segments.
-	merged, err := s.rewrite(in, keep)
+	sc := getBlockScratch()
+	defer sc.release()
+	merged, err := s.rewrite(in, keep, sc)
 	if err != nil {
 		return stats, err
 	}

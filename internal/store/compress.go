@@ -1,11 +1,12 @@
 package store
 
 import (
-	"bytes"
 	"compress/flate"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
+	"runtime"
 	"sync"
 	"time"
 )
@@ -21,6 +22,11 @@ type CompressStats struct {
 	BytesOut int64
 }
 
+func (cs CompressStats) String() string {
+	return fmt.Sprintf("compressed %d sealed segments (%d records): %d -> %d bytes",
+		cs.Segments, cs.Records, cs.BytesIn, cs.BytesOut)
+}
+
 // CompressSealed rewrites every sealed segment still holding plain
 // record frames into flate block frames of Options.BlockRecords records
 // each. Record content, count, and order are untouched — only the frame
@@ -28,21 +34,25 @@ type CompressStats struct {
 // compressed segment identically to a plain one (sidecar fingerprints
 // change, which marks derived indexes stale for rebuild).
 //
-// Each segment is rewritten and swapped on its own, with the crash
-// safety of every sealed-segment rewrite (see rewrite): a crash between
-// segments leaves a mix of compressed and plain segments, all intact.
-// Appends proceed concurrently — the active segment is never touched. A
-// CompressSealed that finds another Compact or CompressSealed running is
-// a no-op.
+// The segments are rewritten on min(GOMAXPROCS, segments) workers. Each
+// worker holds one block scratch for the whole pass and claims segments
+// one at a time; each segment is rewritten and swapped on its own, with
+// the crash safety of every sealed-segment rewrite (see rewrite), so a
+// crash mid-pass leaves a mix of compressed and plain segments, all
+// intact. The first error wins: no worker claims a segment after it,
+// and every worker has returned before CompressSealed does. Seal hooks
+// for the rewritten segments are queued in the order their swaps
+// complete. Appends proceed concurrently — the active segment is never
+// touched. A CompressSealed that finds another Compact or CompressSealed
+// running is a no-op.
 func (s *Store) CompressSealed() (CompressStats, error) {
-	var stats CompressStats
 	start := time.Now()
 
 	s.mu.Lock()
 	ok, err := s.beginRewriteLocked()
 	if !ok {
 		s.mu.Unlock()
-		return stats, err
+		return CompressStats{}, err
 	}
 	defer s.endRewrite()
 	// Candidates: sealed segments (all but the last) with plain frames.
@@ -56,27 +66,15 @@ func (s *Store) CompressSealed() (CompressStats, error) {
 	}
 	s.mu.Unlock()
 
-	for _, seg := range todo {
-		s.mu.Lock()
-		var r *SegmentReader
-		err := errClosed
-		if !s.closed {
-			r, err = openSegmentLocked(seg, true)
-		}
-		s.mu.Unlock()
-		if err != nil {
-			return stats, err
-		}
-		out, err := s.rewrite([]*SegmentReader{r}, nil)
-		r.Close()
-		if err != nil {
-			return stats, err
-		}
-		stats.Segments++
-		stats.Records += out.records
-		stats.BytesIn += r.info.Size
-		stats.BytesOut += out.size
+	p := &compressPass{s: s, todo: todo}
+	workers := min(runtime.GOMAXPROCS(0), len(todo))
+	p.wg.Add(workers)
+	for range workers {
+		go p.work()
 	}
+	p.wg.Wait()
+
+	stats := p.stats
 	if stats.Segments > 0 {
 		s.met.compressions.Add(uint64(stats.Segments))
 		s.met.compressSecs.ObserveSince(start)
@@ -84,7 +82,73 @@ func (s *Store) CompressSealed() (CompressStats, error) {
 			s.met.compressSaved.Add(uint64(saved))
 		}
 	}
-	return stats, nil
+	return stats, p.err
+}
+
+// compressPass is the state CompressSealed's workers share.
+type compressPass struct {
+	s    *Store
+	todo []*segment
+	wg   sync.WaitGroup
+
+	mu    sync.Mutex // guards the fields below
+	next  int        // index in todo of the next unclaimed segment
+	err   error      // the first error; nothing is claimed after it
+	stats CompressStats
+}
+
+// claim hands out the next segment to rewrite, or nil once every one is
+// claimed or a rewrite has failed.
+func (p *compressPass) claim() *segment {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.err != nil || p.next == len(p.todo) {
+		return nil
+	}
+	p.next++
+	return p.todo[p.next-1]
+}
+
+// work is one worker: it rewrites claimed segments with one block
+// scratch until claim runs dry.
+func (p *compressPass) work() {
+	defer p.wg.Done()
+	sc := getBlockScratch()
+	defer sc.release()
+	for seg := p.claim(); seg != nil; seg = p.claim() {
+		in, out, err := p.s.compressSegment(seg, sc)
+		p.mu.Lock()
+		if out != nil {
+			p.stats.Segments++
+			p.stats.Records += out.records
+			p.stats.BytesIn += in
+			p.stats.BytesOut += out.size
+		}
+		if err != nil && p.err == nil {
+			p.err = err
+		}
+		p.mu.Unlock()
+	}
+}
+
+// compressSegment rewrites one sealed segment into block frames with
+// sc, returning its size before and the swapped-in segment (nil when
+// the swap did not happen). An error with a non-nil segment means the
+// swap happened but its directory sync failed.
+func (s *Store) compressSegment(seg *segment, sc *blockScratch) (int64, *segment, error) {
+	s.mu.Lock()
+	var r *SegmentReader
+	err := errClosed
+	if !s.closed {
+		r, err = openSegmentLocked(seg, true)
+	}
+	s.mu.Unlock()
+	if err != nil {
+		return 0, nil, err
+	}
+	defer r.Close()
+	out, err := s.rewrite([]*SegmentReader{r}, nil, sc)
+	return r.info.Size, out, err
 }
 
 // blockFlushBytes flushes a pending block early once its raw payloads
@@ -92,21 +156,30 @@ func (s *Store) CompressSealed() (CompressStats, error) {
 // regardless of record sizes.
 const blockFlushBytes = 4 << 20
 
-// maxPooledScratch caps the buffers blockScratchPool keeps: a block of
-// ordinary records stays well under it, and the scratch of a rewrite
-// that met one huge record is dropped rather than pinned.
+// maxPooledScratch caps the output buffer blockScratchPool keeps: a
+// block of ordinary records compresses well under it, and the scratch
+// of a rewrite that met one huge incompressible record is dropped
+// rather than pinned.
 const maxPooledScratch = blockFlushBytes
 
-// blockScratch is the reusable state of block encoding: the pending
-// block's raw record stream, a flate writer and the buffer it compresses
-// into, and the frame. A rewrite takes one from blockScratchPool and
-// returns it when done. It is not held on the Store, so an idle store
+// frameHeadroom is the space a block frame reserves in front of its
+// flate stream for what is only known once the stream is closed: the
+// frame's length varint and the block header (kind byte, record count
+// and raw length varints).
+const frameHeadroom = 1 + 3*binary.MaxVarintLen64
+
+// blockScratch is the reusable state of block encoding: a flate writer,
+// the buffer the pending frame is built in, and the length prefix of
+// the record being streamed. The prefix lives here rather than on the
+// stack because a slice passed to flate.Writer.Write escapes, which
+// would cost one allocation per record. A rewrite (one per
+// CompressSealed worker) takes a scratch from blockScratchPool and
+// returns it when done; it is not held on the Store, so an idle store
 // keeps none of it live.
 type blockScratch struct {
-	raw   []byte
-	comp  bytes.Buffer
-	zw    *flate.Writer
-	frame []byte
+	zw     *flate.Writer
+	out    []byte // frameHeadroom bytes, then the flate stream
+	prefix [binary.MaxVarintLen64]byte
 }
 
 var blockScratchPool = sync.Pool{New: func() any {
@@ -117,44 +190,64 @@ var blockScratchPool = sync.Pool{New: func() any {
 	return &blockScratch{zw: zw}
 }}
 
-// blockWriter batches record payloads into compressed block frames,
-// maintaining the destination segment's metadata (record count, size,
-// block count) as it goes. Payloads are appended, length-prefixed,
-// straight into the scratch's raw buffer, and each block is compressed
-// by the one reused flate writer, so a steady-state rewrite allocates
-// nothing per record or per block. The bytes written are exactly those
-// of a fresh flate writer per block.
-type blockWriter struct {
-	f            *os.File
-	seg          *segment
-	blockRecords int
+func getBlockScratch() *blockScratch { return blockScratchPool.Get().(*blockScratch) }
 
-	*blockScratch
-	count        int // records in raw
-	payloadBytes int // their payload bytes, without length prefixes
-}
-
-func newBlockWriter(f *os.File, seg *segment, blockRecords int) *blockWriter {
-	sc := blockScratchPool.Get().(*blockScratch)
-	sc.raw = sc.raw[:0]
-	return &blockWriter{f: f, seg: seg, blockRecords: blockRecords, blockScratch: sc}
-}
-
-// release returns the scratch to the pool, unless a buffer grew past
-// maxPooledScratch. The writer is unusable afterwards.
-func (bw *blockWriter) release() {
-	sc := bw.blockScratch
-	bw.blockScratch = nil
-	if cap(sc.raw) <= maxPooledScratch && sc.comp.Cap() <= maxPooledScratch && cap(sc.frame) <= maxPooledScratch {
+// release returns the scratch to the pool, unless its output buffer
+// grew past maxPooledScratch.
+func (sc *blockScratch) release() {
+	if cap(sc.out) <= maxPooledScratch {
 		blockScratchPool.Put(sc)
 	}
 }
 
-// add appends one record payload to the pending block and flushes a
-// full one. payload may be reused by the caller once add returns.
+// Write appends the flate stream to the frame under construction.
+func (sc *blockScratch) Write(p []byte) (int, error) {
+	sc.out = append(sc.out, p...)
+	return len(p), nil
+}
+
+// blockWriter batches record payloads into compressed block frames,
+// maintaining the destination segment's metadata (record count, size,
+// block count) as it goes. Each length-prefixed payload is streamed
+// straight into the scratch's flate writer, whose output lands behind
+// the headroom of the scratch's frame buffer; flush fills the headroom
+// in and writes the frame with one Write. Nothing is allocated per
+// record or per block once the scratch's buffer has grown, and the
+// bytes written are exactly those of a fresh flate writer compressing
+// each block's raw stream in one call: BestSpeed output does not depend
+// on how the input is split across Writes.
+type blockWriter struct {
+	f            *os.File
+	seg          *segment
+	blockRecords int
+	sc           *blockScratch
+
+	count        int // records in the pending block
+	rawLen       int // its raw stream bytes, length prefixes included
+	payloadBytes int // its payload bytes, without length prefixes
+}
+
+// add streams one record payload into the pending block and flushes a
+// full one. payload may be reused by the caller once add returns. A
+// block whose raw stream would pass maxBlockRaw fails.
 func (bw *blockWriter) add(payload []byte) error {
-	bw.raw = AppendString(bw.raw, payload)
+	sc := bw.sc
+	n := binary.PutUvarint(sc.prefix[:], uint64(len(payload)))
+	if bw.rawLen+n+len(payload) > maxBlockRaw {
+		return fmt.Errorf("%w: %d raw bytes", ErrBadBlock, bw.rawLen+n+len(payload))
+	}
+	if bw.count == 0 {
+		sc.out = append(sc.out[:0], make([]byte, frameHeadroom)...)
+		sc.zw.Reset(sc)
+	}
+	if _, err := sc.zw.Write(sc.prefix[:n]); err != nil {
+		return err
+	}
+	if _, err := sc.zw.Write(payload); err != nil {
+		return err
+	}
 	bw.count++
+	bw.rawLen += n + len(payload)
 	bw.payloadBytes += len(payload)
 	if bw.count >= bw.blockRecords || bw.payloadBytes >= blockFlushBytes {
 		return bw.flush()
@@ -162,36 +255,34 @@ func (bw *blockWriter) add(payload []byte) error {
 	return nil
 }
 
-// flush writes the pending block as one frame: the block header and the
-// flate stream go into the reused comp buffer, which is then framed into
-// the reused frame buffer.
+// flush closes the pending block's flate stream and writes the block as
+// one frame: length varint and block header filled in right-aligned in
+// the headroom, the stream, then the CRC32C of header and stream.
 func (bw *blockWriter) flush() error {
 	if bw.count == 0 {
 		return nil
 	}
-	if len(bw.raw) > maxBlockRaw {
-		return fmt.Errorf("%w: %d raw bytes", ErrBadBlock, len(bw.raw))
-	}
-	c := &bw.comp
-	c.Reset()
-	hdr := append(c.AvailableBuffer(), blockKind)
-	hdr = binary.AppendUvarint(hdr, uint64(bw.count))
-	c.Write(binary.AppendUvarint(hdr, uint64(len(bw.raw))))
-	bw.zw.Reset(c)
-	if _, err := bw.zw.Write(bw.raw); err != nil {
+	sc := bw.sc
+	if err := sc.zw.Close(); err != nil {
 		return err
 	}
-	if err := bw.zw.Close(); err != nil {
-		return err
-	}
-	bw.frame = AppendFrame(bw.frame[:0], c.Bytes())
-	if _, err := bw.f.Write(bw.frame); err != nil {
+	var hdr [1 + 2*binary.MaxVarintLen64]byte
+	hdr[0] = blockKind
+	hn := 1 + binary.PutUvarint(hdr[1:], uint64(bw.count))
+	hn += binary.PutUvarint(hdr[hn:], uint64(bw.rawLen))
+	var size [binary.MaxVarintLen64]byte
+	sn := binary.PutUvarint(size[:], uint64(hn+len(sc.out)-frameHeadroom))
+	start := frameHeadroom - hn - sn
+	copy(sc.out[start:], size[:sn])
+	copy(sc.out[start+sn:], hdr[:hn])
+	sc.out = binary.LittleEndian.AppendUint32(sc.out, crc32.Checksum(sc.out[start+sn:], Castagnoli))
+	frame := sc.out[start:]
+	if _, err := bw.f.Write(frame); err != nil {
 		return fmt.Errorf("store: compress write: %w", err)
 	}
-	bw.seg.size += int64(len(bw.frame))
+	bw.seg.size += int64(len(frame))
 	bw.seg.records += uint64(bw.count)
 	bw.seg.blocks++
-	bw.raw = bw.raw[:0]
-	bw.count, bw.payloadBytes = 0, 0
+	bw.count, bw.rawLen, bw.payloadBytes = 0, 0, 0
 	return nil
 }

@@ -764,9 +764,10 @@ func bigRecord(i int) *Record {
 }
 
 // TestCompressedBytesMatchReference: CompressSealed and Compact, which
-// reuse one pooled flate writer and raw buffer across blocks and
-// rewrites, write exactly the bytes of the reference encoder, including
-// a block cut short by blockFlushBytes.
+// stream each record into one pooled flate writer reused across blocks
+// and rewrites, write exactly the bytes of the reference encoder (a
+// fresh writer compressing each block's raw stream in one Write),
+// including a block cut short by blockFlushBytes.
 func TestCompressedBytesMatchReference(t *testing.T) {
 	const blockRecords = 8
 	st, err := Open(t.TempDir(), Options{BlockRecords: blockRecords})
@@ -916,4 +917,113 @@ func TestCompressSealedAllocs(t *testing.T) {
 	if per := (after.TotalAlloc - before.TotalAlloc) / cs.Records; per >= 1<<10 {
 		t.Errorf("CompressSealed allocates %d B per record, want < 1 KiB", per)
 	}
+}
+
+// TestCompressSealedAllocsFlat: on a warmed scratch pool, a pass's
+// allocations grow with its segments (files, readers) and not with its
+// records, so a length prefix or frame buffer that escaped per record
+// shows up here.
+func TestCompressSealedAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	st, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	const perSegment = 512
+	n := 0
+	pass := func(segments int) uint64 {
+		t.Helper()
+		for seg := 0; seg < segments; seg++ {
+			for j := 0; j < perSegment; j++ {
+				if err := st.Append(testRecord(n)); err != nil {
+					t.Fatal(err)
+				}
+				n++
+			}
+			sealActive(t, st)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		cs, err := st.CompressSealed()
+		runtime.ReadMemStats(&after)
+		if err != nil || cs.Segments != segments {
+			t.Fatalf("CompressSealed = %+v, %v; want %d segments", cs, err, segments)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	pass(8) // warm the pool and the store's buffers
+	few, many := pass(2), pass(8)
+	for try := 0; try < 2; try++ { // a GC may empty the pool mid-pass
+		few, many = min(few, pass(2)), min(many, pass(8))
+	}
+	// 6 more segments carry 3,072 more records; one allocation per
+	// record would add that many.
+	if perSeg := float64(many-few) / 6; many < few || perSeg > perSegment/8 {
+		t.Errorf("2 segments: %d allocs, 8 segments: %d; %.0f per extra segment of %d records, want <= %d",
+			few, many, perSeg, perSegment, perSegment/8)
+	}
+}
+
+// TestRewriteDirSyncFails: a rewrite whose directory sync fails after
+// the swap returns the error from CompressSealed and Compact, with the
+// segment list already matching the files: a reopened store reads the
+// same segments and records.
+func TestRewriteDirSyncFails(t *testing.T) {
+	errSync := errors.New("sync refused")
+	defer func(f func(string) error) { syncDir = f }(syncDir)
+	syncDir = func(string) error { return errSync }
+
+	dir := t.TempDir()
+	st, err := Open(dir, Options{BlockRecords: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for seg := 0; seg < 3; seg++ {
+		for i := 0; i < 20; i++ {
+			if err := st.Append(testRecord(seg*20 + i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sealActive(t, st)
+	}
+	matchesDisk := func(op string) {
+		t.Helper()
+		live := st.SegmentInfos()
+		if err := st.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		re, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		disk := re.SegmentInfos()
+		re.Close()
+		if !reflect.DeepEqual(live, disk) {
+			t.Fatalf("after %s, the store's segments\n%+v\ndiffer from the files'\n%+v", op, live, disk)
+		}
+	}
+
+	cs, err := st.CompressSealed()
+	if !errors.Is(err, errSync) {
+		t.Fatalf("CompressSealed = %v, want the directory sync's error", err)
+	}
+	if cs.Segments == 0 || st.SegmentInfos()[0].Blocks == 0 {
+		t.Fatalf("CompressSealed = %+v; the failed sync should follow a swap", cs)
+	}
+	matchesDisk("CompressSealed")
+	if got := st.Len(); got != 60 {
+		t.Fatalf("after CompressSealed, %d records, want 60", got)
+	}
+
+	if _, err := st.Compact(); !errors.Is(err, errSync) {
+		t.Fatalf("Compact = %v, want the directory sync's error", err)
+	}
+	if infos := st.SegmentInfos(); len(infos) != 2 || infos[0].Records != 60 {
+		t.Fatalf("after Compact, segments %+v; want one merged segment of 60 records and the active one", infos)
+	}
+	matchesDisk("Compact")
 }

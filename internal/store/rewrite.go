@@ -33,20 +33,29 @@ func (s *Store) endRewrite() {
 	s.wg.Done()
 }
 
+// syncDir makes a rewrite's swap durable. Tests replace it to fail the
+// directory sync.
+var syncDir = SyncDir
+
 // rewrite copies the records of in — adjacent sealed segments, oldest
-// first — into one segment of block frames and swaps it into the store
-// in their place. With a nil keep every record is copied; otherwise
-// record i, counted across in, is copied when keep[i] is set. Frames are
-// walked without decoding records; the walk fails an input that ends
-// short of its committed record count.
+// first — into one segment of block frames, encoded with sc, and swaps
+// it into the store in their place. With a nil keep every record is
+// copied; otherwise record i, counted across in, is copied when keep[i]
+// is set. Frames are walked without decoding records; the walk fails an
+// input that ends short of its committed record count. Several rewrites
+// of disjoint single inputs may run at once (CompressSealed's workers),
+// each with its own scratch: the swap is serialized under s.mu and
+// finds its place in s.segments by id.
 //
 // Crash safety: the output is written to a temp file, fsynced, and
 // renamed over the first input before the other inputs are unlinked. A
 // crash between the rename and the unlinks leaves duplicate records (the
 // next Compact removes them) but never loses one. Readers holding earlier
 // snapshots keep their file handles on the old bytes. The swap fails
-// with errClosed once Close has begun.
-func (s *Store) rewrite(in []*SegmentReader, keep []bool) (*segment, error) {
+// with errClosed once Close has begun. A failed directory sync after
+// the swap returns the new segment, already spliced in so that memory
+// matches the files, together with the error.
+func (s *Store) rewrite(in []*SegmentReader, keep []bool, sc *blockScratch) (*segment, error) {
 	first := in[0].info
 	tmpPath := first.Path + ".tmp"
 	f, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -61,8 +70,7 @@ func (s *Store) rewrite(in []*SegmentReader, keep []bool) (*segment, error) {
 		return nil, fmt.Errorf("store: rewrite header: %w", err)
 	}
 	out := &segment{path: first.Path, id: first.ID, size: segHeaderLen}
-	bw := newBlockWriter(f, out, s.opts.BlockRecords)
-	defer bw.release()
+	bw := &blockWriter{f: f, seg: out, blockRecords: s.opts.BlockRecords, sc: sc}
 	var read, kept uint64
 	for _, r := range in {
 		err := r.Frames(func(_ int64, payloads [][]byte) error {
@@ -104,7 +112,6 @@ func (s *Store) rewrite(in []*SegmentReader, keep []bool) (*segment, error) {
 			return nil, fmt.Errorf("store: rewrite cleanup: %w", err)
 		}
 	}
-	_ = SyncDir(s.dir) // best-effort directory durability for the swap
 	// Splice out in place of the inputs. Only this rewrite removes
 	// segments and rotation only appends, so the inputs are still
 	// adjacent in s.segments.
@@ -123,5 +130,8 @@ func (s *Store) rewrite(in []*SegmentReader, keep []bool) (*segment, error) {
 	// The segment's bytes are new: sidecars derived from the inputs are
 	// stale and must be rebuilt off this id.
 	s.sealedLocked(out.id)
+	if err := syncDir(s.dir); err != nil {
+		return out, fmt.Errorf("store: rewrite dir sync: %w", err)
+	}
 	return out, nil
 }

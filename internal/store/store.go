@@ -439,8 +439,10 @@ func (s *Store) rotateLocked() error {
 // rewritten in place by Compact or CompressSealed. Derived artifacts
 // keyed to a segment's content (the query engine's facts sidecars) hang
 // off this hook to stay fresh without polling.
-// Calls run one at a time, in seal order, on a single worker goroutine
-// the store owns; Close waits for every queued call.
+// Calls run one at a time, in the order the seals happen, on a single
+// worker goroutine the store owns; Close waits for every queued call. A
+// CompressSealed pass seals its rewritten segments as their swaps
+// complete, which need not be segment order.
 func (s *Store) SetOnSeal(fn func(id uint64)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -1,10 +1,12 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -560,6 +562,96 @@ func TestCloseJoinsGoroutines(t *testing.T) {
 	if hooks.Load() == 0 {
 		t.Fatal("seal hook never ran")
 	}
+}
+
+// TestCompressSealedJoinsWorkers: a parallel CompressSealed pass over
+// many sealed segments, running beside an appender and an iterator,
+// has joined every worker when it returns; a pass that Close races
+// fails with errClosed or finishes, leaves no worker behind, and the
+// reopened store yields every record in order.
+func TestCompressSealedJoinsWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // several workers on any machine
+	joined := leakcheck.Joined(t)
+	dir := t.TempDir()
+	st, err := Open(dir, Options{SegmentBytes: 2 << 10, BlockRecords: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	sealMore := func(segments int) {
+		t.Helper()
+		for target := st.Segments() + segments; st.Segments() < target; n++ {
+			if err := st.Append(testRecord(n)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	inOrder := func(it *Iterator, want int) {
+		t.Helper()
+		defer it.Close()
+		i := 0
+		for ; it.Next(); i++ {
+			if got := it.Record().Domain; got != testRecord(i).Domain {
+				t.Errorf("record %d is %s, want %s", i, got, testRecord(i).Domain)
+				return
+			}
+		}
+		if err := it.Err(); err != nil {
+			t.Error(err)
+		}
+		if i < want {
+			t.Errorf("iterated %d records, want at least %d", i, want)
+		}
+	}
+
+	sealMore(9)
+	sealed := n
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := n; i < n+200; i++ {
+			if err := st.Append(testRecord(i)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		inOrder(st.Iter(), sealed)
+	}()
+	cs, err := st.CompressSealed()
+	wg.Wait()
+	n += 200
+	if err != nil || cs.Segments < 8 {
+		t.Fatalf("CompressSealed = %+v, %v; want at least 8 segments", cs, err)
+	}
+	joined()
+
+	sealMore(9)
+	done := make(chan error, 1)
+	go func() {
+		_, err := st.CompressSealed()
+		done <- err
+	}()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil && !errors.Is(err, errClosed) {
+		t.Fatalf("CompressSealed racing Close = %v, want errClosed or nil", err)
+	}
+	joined()
+
+	st, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if got := st.Len(); got != uint64(n) {
+		t.Fatalf("reopened store holds %d records, want %d", got, n)
+	}
+	inOrder(st.Iter(), n)
 }
 
 func TestOpenRejectsForeignFile(t *testing.T) {
